@@ -47,6 +47,7 @@ from .evaluation import (
     accuracy_index,
     avg_rel_index,
     avgrel_table,
+    error_cube,
     relative_index,
     rolling_harness,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "accuracy_index",
     "avg_rel_index",
     "avgrel_table",
+    "error_cube",
     "relative_index",
     "rolling_harness",
     "HeuristicConfig",

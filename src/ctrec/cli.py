@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 input/format error, 3 numerical failure,
-4 non-convergence (the iteration trace is written next to the output).
+4 non-convergence (the iteration trace is written to ``ctrec-trace.csv``
+in the working directory).
 """
 
 from __future__ import annotations
@@ -18,20 +19,14 @@ from . import io as fio
 from .covariance import CS_KINDS, OCT_KINDS, T_KINDS
 from .crosstemporal import bottom_up, build_cross_temporal, coherence_report
 from .errors import (
-    BenchmarkZero,
+    CtrecError,
     DegenerateSample,
-    DimensionMismatch,
-    EmptySelection,
-    InvalidEntry,
     InvalidInput,
     NonConvergence,
-    NotAFactor,
-    OrderingMismatch,
-    RaggedEdge,
     SingularCovariance,
     SingularSystem,
 )
-from .evaluation import ErrorCube, avgrel_table, format_report
+from .evaluation import avgrel_table, error_cube, format_report
 from .heuristics import HeuristicConfig, iterative, ka_two_step
 from .reconcile import (
     reconcile_cross_sectional_tableau,
@@ -40,19 +35,9 @@ from .reconcile import (
 )
 from .synthgen import generate_coherent, naive_base_forecasts
 
-_INPUT_ERRORS = (
-    InvalidInput,
-    InvalidEntry,
-    DimensionMismatch,
-    NotAFactor,
-    RaggedEdge,
-    OrderingMismatch,
-    BenchmarkZero,
-    EmptySelection,
-    OSError,
-    ValueError,
-)
 _NUMERIC_ERRORS = (SingularCovariance, SingularSystem, DegenerateSample)
+# Every other package error is an input error; checked after the above.
+_INPUT_ERRORS = (CtrecError, OSError, ValueError)
 
 
 def _guard(fn):
@@ -282,18 +267,14 @@ def heuristic(
               default="mse", show_default=True)
 @click.option("--benchmark", default="base", show_default=True)
 @click.option("--out", "out_path", type=click.Path())
-@click.option("--jobs", default=1, show_default=True,
-              help="Worker threads for reading origin files.")
 @_guard
-def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path, jobs):
+def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
     """Compute average relative accuracy tables over a rolling experiment.
 
     Origin files are matched across procedures by sorted file name; origin
     ``t`` of ``q`` is aligned with actual cycle ``N - q - h + t`` so that
     the last origin forecasts the final observed cycles.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     cs, ts = fio.read_hierarchy(hierarchy)
     actuals, n_total = fio.read_values(actuals_path, cs, ts)
     runs = Path(runs_dir)
@@ -315,15 +296,10 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path, jo
         raise InvalidInput(f"procedures disagree on origin counts: {counts}")
     q = counts.pop()
 
-    def read_all(name):
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            return list(pool.map(lambda f: fio.read_values(f, cs, ts),
-                                 file_lists[name]))
-
     h = None
     per_proc = {}
     for name in names:
-        loaded = read_all(name)
+        loaded = [fio.read_values(f, cs, ts) for f in file_lists[name]]
         hs = {c for _, c in loaded}
         if len(hs) != 1:
             raise InvalidInput(f"{name}: origin files disagree on horizon")
@@ -332,35 +308,7 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path, jo
         elif hs != {h}:
             raise InvalidInput("procedures disagree on the forecast horizon")
         per_proc[name] = [v for v, _ in loaded]
-    start = n_total - q - h + 1
-    if start < 0:
-        raise InvalidInput(
-            f"{q} origins of {h} cycles do not fit into {n_total} actual cycles"
-        )
-    horizons = {k: h * ts.M_k[k] for k in ts.factors}
-    errors = {
-        name: {k: np.zeros((cs.n, q, horizons[k])) for k in ts.factors}
-        for name in names
-    }
-    width = h * ts.cycle_len
-    for t in range(q):
-        target = np.empty((cs.n, width))
-        for k in ts.factors:
-            src = ts.level_slice(k, n_total)
-            lo = src.start + (start + t) * ts.M_k[k]
-            target[:, ts.level_slice(k, h)] = actuals[:, lo : lo + horizons[k]]
-        for name in names:
-            err = target - per_proc[name][t]
-            for k in ts.factors:
-                errors[name][k][:, t, :] = err[:, ts.level_slice(k, h)]
-    cube = ErrorCube(
-        procedures=tuple(names),
-        series_labels=tuple(cs.labels),
-        n_a=cs.n_a,
-        factors=tuple(ts.factors),
-        horizons=horizons,
-        errors=errors,
-    )
+    cube = error_cube(actuals, per_proc, cs, ts, h, n_total - q - h + 1)
     header, rows = avgrel_table(cube, measure)
     click.echo(format_report(header, rows))
     if out_path:

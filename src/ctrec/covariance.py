@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .crosstemporal import CrossTemporalStructure, commutation_indices
+from .crosstemporal import CrossTemporalStructure
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -199,12 +199,7 @@ class CovarianceModel:
         if sp.issparse(self.matrix):
             lu = spla.splu(sp.csc_matrix(self.matrix))
             return lu.solve
-        try:
-            cho = scipy.linalg.cho_factor(self.matrix, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularCovariance(
-                f"{self.kind}: matrix is not positive definite"
-            ) from exc
+        cho = _spd_factor(self.matrix, self.kind)
         return lambda b: scipy.linalg.cho_solve(cho, b)
 
     def dense(self) -> np.ndarray:
@@ -235,13 +230,17 @@ class CovarianceModel:
                     f"{self.kind}: diagonal has non-positive entries"
                 )
             return
-        A = self.dense()
-        try:
-            scipy.linalg.cholesky(A, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularCovariance(
-                f"{self.kind}: matrix is not positive definite"
-            ) from exc
+        _spd_factor(self.dense(), self.kind)
+
+
+def _spd_factor(A: np.ndarray, label: str):
+    """Cholesky factor of a dense matrix, or :class:`SingularCovariance`."""
+    try:
+        return scipy.linalg.cho_factor(A, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularCovariance(
+            f"{label}: matrix is not positive definite"
+        ) from exc
 
 
 def _identity(kind: str, size: int) -> CovarianceModel:
@@ -258,11 +257,10 @@ def _diagonal(kind: str, d: np.ndarray, **kw) -> CovarianceModel:
 
 
 def _full(kind: str, A: np.ndarray, **kw) -> CovarianceModel:
+    """Dense model of a matrix that already passed the SPD gate."""
     A = np.asarray(A, dtype=float)
     A = 0.5 * (A + A.T)
-    model = CovarianceModel(kind=kind, structure="full", size=A.shape[0], matrix=A, **kw)
-    model.require_spd()
-    return model
+    return CovarianceModel(kind=kind, structure="full", size=A.shape[0], matrix=A, **kw)
 
 
 def _block_diagonal(kind: str, A, **kw) -> CovarianceModel:
@@ -282,17 +280,6 @@ def sample_mse(E: np.ndarray) -> np.ndarray:
     return (E @ E.T) / E.shape[1]
 
 
-def _chol_check(A: np.ndarray, label: str) -> np.ndarray:
-    """Dense Cholesky gate for a within-cycle matrix (small by design)."""
-    try:
-        scipy.linalg.cholesky(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            f"{label}: matrix is not positive definite"
-        ) from exc
-    return A
-
-
 def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """Ridge-lift borderline sample matrices; reject truly indefinite ones.
 
@@ -302,9 +289,9 @@ def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """
     A = 0.5 * (A + A.T)
     try:
-        scipy.linalg.cholesky(A, lower=True)
+        _spd_factor(A, label)
         return A
-    except scipy.linalg.LinAlgError:
+    except SingularCovariance:
         pass
     tr = float(np.trace(A))
     if tr <= 0:
@@ -314,7 +301,21 @@ def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
         raise SingularCovariance(
             f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"
         )
-    return _chol_check(A + _RIDGE * tr * np.eye(A.shape[0]), label)
+    lifted = A + _RIDGE * tr * np.eye(A.shape[0])
+    _spd_factor(lifted, label)
+    return lifted
+
+
+def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
+    """SPD-checked moment matrix of residual rows ``E``: ``(matrix, lam)``.
+
+    Shrunk toward its diagonal, or ridge-lifted when borderline.
+    """
+    if not shrunk:
+        return _lift_to_pd(sample_mse(E), kind), None
+    A, lam = shrink(sample_mse(E), residuals=E)
+    _spd_factor(A, kind)
+    return A, lam
 
 
 def shrink(
@@ -407,12 +408,10 @@ def cross_sectional_cov(
     _require(N > 1, kind, "N > 1", f"got N={N}")
     if kind == "cs-wls":
         return _diagonal(kind, np.mean(E * E, axis=1))
-    if kind == "cs-shr":
-        W, lam = shrink(sample_mse(E), residuals=E)
-        return _full(kind, W, lam=lam)
-    # cs-sam
-    _require(N > n, kind, "N > n", f"got N={N}, n={n}")
-    return _full(kind, _lift_to_pd(sample_mse(E), kind))
+    if kind == "cs-sam":
+        _require(N > n, kind, "N > n", f"got N={N}, n={n}")
+    W, lam = _sample_estimate(kind, E, shrunk=kind == "cs-shr")
+    return _full(kind, W, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +525,7 @@ def temporal_cov(
     if kind in ("t-shr", "t-sam"):
         if kind == "t-sam":
             _require(N > cl, kind, "N > k*+m", f"got N={N}, k*+m={cl}")
-            A = _lift_to_pd(sample_mse(E), kind)
-            lam = None
-        else:
-            A, lam = shrink(sample_mse(E), residuals=E)
-            _chol_check(A, kind)
+        A, lam = _sample_estimate(kind, E, shrunk=kind == "t-shr")
         # Copies of one PD cycle block stay PD after extension.
         ext = _extend_cycle_matrix(A, ts, h)
         if sp.issparse(ext):
@@ -613,17 +608,6 @@ def _extend_global_cycle_matrix(A, xts: CrossTemporalStructure):
     return _scatter_cycles(np.asarray(A), perm, h)
 
 
-def _by_time_to_series_major(A, xts: CrossTemporalStructure):
-    """Re-parameterize a time-major covariance to series-major order."""
-    n, q = xts.n, xts.width
-    perm = commutation_indices(n, q)  # series-major[r] = time-major[perm[r]]
-    P = sp.csr_matrix(
-        (np.ones(perm.size), (np.arange(perm.size), perm)),
-        shape=(perm.size, perm.size),
-    )
-    return sp.csr_matrix(P @ sp.csr_matrix(A) @ P.T)
-
-
 def cross_temporal_cov(
     kind: str,
     xts: CrossTemporalStructure,
@@ -672,11 +656,7 @@ def cross_temporal_cov(
             _require(
                 N > n * cl, kind, "N > n(k*+m)", f"got N={N}, n(k*+m)={n * cl}"
             )
-            A = _lift_to_pd(sample_mse(E), kind)
-            lam = None
-        else:
-            A, lam = shrink(sample_mse(E), residuals=E)
-            _chol_check(A, kind)
+        A, lam = _sample_estimate(kind, E, shrunk=kind == "oct-shr")
         ext = _extend_global_cycle_matrix(A, xts)
         if sp.issparse(ext):
             return _block_diagonal(kind, ext, lam=lam)
@@ -691,11 +671,10 @@ def cross_temporal_cov(
                 Ek = res.level_matrix(k)
             else:
                 Ek = res.level_slice_matrix(k, l)
-            W = sample_mse(Ek)
-            if kind == "oct-bdshr":
-                W, lam_by_level[k] = shrink(W, residuals=Ek)
-                return _chol_check(W, kind)
-            return _lift_to_pd(W, kind)
+            W, lam = _sample_estimate(kind, Ek, shrunk=kind == "oct-bdshr")
+            if lam is not None:
+                lam_by_level[k] = lam
+            return W
 
         parts = []
         for k in ts.factors:
@@ -708,9 +687,9 @@ def cross_temporal_cov(
                 parts.append(sp.kron(sp.identity(h * ts.M_k[k]), B))
         W_time = sp.block_diag(parts, format="csr")
         lam = float(np.mean(list(lam_by_level.values()))) if lam_by_level else None
-        return _block_diagonal(
-            kind, _by_time_to_series_major(W_time, xts), lam=lam
-        )
+        # Re-parameterize the time-major blocks to series-major order.
+        P = xts.commutation
+        return _block_diagonal(kind, P @ W_time @ P.T, lam=lam)
 
     # oct-acov: per-series level-wise autocovariance blocks.
     _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")

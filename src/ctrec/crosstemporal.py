@@ -38,10 +38,6 @@ __all__ = [
     "validate_raw_kernel",
 ]
 
-# Rank verification by dense pivoted QR is skipped above this vector size.
-_RANK_CHECK_LIMIT = 3000
-
-
 def commutation_indices(r: int, c: int) -> np.ndarray:
     """Permutation ``perm`` with ``vec(X')[i] = vec(X)[perm[i]]`` for X (r x c)."""
     if r < 1 or c < 1:
@@ -90,11 +86,12 @@ class CrossTemporalStructure:
     cs, ts : component structures.
     h : int
         Forecast cycles covered by one tableau.
-    kernel_redundant : sparse matrix
-        Stacked cross-sectional and temporal constraints (redundant rows).
     kernel : sparse matrix
         Full-row-rank kernel: highest-frequency cross-sectional rows plus
-        all temporal rows.
+        all temporal rows.  The row rank is full by construction: the
+        cross-sectional rows have identity pivots on the upper series'
+        highest-frequency columns, the temporal rows on every series'
+        aggregated columns, and the two column sets are disjoint.
     commutation : sparse permutation
         Maps the time-major vectorization to the series-major one.
     struct_perm : sparse permutation
@@ -110,7 +107,6 @@ class CrossTemporalStructure:
     cs: CrossSectionalStructure
     ts: TemporalStructure
     h: int
-    kernel_redundant: sp.csr_matrix
     kernel: sp.csr_matrix
     commutation: sp.csr_matrix
     struct_perm: sp.csr_matrix
@@ -140,6 +136,17 @@ class CrossTemporalStructure:
     def temporal_kernel(self) -> sp.csr_matrix:
         """Per-series temporal kernel over ``h`` cycles."""
         return build_full_temporal_kernel(self.ts, self.h)
+
+    @cached_property
+    def kernel_redundant(self) -> sp.csr_matrix:
+        """Stacked cross-sectional and temporal constraints (redundant rows)."""
+        return sp.vstack(
+            [
+                sp.kron(self.cs.kernel, sp.identity(self.width), format="csr"),
+                sp.kron(sp.identity(self.n), self.temporal_kernel, format="csr"),
+            ],
+            format="csr",
+        )
 
     @cached_property
     def temporal_summing(self) -> sp.csr_matrix:
@@ -208,10 +215,6 @@ def build_cross_temporal(
     Z = build_full_temporal_kernel(ts, h)
     temporal_rows = sp.kron(sp.identity(n), Z, format="csr")
 
-    kernel_redundant = sp.vstack(
-        [sp.kron(cs.kernel, sp.identity(q), format="csr"), temporal_rows],
-        format="csr",
-    )
     kernel = sp.vstack(
         [_hf_cross_sectional_rows(cs, ts, h), temporal_rows], format="csr"
     )
@@ -224,24 +227,16 @@ def build_cross_temporal(
     n_a_star = cs.n_a * q + cs.n_b * h * ts.k_star
     struct_agg = sp.csr_matrix(summing[:n_a_star])
 
-    structure = CrossTemporalStructure(
+    return CrossTemporalStructure(
         cs=cs,
         ts=ts,
         h=h,
-        kernel_redundant=kernel_redundant,
         kernel=kernel,
         commutation=P,
         struct_perm=Q,
         struct_summing=summing,
         struct_agg=struct_agg,
     )
-    if structure.size <= _RANK_CHECK_LIMIT:
-        r = numerical_rank(kernel)
-        if r != structure.rank:
-            raise SingularSystem(
-                f"kernel rank {r} differs from expected {structure.rank}"
-            )
-    return structure
 
 
 def validate_raw_kernel(kernel, size: int | None = None) -> sp.csr_matrix:

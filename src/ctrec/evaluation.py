@@ -18,12 +18,15 @@ import numpy as np
 
 from .crosstemporal import CrossTemporalStructure
 from .errors import BenchmarkZero, DimensionMismatch, EmptySelection, InvalidInput
+from .hierarchy import CrossSectionalStructure
+from .temporal import TemporalStructure
 
 __all__ = [
     "ErrorCube",
     "accuracy_index",
     "relative_index",
     "avg_rel_index",
+    "error_cube",
     "rolling_harness",
     "avgrel_table",
 ]
@@ -181,6 +184,66 @@ def avg_rel_index(
 # Rolling-origin harness
 
 
+def error_cube(
+    actuals: np.ndarray,
+    outputs: dict,
+    cs: CrossSectionalStructure,
+    ts: TemporalStructure,
+    h: int,
+    start_cycle: int,
+) -> ErrorCube:
+    """Errors ``target - output`` of every procedure at every origin.
+
+    Parameters
+    ----------
+    actuals : ndarray
+        ``n x N_total(k*+m)`` level-blocked matrix of observed values over
+        all cycles.
+    outputs : mapping
+        Procedure name to one ``n x h(k*+m)`` tableau per origin; the
+        benchmark procedure comes first.  Origin ``t`` (0-based) forecasts
+        cycles ``start_cycle + t .. start_cycle + t + h - 1`` (0-based).
+    start_cycle : int
+        0-based index of the first forecasted cycle of the first origin.
+    """
+    n = cs.n
+    actuals = np.atleast_2d(np.asarray(actuals, dtype=float))
+    if actuals.shape[0] != n or actuals.shape[1] % ts.cycle_len:
+        raise DimensionMismatch(
+            "actuals must be n series by a whole number of cycles"
+        )
+    n_total = actuals.shape[1] // ts.cycle_len
+    q = len(next(iter(outputs.values())))
+    if start_cycle < 0 or start_cycle + q - 1 + h > n_total:
+        raise InvalidInput(
+            f"{q} origins of {h} cycles starting at cycle {start_cycle} do not "
+            f"fit into {n_total} observed cycles"
+        )
+    horizons = {k: h * ts.M_k[k] for k in ts.factors}
+    errors = {
+        name: {k: np.zeros((n, q, horizons[k])) for k in ts.factors}
+        for name in outputs
+    }
+    for t in range(q):
+        target = np.empty((n, h * ts.cycle_len))
+        for k in ts.factors:
+            src = ts.level_slice(k, n_total)
+            lo = src.start + (start_cycle + t) * ts.M_k[k]
+            target[:, ts.level_slice(k, h)] = actuals[:, lo : lo + horizons[k]]
+        for name, tableaux in outputs.items():
+            err = target - tableaux[t]
+            for k in ts.factors:
+                errors[name][k][:, t, :] = err[:, ts.level_slice(k, h)]
+    return ErrorCube(
+        procedures=tuple(outputs),
+        series_labels=tuple(cs.labels),
+        n_a=cs.n_a,
+        factors=tuple(ts.factors),
+        horizons=horizons,
+        errors=errors,
+    )
+
+
 def rolling_harness(
     actuals: np.ndarray,
     base_forecasts,
@@ -206,50 +269,15 @@ def rolling_harness(
     start_cycle : int
         0-based index of the first forecasted cycle of the first origin.
     """
-    ts, h, n = xts.ts, xts.h, xts.n
-    actuals = np.atleast_2d(np.asarray(actuals, dtype=float))
-    if actuals.shape[0] != n or actuals.shape[1] % ts.cycle_len:
-        raise DimensionMismatch(
-            "actuals must be n series by a whole number of cycles"
-        )
-    n_total = actuals.shape[1] // ts.cycle_len
-    q = len(base_forecasts)
-    if start_cycle < 0 or start_cycle + q - 1 + h > n_total:
-        raise InvalidInput(
-            f"{q} origins of {h} cycles starting at cycle {start_cycle} do not "
-            f"fit into {n_total} observed cycles"
-        )
-
     names = ["base"] + [p for p in procedures if p != "base"]
-    horizons = {k: h * ts.M_k[k] for k in ts.factors}
-    cube_errors = {
-        name: {k: np.zeros((n, q, horizons[k])) for k in ts.factors}
-        for name in names
-    }
-    for t, (Y_hat, residuals) in enumerate(base_forecasts):
+    outputs = {name: [] for name in names}
+    for Y_hat, residuals in base_forecasts:
         Y_hat = np.atleast_2d(np.asarray(Y_hat, dtype=float))
-        target = np.empty((n, xts.width))
-        for k in ts.factors:
-            src = ts.level_slice(k, n_total)
-            lo = src.start + (start_cycle + t) * ts.M_k[k]
-            target[:, ts.level_slice(k, h)] = actuals[:, lo : lo + horizons[k]]
-        outputs = {"base": Y_hat}
-        for name, proc in procedures.items():
-            if name == "base":
-                continue
-            outputs[name] = np.asarray(proc(Y_hat, residuals, xts), dtype=float)
-        for name, Y in outputs.items():
-            err = target - Y
-            for k in ts.factors:
-                cube_errors[name][k][:, t, :] = err[:, ts.level_slice(k, h)]
-    cube = ErrorCube(
-        procedures=tuple(names),
-        series_labels=tuple(xts.cs.labels),
-        n_a=xts.cs.n_a,
-        factors=tuple(ts.factors),
-        horizons=horizons,
-        errors=cube_errors,
-    )
+        outputs["base"].append(Y_hat)
+        for name in names[1:]:
+            proc = procedures[name]
+            outputs[name].append(np.asarray(proc(Y_hat, residuals, xts), dtype=float))
+    cube = error_cube(actuals, outputs, xts.cs, xts.ts, xts.h, start_cycle)
     return cube, format_report(*avgrel_table(cube, measure))
 
 

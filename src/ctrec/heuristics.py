@@ -22,10 +22,11 @@ from .crosstemporal import CrossTemporalStructure, coherence_report
 from .errors import InvalidInput, NonConvergence
 from .reconcile import (
     ReconciliationResult,
+    _as_tableau,
     _per_level_projectors,
     _per_series_temporal_projectors,
+    _tableau_result,
 )
-from .tableau import ForecastTableau
 
 __all__ = ["HeuristicConfig", "ka_two_step", "iterative"]
 
@@ -66,12 +67,6 @@ class HeuristicConfig:
             raise InvalidInput("tolerance must be a finite positive number")
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be at least 1")
-
-
-def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:
-    if isinstance(Y_hat, ForecastTableau):
-        return Y_hat
-    return xts.tableau(Y_hat)
 
 
 def _apply_temporal(vals: np.ndarray, projs: list) -> np.ndarray:
@@ -133,13 +128,8 @@ def ka_two_step(
         final = step1 @ M_bar.T
 
     out = tableau.with_values(final, provenance=f"reconciled:ka-{config.order}")
-    d0 = np.asarray(xts.kernel @ tableau.vec_by_variable).ravel()
-    return ReconciliationResult(
-        y_tilde=out.vec_by_variable,
-        adjustment=tableau.vec_by_variable - out.vec_by_variable,
-        coherency_errors_before=-d0,
-        diagnostics={"order": config.order, "average": config.average},
-        tableau=out,
+    return _tableau_result(
+        tableau, out, {"order": config.order, "average": config.average}
     )
 
 
@@ -199,16 +189,9 @@ def iterative(
             trace=trace,
         )
     out = tableau.with_values(vals, provenance=f"reconciled:ite-{config.order}")
-    d0 = np.asarray(xts.kernel @ tableau.vec_by_variable).ravel()
-    result = ReconciliationResult(
-        y_tilde=out.vec_by_variable,
-        adjustment=tableau.vec_by_variable - out.vec_by_variable,
-        coherency_errors_before=-d0,
-        diagnostics={
-            "order": config.order,
-            "iterations": len(trace),
-            "threshold": threshold,
-        },
-        tableau=out,
-    )
-    return result, trace
+    diagnostics = {
+        "order": config.order,
+        "iterations": len(trace),
+        "threshold": threshold,
+    }
+    return _tableau_result(tableau, out, diagnostics), trace

@@ -30,7 +30,7 @@ from .covariance import (
     cross_temporal_cov,
     temporal_cov,
 )
-from .crosstemporal import CrossTemporalStructure, commutation_indices
+from .crosstemporal import CrossTemporalStructure
 from .errors import DimensionMismatch, InvalidInput, SingularSystem
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
@@ -75,31 +75,34 @@ def _as_dense(A) -> np.ndarray:
     return np.asarray(A.todense() if sp.issparse(A) else A, dtype=float)
 
 
-def _weighted_kernel_t(W: CovarianceModel, kernel):
-    """``W @ kernel.T`` respecting both sparsity patterns."""
-    Kt = kernel.T
-    if W.structure == "identity":
-        return Kt
-    if W.structure == "diagonal":
-        if sp.issparse(Kt):
-            return sp.diags(W.diag_values) @ Kt
-        return W.diag_values[:, None] * Kt
-    if sp.issparse(W.matrix):
-        return W.matrix @ Kt
-    return W.matrix @ _as_dense(Kt)
+def _cholesky(A, context: str):
+    """Symmetrize and Cholesky-factor ``A``; also return the diagnostics.
 
-
-def _spd_solve(G: np.ndarray, rhs: np.ndarray, context: str):
-    """Cholesky solve with a cheap condition estimate from the factor."""
+    The diagnostics carry a cheap condition estimate from the factor and a
+    warning when that estimate is large.
+    """
+    A = 0.5 * (A + A.T)
     try:
-        cho = scipy.linalg.cho_factor(G, lower=True)
+        cho = scipy.linalg.cho_factor(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"{context}: normal-equations matrix could not be factorized"
         ) from exc
     d = np.abs(np.diag(cho[0]))
     cond_est = float((d.max() / d.min()) ** 2) if d.size else 1.0
-    return scipy.linalg.cho_solve(cho, rhs), cond_est
+    diagnostics = {"factorization": "cholesky", "condition_estimate": cond_est}
+    if cond_est > _COND_WARN:
+        diagnostics["warning"] = (
+            f"ill-conditioned system (condition estimate {cond_est:.3e})"
+        )
+    return cho, diagnostics
+
+
+def _normal_factor(kernel, W: CovarianceModel, context: str):
+    """Assemble ``G = K W K'`` and factor it: ``(W K', factor, diagnostics)``."""
+    WKt = W.apply(kernel.T)
+    cho, diagnostics = _cholesky(_as_dense(kernel @ WKt), context)
+    return WKt, cho, diagnostics
 
 
 def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
@@ -115,26 +118,16 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
             f"kernel has {K.shape[1]} columns, forecast vector has {y.size}"
         )
     d0 = np.asarray(K @ y).ravel()
-    WKt = _weighted_kernel_t(W, K)
-    G = _as_dense(K @ WKt)
-    G = 0.5 * (G + G.T)
-    mult, cond_est = _spd_solve(G, d0, "project")
-    adjustment = np.asarray(WKt @ mult).ravel()
+    WKt, cho, diagnostics = _normal_factor(K, W, "project")
+    adjustment = np.asarray(WKt @ scipy.linalg.cho_solve(cho, d0)).ravel()
     y_tilde = y - adjustment
-    resid_after = float(np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0))
-    diagnostics = {
-        "factorization": "cholesky",
-        "condition_estimate": cond_est,
-        "constraint_residual": resid_after,
-    }
-    if cond_est > _COND_WARN:
-        diagnostics["warning"] = (
-            f"ill-conditioned system (condition estimate {cond_est:.3e})"
-        )
+    diagnostics["constraint_residual"] = float(
+        np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)
+    )
     if W.structure == "full":
         # Reconciliation-error covariance is only cheap with a dense W.
-        diagnostics["error_covariance"] = W.matrix - np.asarray(
-            WKt @ scipy.linalg.solve(G, _as_dense(WKt.T), assume_a="pos")
+        diagnostics["error_covariance"] = W.matrix - WKt @ scipy.linalg.cho_solve(
+            cho, WKt.T
         )
     return ReconciliationResult(
         y_tilde=y_tilde,
@@ -158,19 +151,10 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
     WinvS = W.solve(S)
-    A = S.T @ WinvS
-    A = 0.5 * (A + A.T)
-    beta, cond_est = _spd_solve(A, WinvS.T @ y, "project_structural")
+    cho, diagnostics = _cholesky(S.T @ WinvS, "project_structural")
+    beta = scipy.linalg.cho_solve(cho, WinvS.T @ y)
     y_tilde = S @ beta
-    diagnostics = {
-        "factorization": "cholesky",
-        "condition_estimate": cond_est,
-        "beta": beta,
-    }
-    if cond_est > _COND_WARN:
-        diagnostics["warning"] = (
-            f"ill-conditioned system (condition estimate {cond_est:.3e})"
-        )
+    diagnostics["beta"] = beta
     return ReconciliationResult(
         y_tilde=y_tilde,
         adjustment=y - y_tilde,
@@ -181,18 +165,28 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
     """Materialize the dense projection matrix fixing the kernel's null space."""
-    K = kernel
-    s = K.shape[1]
-    WKt = _weighted_kernel_t(W, K)
-    G = _as_dense(K @ WKt)
-    G = 0.5 * (G + G.T)
-    try:
-        cho = scipy.linalg.cho_factor(G, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            "projector: normal-equations matrix could not be factorized"
-        ) from exc
-    return np.eye(s) - _as_dense(WKt) @ scipy.linalg.cho_solve(cho, _as_dense(K))
+    WKt, cho, _ = _normal_factor(kernel, W, "projector")
+    return np.eye(kernel.shape[1]) - _as_dense(WKt) @ scipy.linalg.cho_solve(
+        cho, _as_dense(kernel)
+    )
+
+
+def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:
+    return Y_hat if isinstance(Y_hat, ForecastTableau) else xts.tableau(Y_hat)
+
+
+def _tableau_result(
+    base: ForecastTableau, out: ForecastTableau, diagnostics: dict
+) -> ReconciliationResult:
+    """Result of a solve that maps the tableau ``base`` to ``out``."""
+    y = base.vec_by_variable
+    return ReconciliationResult(
+        y_tilde=out.vec_by_variable,
+        adjustment=y - out.vec_by_variable,
+        coherency_errors_before=-np.asarray(base.structure.kernel @ y).ravel(),
+        diagnostics=diagnostics,
+        tableau=out,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,57 +280,16 @@ def reconcile_cross_temporal(
     kind: str = "oct-ols",
     residuals: ResidualTableau | None = None,
     W: CovarianceModel | None = None,
-    parameterization: str = "by_variable",
 ) -> ReconciliationResult:
     """One global projection of the whole tableau onto the coherent subspace.
 
-    The solve runs on the series-major vectorization by default; the
-    time-major parameterization is available as a cross-check and must
-    agree with the default up to solver tolerance.
+    The solve runs on the series-major vectorization of the tableau.
     """
-    tableau = (
-        Y_hat
-        if isinstance(Y_hat, ForecastTableau)
-        else xts.tableau(Y_hat)
-    )
+    tableau = _as_tableau(Y_hat, xts)
     if W is None:
         W = cross_temporal_cov(kind, xts, residuals)
-    label = f"reconciled:{W.kind}"
-    if parameterization == "by_variable":
-        res = project(tableau.vec_by_variable, W, xts.kernel)
-        out_vals = res.y_tilde.reshape(xts.n, xts.width)
-    elif parameterization == "by_time":
-        perm = commutation_indices(xts.n, xts.width)
-        P = sp.csr_matrix(
-            (np.ones(perm.size), (np.arange(perm.size), perm)),
-            shape=(perm.size, perm.size),
-        )
-        K_time = sp.csr_matrix(xts.kernel @ P)
-        if W.structure == "identity":
-            W_time = W
-        elif W.structure == "diagonal":
-            d_time = np.empty_like(W.diag_values)
-            d_time[perm] = W.diag_values
-            W_time = CovarianceModel(
-                kind=W.kind, structure="diagonal", size=W.size, diag_values=d_time
-            )
-        else:
-            A = P.T @ sp.csr_matrix(W.matrix) @ P
-            W_time = CovarianceModel(
-                kind=W.kind,
-                structure=W.structure,
-                size=W.size,
-                matrix=A if W.structure == "block-diagonal" else A.toarray(),
-            )
-        res = project(tableau.vec_by_time, W_time, K_time)
-        out_vals = res.y_tilde.reshape(xts.width, xts.n).T
-    else:
-        raise InvalidInput(f"unknown parameterization {parameterization!r}")
-    out = tableau.with_values(out_vals, provenance=label)
-    return ReconciliationResult(
-        y_tilde=out.vec_by_variable,
-        adjustment=tableau.vec_by_variable - out.vec_by_variable,
-        coherency_errors_before=res.coherency_errors_before,
-        diagnostics=res.diagnostics,
-        tableau=out,
+    res = project(tableau.vec_by_variable, W, xts.kernel)
+    out = tableau.with_values(
+        res.y_tilde.reshape(xts.n, xts.width), provenance=f"reconciled:{W.kind}"
     )
+    return _tableau_result(tableau, out, res.diagnostics)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrec import (
     DimensionMismatch,
@@ -279,3 +281,40 @@ def test_raw_kernel_path():
         validate_raw_kernel(np.vstack([K, K[0]]))
     with pytest.raises(DimensionMismatch):
         validate_raw_kernel(np.eye(3))
+
+
+@st.composite
+def aggregation_matrices(draw):
+    """0/1 or weighted upper rows, some duplicated or summing a single unit."""
+    n_b = draw(st.integers(1, 5))
+    rows = []
+    shapes = ("binary", "weighted", "single", "duplicate")
+    for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=4)):
+        if shape == "duplicate" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+        elif shape == "single":
+            row = [0.0] * n_b
+            row[draw(st.integers(0, n_b - 1))] = 1.0
+        else:
+            values = (0.0, 1.0) if shape != "weighted" else (0.0, 0.5, 1.0, 2.5, -1.0)
+            row = draw(st.lists(st.sampled_from(values), min_size=n_b, max_size=n_b))
+        rows.append(list(row))
+    return np.array(rows)
+
+
+@st.composite
+def temporal_structures(draw):
+    m = draw(st.sampled_from((1, 2, 4, 6, 12)))
+    if draw(st.booleans()):
+        return build_temporal(m)
+    inner = [k for k in range(2, m) if m % k == 0]
+    kept = draw(st.lists(st.sampled_from(inner), unique=True)) if inner else []
+    return build_temporal(m, [m, 1, *kept])
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=aggregation_matrices(), ts=temporal_structures(), h=st.integers(1, 3))
+def test_kernel_full_row_rank_by_construction(C, ts, h):
+    xts = build_cross_temporal(build_cross_sectional(C), ts, h)
+    assert xts.kernel.shape[0] == xts.rank
+    assert numerical_rank(xts.kernel) == xts.rank

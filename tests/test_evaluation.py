@@ -13,6 +13,8 @@ from ctrec import (
     avg_rel_index,
     avgrel_table,
     bottom_up,
+    build_cross_temporal,
+    error_cube,
     reconcile_cross_temporal,
     relative_index,
     rolling_harness,
@@ -177,3 +179,30 @@ def test_rolling_harness_records_errors(toy):
         assert all(v == pytest.approx(1.0) for v in row[2:])
     report = format_report(header, rows)
     assert "benchmark" in report
+
+
+def test_error_cube_is_target_minus_output(toy):
+    cs, ts, h = toy.cs, toy.ts, 2
+    xts = build_cross_temporal(cs, ts, h)
+    n_total, start, q = 12, 7, 3
+    actuals, _ = generate_coherent(cs, ts, n_total, seed=4)
+    rng = np.random.default_rng(4)
+    outputs = {
+        name: [rng.normal(size=(xts.n, xts.width)) for _ in range(q)]
+        for name in ("base", "p1", "p2")
+    }
+    cube = error_cube(actuals, outputs, cs, ts, h, start)
+    assert cube.procedures == ("base", "p1", "p2")
+    assert cube.n_origins == q
+    for name, tableaux in outputs.items():
+        for k in ts.factors:
+            observed = actuals[:, ts.level_slice(k, n_total)]
+            forecast = [Y[:, ts.level_slice(k, h)] for Y in tableaux]
+            assert cube.errors[name][k].shape == (cs.n, q, h * ts.M_k[k])
+            for i in range(cs.n):
+                for t in range(q):
+                    for j in range(h * ts.M_k[k]):
+                        target = observed[i, (start + t) * ts.M_k[k] + j]
+                        assert cube.errors[name][k][i, t, j] == (
+                            target - forecast[t][i, j]
+                        )

@@ -4,6 +4,7 @@ from click.testing import CliRunner
 
 from ctrec import build_cross_sectional, build_temporal, generate_coherent
 from ctrec.cli import main
+from ctrec.evaluation import avgrel_table, error_cube
 from ctrec.io import (
     FormatError,
     read_config,
@@ -298,7 +299,7 @@ def test_cli_synth_reconcile_evaluate_pipeline(tmp_path, toy_file):
         main,
         ["evaluate", "--actuals", str(out / "actuals.csv"),
          "--runs", str(out / "runs"), "--hierarchy", str(toy_file),
-         "--measure", "mse", "--benchmark", "base", "--jobs", "2",
+         "--measure", "mse", "--benchmark", "base",
          "--out", str(out / "table.csv")],
     )
     assert result.exit_code == 0, result.output
@@ -307,3 +308,45 @@ def test_cli_synth_reconcile_evaluate_pipeline(tmp_path, toy_file):
     assert header[:2] == ["group", "procedure"]
     assert header[-1] == "all"
     assert "k1_h1" in header and "k4_all" in header
+
+
+def test_cli_evaluate_table_matches_error_cube(tmp_path, toy_file):
+    runner = CliRunner()
+    out = tmp_path / "demo"
+    result = runner.invoke(
+        main,
+        ["synth", "--hierarchy", str(toy_file), "--cycles", "10",
+         "--origins", "4", "--h", "2", "--seed", "5", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        main,
+        ["reconcile", "--method", "oct-wlsv", "--in", str(out / "runs" / "base"),
+         "--residuals", str(out / "residuals"), "--hierarchy", str(toy_file),
+         "--out", str(out / "runs" / "oct")],
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        main,
+        ["evaluate", "--actuals", str(out / "actuals.csv"),
+         "--runs", str(out / "runs"), "--hierarchy", str(toy_file),
+         "--measure", "mae", "--out", str(out / "table.csv")],
+    )
+    assert result.exit_code == 0, result.output
+
+    cs, ts = read_hierarchy(toy_file)
+    actuals, n_total = read_values(out / "actuals.csv", cs, ts)
+    outputs = {
+        name: [read_values(f, cs, ts)[0]
+               for f in sorted((out / "runs" / name).glob("*.csv"))]
+        for name in ("base", "oct")
+    }
+    cube = error_cube(actuals, outputs, cs, ts, 2, n_total - 4 - 2 + 1)
+    header, rows = avgrel_table(cube, "mae")
+    lines = (out / "table.csv").read_text().splitlines()
+    assert lines[0].split(",") == header
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert cells[:2] == row[:2]
+        assert [float(c) for c in cells[2:]] == row[2:]

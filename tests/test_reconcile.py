@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from ctrec import (
     CovarianceModel,
     SingularSystem,
     bottom_up,
     build_cross_sectional,
+    build_cross_temporal,
     coherence_report,
+    cross_temporal_cov,
     project,
     project_structural,
     reconcile_cross_sectional,
@@ -176,17 +180,31 @@ def test_oct_recovers_bottom_up_from_row_space_noise(toy):
     np.testing.assert_allclose(res.y_tilde, target.vec_by_variable, atol=1e-9)
 
 
+def time_major_oracle(y, W, xts):
+    """Solve on the time-major vectorization and map back to series-major.
+
+    The commutation ``P`` takes time-major vectors to series-major ones, so
+    the time-major problem has kernel ``K P`` and covariance ``P' W P``.
+    """
+    P = xts.commutation
+    W_time = CovarianceModel(
+        kind=W.kind, structure="full", size=W.size, matrix=P.T @ W.dense() @ P
+    )
+    y_time = P.T @ y
+    return P @ project(y_time, W_time, sp.csr_matrix(xts.kernel @ P)).y_tilde
+
+
 def test_parameterization_paths_agree(toy):
     rng = np.random.default_rng(12)
-    res_tab = random_residuals(rng, toy)
-    Y = rng.normal(size=(3, 7))
-    for kind in ("oct-ols", "oct-wlsv", "oct-bdshr", "oct-sam"):
-        a = reconcile_cross_temporal(Y, toy, kind, res_tab)
-        b = reconcile_cross_temporal(
-            Y, toy, kind, res_tab, parameterization="by_time"
-        )
-        scale = max(1.0, np.max(np.abs(a.y_tilde)))
-        assert np.max(np.abs(a.y_tilde - b.y_tilde)) / scale <= 1e-8
+    for xts in (toy, build_cross_temporal(toy.cs, toy.ts, 2)):
+        res_tab = random_residuals(rng, xts)
+        Y = rng.normal(size=(xts.n, xts.width))
+        for kind in ("oct-ols", "oct-wlsv", "oct-bdshr", "oct-sam"):
+            a = reconcile_cross_temporal(Y, xts, kind, res_tab)
+            W = cross_temporal_cov(kind, xts, res_tab)
+            b = time_major_oracle(Y.ravel(), W, xts)
+            scale = max(1.0, np.max(np.abs(a.y_tilde)))
+            assert np.max(np.abs(a.y_tilde - b)) / scale <= 1e-8
 
 
 def test_bottom_up_as_weight_limit(toy):
@@ -221,11 +239,31 @@ def test_condition_warning_flag():
     assert res.diagnostics["condition_estimate"] > 0
 
 
-def test_error_covariance_emitted_for_dense_w(toy):
+def test_error_covariance_emitted_for_dense_w(toy, monkeypatch):
     rng = np.random.default_rng(14)
     W = random_spd_w(rng, 21)
+    factored = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def spy(A, *args, **kwargs):
+        factored.append(np.array(A))
+        return cho_factor(A, *args, **kwargs)
+
+    def no_second_solve(*args, **kwargs):
+        raise AssertionError("K W K' was factorized a second time")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    monkeypatch.setattr(scipy.linalg, "solve", no_second_solve)
     res = project(rng.normal(size=21), W, toy.kernel)
+    monkeypatch.undo()
+
+    K = toy.kernel.toarray()
+    Wd = W.dense()
+    assert len(factored) == 1
+    np.testing.assert_allclose(factored[0], K @ Wd @ K.T, rtol=1e-12)
     MW = res.diagnostics["error_covariance"]
     assert MW.shape == (21, 21)
+    expected = Wd - Wd @ K.T @ np.linalg.solve(K @ Wd @ K.T, K @ Wd)
+    assert np.max(np.abs(MW - expected)) <= 1e-10 * np.max(np.abs(expected))
     # the reconciliation error lives inside the coherent subspace
     assert np.max(np.abs(toy.kernel @ MW)) <= 1e-6
