@@ -37,7 +37,7 @@ from .synthgen import generate_coherent, naive_base_forecasts
 
 _NUMERIC_ERRORS = (SingularCovariance, SingularSystem, DegenerateSample)
 # Every other package error is an input error; checked after the above.
-_INPUT_ERRORS = (CtrecError, OSError, ValueError)
+_INPUT_ERRORS = (CtrecError, OSError)
 
 
 def _guard(fn):
@@ -66,6 +66,14 @@ def _guard(fn):
 def _load(hierarchy, h):
     cs, ts = fio.read_hierarchy(hierarchy)
     return cs, ts, build_cross_temporal(cs, ts, h)
+
+
+def _config_number(cfg: dict, key: str, default, convert):
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except ValueError:
+        raise InvalidInput(f"config value {key} = {value!r} is not a number") from None
 
 
 def _apply_config(config_path, overrides: dict) -> dict:
@@ -224,8 +232,8 @@ def heuristic(
         cross_sectional_kind=cs_kind,
         order=order,
         average="weighted" if weighted_average else "plain",
-        tolerance=float(cfg.get("delta", delta)),
-        max_iterations=int(cfg.get("max_iter", max_iter)),
+        tolerance=_config_number(cfg, "delta", delta, float),
+        max_iterations=_config_number(cfg, "max_iter", max_iter, int),
     )
     cs, ts = fio.read_hierarchy(hierarchy)
     vals, h = fio.read_values(in_path, cs, ts)

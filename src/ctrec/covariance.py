@@ -11,6 +11,10 @@ Three menus are provided, one per reconciliation dimension:
 * temporal (``t-``): per series, ``h(k*+m)`` square;
 * cross-temporal (``oct-``): global, ``n h(k*+m)`` square, parameterized
   for the series-major vectorization.
+
+Every ``t-`` and ``oct-`` model is built once per cycle (series-major, each
+series in the within-cycle layout) and extended to ``h`` forecast cycles by
+:func:`_extend`, the one map to the level-blocked ``I_h (x) A`` layout.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .crosstemporal import CrossTemporalStructure
+from .crosstemporal import CrossTemporalStructure, commutation_matrix
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -33,7 +37,7 @@ from .errors import (
     SingularCovariance,
 )
 from .hierarchy import CrossSectionalStructure
-from .temporal import TemporalStructure, cycle_interleave_permutation
+from .temporal import TemporalStructure
 
 __all__ = [
     "ResidualTableau",
@@ -418,52 +422,35 @@ def cross_sectional_cov(
 # Temporal menu
 
 
-def _level_repeat(ts: TemporalStructure, h: int, per_level: dict) -> np.ndarray:
-    """Diagonal from one value per level, level-blocked for ``h`` cycles."""
-    return np.concatenate(
-        [np.full(h * ts.M_k[k], per_level[k]) for k in ts.factors]
-    )
+def _per_level(ts: TemporalStructure, values) -> np.ndarray:
+    """Within-cycle vector holding ``values[j]`` at every position of level
+    ``ts.factors[j]``."""
+    return np.repeat(values, [ts.M_k[k] for k in ts.factors])
 
 
-def _level_tile(ts: TemporalStructure, h: int, per_cycle: np.ndarray) -> np.ndarray:
-    """Diagonal from per-cycle node values, tiled per level for ``h`` cycles."""
-    parts = []
-    for k in ts.factors:
-        slc = ts.level_slice(k)
-        parts.append(np.tile(per_cycle[slc], h))
-    return np.concatenate(parts)
+def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
+    """Extend a per-cycle model to ``h`` independent forecast cycles.
 
-
-def _scatter_cycles(A: np.ndarray, perm: np.ndarray, h: int) -> sp.csr_matrix:
-    """Place ``h`` copies of the per-cycle matrix ``A`` along the positions
-    given by the cycle-to-global index map ``perm``."""
-    size = perm.size
-    cl = size // h
-    out = np.zeros((size, size))
-    for c in range(h):
-        idx = perm[c * cl : (c + 1) * cl]
-        out[np.ix_(idx, idx)] = A
-    return sp.csr_matrix(out)
-
-
-def _extend_cycle_matrix(A: np.ndarray, ts: TemporalStructure, h: int):
-    """Block-extend a within-cycle matrix to ``h`` independent cycles.
-
-    Returns the level-blocked reordering of ``I_h (x) A``; for ``h = 1``
-    this is ``A`` itself.
+    ``A`` is a diagonal (1-D) or a matrix over ``n`` series, series-major,
+    each series in the within-cycle layout.  Returns the series-major,
+    level-blocked form of ``I_h (x) A``: a scattered diagonal, or a sparse
+    matrix.  For ``h = 1`` this is ``A`` itself.
     """
     if h == 1:
         return A
-    return _scatter_cycles(A, cycle_interleave_permutation(ts, h), h)
-
-
-def _level_blockdiag(ts: TemporalStructure, h: int, blocks: dict) -> sp.csr_matrix:
-    """Block-diagonal from per-level within-cycle blocks, ``h`` cycles."""
-    parts = []
-    for k in ts.factors:
-        B = np.atleast_2d(blocks[k])
-        parts.append(sp.kron(sp.identity(h), B) if h > 1 else sp.csr_matrix(B))
-    return sp.block_diag(parts, format="csr")
+    cl = ts.cycle_len
+    start = _per_level(ts, [ts.level_slice(k).start for k in ts.factors])
+    M = _per_level(ts, [ts.M_k[k] for k in ts.factors])
+    # Value u of cycle c sits at u + (h-1) start(u) + c M(u) of its series.
+    pos = np.arange(cl) + (h - 1) * start + np.arange(h)[:, None] * M
+    # Index (c, i, u) of I_h (x) A -> series i, position pos[c, u].
+    perm = (pos[:, None, :] + h * cl * np.arange(n)[:, None]).ravel()
+    if np.ndim(A) == 1:
+        out = np.empty(perm.size)
+        out[perm] = np.tile(A, h)
+        return out
+    K = sp.kron(sp.identity(h), A, format="coo")
+    return sp.coo_matrix((K.data, (perm[K.row], perm[K.col])), shape=K.shape)
 
 
 def _lag1_autocorr(x: np.ndarray) -> float:
@@ -498,11 +485,10 @@ def temporal_cov(
     if kind not in T_KINDS:
         raise InvalidInput(f"unknown temporal covariance kind {kind!r}")
     cl = ts.cycle_len
-    size = h * cl
     if kind == "t-ols":
-        return _identity(kind, size)
+        return _identity(kind, h * cl)
     if kind == "t-struc":
-        return _diagonal(kind, _level_repeat(ts, h, {k: float(k) for k in ts.factors}))
+        return _diagonal(kind, _extend(_per_level(ts, ts.factors), ts, h))
 
     if residuals is None:
         raise InvalidInput(f"{kind} needs residuals")
@@ -514,30 +500,29 @@ def temporal_cov(
     N = E.shape[1]
     _require(N > 1, kind, "N > 1", f"got N={N}")
     node_var = np.mean(E * E, axis=1)
-    level_var = {
-        k: float(np.mean(E[ts.level_slice(k)] ** 2)) for k in ts.factors
-    }
+    level_var = _per_level(
+        ts, [np.mean(E[ts.level_slice(k)] ** 2) for k in ts.factors]
+    )
 
     if kind == "t-wlsh":
-        return _diagonal(kind, _level_tile(ts, h, node_var))
+        return _diagonal(kind, _extend(node_var, ts, h))
     if kind == "t-wlsv":
-        return _diagonal(kind, _level_repeat(ts, h, level_var))
+        return _diagonal(kind, _extend(level_var, ts, h))
     if kind in ("t-shr", "t-sam"):
         if kind == "t-sam":
             _require(N > cl, kind, "N > k*+m", f"got N={N}, k*+m={cl}")
         A, lam = _sample_estimate(kind, E, shrunk=kind == "t-shr")
         # Copies of one PD cycle block stay PD after extension.
-        ext = _extend_cycle_matrix(A, ts, h)
+        ext = _extend(A, ts, h)
         if sp.issparse(ext):
             return _block_diagonal(kind, ext, lam=lam)
         return _full(kind, ext, lam=lam)
     if kind == "t-acov":
         _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
-        blocks = {}
-        for k in ts.factors:
-            Ek = E[ts.level_slice(k)]  # M_k x N
-            blocks[k] = _lift_to_pd(sample_mse(Ek), kind)
-        return _block_diagonal(kind, _level_blockdiag(ts, h, blocks))
+        blocks = [
+            _lift_to_pd(sample_mse(E[ts.level_slice(k)]), kind) for k in ts.factors
+        ]
+        return _block_diagonal(kind, _extend(sp.block_diag(blocks), ts, h))
 
     # Markov family: scaled AR(1) correlation blocks per level.
     rho = {
@@ -545,21 +530,20 @@ def temporal_cov(
         for k in ts.factors[1:]
     }
     if kind == "t-strar1":
-        d = _level_repeat(ts, h, {k: float(k) for k in ts.factors})
+        d = _per_level(ts, ts.factors)
     elif kind == "t-sar1":
-        d = _level_repeat(ts, h, level_var)
+        d = level_var
     else:  # t-har1
-        d = _level_tile(ts, h, node_var)
+        d = node_var
     if np.any(d <= 0):
         raise SingularCovariance(f"{kind}: zero variance on a node")
-    blocks = {ts.m: np.ones((1, 1))}
-    for k in ts.factors[1:]:
-        blocks[k] = _ar1_toeplitz(rho[k], ts.M_k[k])
+    gamma = sp.block_diag(
+        [np.ones((1, 1))] + [_ar1_toeplitz(rho[k], ts.M_k[k]) for k in ts.factors[1:]]
+    )
     # AR(1) correlation blocks with |rho| < 1 are PD; the diagonal scaling
     # preserves that.
-    gamma = _level_blockdiag(ts, h, blocks)
     root = sp.diags(np.sqrt(d))
-    return _block_diagonal(kind, root @ gamma @ root, rho=rho)
+    return _block_diagonal(kind, _extend(root @ gamma @ root, ts, h), rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -578,36 +562,6 @@ def _check_residual_tableau(
     return residuals
 
 
-def _series_major_diag(
-    xts: CrossTemporalStructure, per_cycle_diag: np.ndarray
-) -> np.ndarray:
-    """Tile a per-cycle node diagonal over ``h`` cycles, series-major."""
-    ts, h, n = xts.ts, xts.h, xts.n
-    cl = ts.cycle_len
-    parts = []
-    for i in range(n):
-        parts.append(_level_tile(ts, h, per_cycle_diag[i * cl : (i + 1) * cl]))
-    return np.concatenate(parts)
-
-
-def _extend_global_cycle_matrix(A, xts: CrossTemporalStructure):
-    """Extend a per-cycle global matrix (series-major within the cycle) to
-    ``h`` cycles of the series-major level-blocked layout."""
-    ts, h, n = xts.ts, xts.h, xts.n
-    if h == 1:
-        return A
-    cl = ts.cycle_len
-    inner = cycle_interleave_permutation(ts, h)  # per-series map
-    q = h * cl
-    perm = np.empty(h * n * cl, dtype=np.intp)
-    # cycle-blocked global index (c, i, u) -> level-blocked index (i, pos)
-    for c in range(h):
-        for i in range(n):
-            dst = c * (n * cl) + i * cl
-            perm[dst : dst + cl] = i * q + inner[c * cl : (c + 1) * cl]
-    return _scatter_cycles(np.asarray(A), perm, h)
-
-
 def cross_temporal_cov(
     kind: str,
     xts: CrossTemporalStructure,
@@ -623,13 +577,12 @@ def cross_temporal_cov(
         raise InvalidInput(f"unknown cross-temporal covariance kind {kind!r}")
     ts, cs, h, n = xts.ts, xts.cs, xts.h, xts.n
     cl = ts.cycle_len
-    size = xts.size
     if kind == "oct-ols":
-        return _identity(kind, size)
+        return _identity(kind, xts.size)
     if kind == "oct-struc":
         d_series = cs.summing_matrix @ np.ones(cs.n_b)
-        d_time = _level_repeat(ts, h, {k: float(k) for k in ts.factors})
-        return _diagonal(kind, np.kron(d_series, d_time))
+        d = np.kron(d_series, _per_level(ts, ts.factors))
+        return _diagonal(kind, _extend(d, ts, h, n))
 
     if residuals is None:
         raise InvalidInput(f"{kind} needs residuals")
@@ -639,17 +592,14 @@ def cross_temporal_cov(
     _require(N > 1, kind, "N > 1", f"got N={N}")
 
     if kind == "oct-wlsh":
-        return _diagonal(kind, _series_major_diag(xts, np.mean(E * E, axis=1)))
+        return _diagonal(kind, _extend(np.mean(E * E, axis=1), ts, h, n))
     if kind == "oct-wlsv":
-        per_cycle = np.empty(n * cl)
-        for i in range(n):
-            block = res.series_block(i)
-            for k in ts.factors:
-                slc = ts.level_slice(k)
-                per_cycle[i * cl + slc.start : i * cl + slc.stop] = np.mean(
-                    block[slc] ** 2
-                )
-        return _diagonal(kind, _series_major_diag(xts, per_cycle))
+        level_var = [
+            [np.mean(Ei[ts.level_slice(k)] ** 2) for k in ts.factors]
+            for Ei in map(res.series_block, range(n))
+        ]
+        d = np.concatenate([_per_level(ts, v) for v in level_var])
+        return _diagonal(kind, _extend(d, ts, h, n))
 
     if kind in ("oct-shr", "oct-sam"):
         if kind == "oct-sam":
@@ -657,47 +607,37 @@ def cross_temporal_cov(
                 N > n * cl, kind, "N > n(k*+m)", f"got N={N}, n(k*+m)={n * cl}"
             )
         A, lam = _sample_estimate(kind, E, shrunk=kind == "oct-shr")
-        ext = _extend_global_cycle_matrix(A, xts)
+        ext = _extend(A, ts, h, n)
         if sp.issparse(ext):
             return _block_diagonal(kind, ext, lam=lam)
         return _full(kind, ext, lam=lam)
 
     if kind in ("oct-bdsam", "oct-bdshr", "oct-bdsam-l"):
         _require(N > n, kind, "N > n", f"got N={N}, n={n}")
-        lam_by_level = {}
-
-        def level_block(k, l=None):
-            if l is None:
-                Ek = res.level_matrix(k)
-            else:
-                Ek = res.level_slice_matrix(k, l)
-            W, lam = _sample_estimate(kind, Ek, shrunk=kind == "oct-bdshr")
-            if lam is not None:
-                lam_by_level[k] = lam
-            return W
-
-        parts = []
+        # One n x n block per within-cycle position, time-major.
+        blocks, lams = [], []
         for k in ts.factors:
             if kind == "oct-bdsam-l":
-                per_l = [np.atleast_2d(level_block(k, l)) for l in range(ts.M_k[k])]
-                cycle = sp.block_diag(per_l)
-                parts.append(sp.kron(sp.identity(h), cycle) if h > 1 else cycle)
+                blocks += [
+                    _sample_estimate(kind, res.level_slice_matrix(k, l), False)[0]
+                    for l in range(ts.M_k[k])
+                ]
             else:
-                B = np.atleast_2d(level_block(k))
-                parts.append(sp.kron(sp.identity(h * ts.M_k[k]), B))
-        W_time = sp.block_diag(parts, format="csr")
-        lam = float(np.mean(list(lam_by_level.values()))) if lam_by_level else None
-        # Re-parameterize the time-major blocks to series-major order.
-        P = xts.commutation
-        return _block_diagonal(kind, P @ W_time @ P.T, lam=lam)
+                B, lam = _sample_estimate(
+                    kind, res.level_matrix(k), shrunk=kind == "oct-bdshr"
+                )
+                blocks += [B] * ts.M_k[k]
+                lams.append(lam)
+        P = commutation_matrix(n, cl)  # time-major -> series-major
+        A = P @ sp.block_diag(blocks, format="csr") @ P.T
+        lam = float(np.mean(lams)) if kind == "oct-bdshr" else None
+        return _block_diagonal(kind, _extend(A, ts, h, n), lam=lam)
 
     # oct-acov: per-series level-wise autocovariance blocks.
     _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
-    series_parts = []
-    for i in range(n):
-        blocks = {}
-        Ei = res.series_block(i)
-        for k in ts.factors:
-            blocks[k] = _lift_to_pd(sample_mse(Ei[ts.level_slice(k)]), kind)
-        series_parts.append(_level_blockdiag(ts, h, blocks))
-    return _block_diagonal(kind, sp.block_diag(series_parts, format="csr"))
+    blocks = [
+        _lift_to_pd(sample_mse(Ei[ts.level_slice(k)]), kind)
+        for Ei in map(res.series_block, range(n))
+        for k in ts.factors
+    ]
+    return _block_diagonal(kind, _extend(sp.block_diag(blocks), ts, h, n))

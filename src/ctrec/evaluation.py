@@ -10,7 +10,6 @@ by count-weighted geometric averaging.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -89,17 +88,49 @@ class ErrorCube:
         raise InvalidInput(f"unknown series group {group!r}")
 
 
+def _accuracy(cube: ErrorCube, measure: str, j: str, k: int) -> np.ndarray:
+    """Mean error index over origins of procedure ``j`` at level ``k``, one
+    cell per (series, horizon): ``(n_series, h_k)``."""
+    if measure not in MEASURES:
+        raise InvalidInput(f"unknown measure {measure!r}")
+    e = cube.errors[j][k]
+    if measure == "mae":
+        return np.mean(np.abs(e), axis=1)
+    mse = np.mean(e * e, axis=1)
+    return np.sqrt(mse) if measure == "rmse" else mse
+
+
+def _relative(num, den, k: int, rows, cols) -> np.ndarray:
+    """Relative indices ``num / den`` on the cells ``rows x cols`` of level
+    ``k`` accuracy arrays, under the zero rules of :func:`relative_index`."""
+    num, den = num[np.ix_(rows, cols)], den[np.ix_(rows, cols)]
+    zero = den == 0.0
+    if zero.any():
+        bad = zero & (num != 0.0)
+        a, b = np.argwhere(bad if bad.any() else zero)[0]
+        where = f"series {rows[a]}, level {k}, horizon {cols[b] + 1}"
+        if bad.any():
+            raise BenchmarkZero(f"benchmark index is zero for {where}")
+        warnings.warn(
+            f"benchmark and candidate are both exact for {where} and "
+            f"{int(zero.sum()) - 1} more cell(s); counting them as 1",
+            stacklevel=3,
+        )
+        num, den = np.where(zero, 1.0, num), np.where(zero, 1.0, den)
+    return num / den
+
+
+def _geometric_mean(ratios: np.ndarray, axis=None):
+    """The log-ratio reduction: ``exp(mean(log r))``; a zero ratio gives 0."""
+    with np.errstate(divide="ignore"):
+        return np.exp(np.mean(np.log(ratios), axis=axis))
+
+
 def accuracy_index(
     cube: ErrorCube, measure: str, i, j: str, k: int, h: int
 ) -> float:
     """Mean error index over origins for one (series, level, horizon) cell."""
-    if measure not in MEASURES:
-        raise InvalidInput(f"unknown measure {measure!r}")
-    e = cube.errors[j][k][cube.series_index(i), :, h - 1]
-    if measure == "mae":
-        return float(np.mean(np.abs(e)))
-    mse = float(np.mean(e * e))
-    return math.sqrt(mse) if measure == "rmse" else mse
+    return float(_accuracy(cube, measure, j, k)[cube.series_index(i), h - 1])
 
 
 def relative_index(
@@ -110,47 +141,30 @@ def relative_index(
     A zero benchmark with a nonzero candidate is an error; two zeros
     carry no information and count as 1 (with a warning).
     """
-    a_j = accuracy_index(cube, measure, i, j, k, h)
-    a_0 = accuracy_index(cube, measure, i, cube.benchmark, k, h)
-    if a_0 == 0.0:
-        if a_j == 0.0:
-            warnings.warn(
-                f"benchmark and candidate are both exact for series {i}, "
-                f"level {k}, horizon {h}; counting the cell as 1",
-                stacklevel=2,
-            )
-            return 1.0
-        raise BenchmarkZero(
-            f"benchmark index is zero for series {i}, level {k}, horizon {h}"
-        )
-    return a_j / a_0
+    num = _accuracy(cube, measure, j, k)
+    den = _accuracy(cube, measure, cube.benchmark, k)
+    return float(_relative(num, den, k, [cube.series_index(i)], [h - 1])[0, 0])
 
 
-def _selection_cells(cube: ErrorCube, series, levels, horizons):
-    if series is None or series == "all":
-        series_idx = cube.series_group("all")
-    elif isinstance(series, str):
-        series_idx = cube.series_group(series)
+def _selection(cube: ErrorCube, series, levels, horizons):
+    """Selected series rows and, per level, the 0-based horizon columns."""
+    if series is None or isinstance(series, str):
+        rows = cube.series_group(series or "all")
     else:
-        series_idx = [cube.series_index(i) for i in series]
+        rows = [cube.series_index(i) for i in series]
     levels = list(cube.factors) if levels is None else [int(k) for k in levels]
+    blocks = []
     for k in levels:
         if k not in cube.factors:
             raise InvalidInput(f"level {k} is not in the cube")
-    cells = []
-    for k in levels:
         if horizons is None:
-            hs = range(1, cube.horizons[k] + 1)
+            lo, hi = 1, cube.horizons[k]
         elif isinstance(horizons, dict):
             lo, hi = horizons.get(k, (1, cube.horizons[k]))
-            hs = range(lo, min(hi, cube.horizons[k]) + 1)
         else:
             lo, hi = horizons
-            hs = range(max(1, lo), min(hi, cube.horizons[k]) + 1)
-        for i in series_idx:
-            for h in hs:
-                cells.append((i, k, h))
-    return cells
+        blocks.append((k, np.arange(max(1, lo), min(hi, cube.horizons[k]) + 1) - 1))
+    return np.asarray(rows, dtype=np.intp), blocks
 
 
 def avg_rel_index(
@@ -168,16 +182,18 @@ def avg_rel_index(
     ``horizons`` a ``(lo, hi)`` range (clipped per level) or a per-level
     dict of ranges.
     """
-    cells = _selection_cells(cube, series, levels, horizons)
-    if not cells:
+    rows, blocks = _selection(cube, series, levels, horizons)
+    if not rows.size or not any(cols.size for _, cols in blocks):
         raise EmptySelection("the selection matched no cells")
-    log_sum = 0.0
-    for i, k, h in cells:
-        r = relative_index(cube, measure, i, j, k, h)
-        if r == 0.0:
-            return 0.0
-        log_sum += math.log(r)
-    return math.exp(log_sum / len(cells))
+    ratios = [
+        _relative(
+            _accuracy(cube, measure, j, k),
+            _accuracy(cube, measure, cube.benchmark, k),
+            k, rows, cols,
+        ).ravel()
+        for k, cols in blocks
+    ]
+    return float(_geometric_mean(np.concatenate(ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +310,28 @@ def avgrel_table(cube: ErrorCube, measure: str = "mse") -> tuple[list, list]:
         header += [f"k{k}_h{h}" for h in range(1, cube.horizons[k] + 1)]
         header += [f"k{k}_all"]
     header += ["all"]
+    acc = {
+        proc: {k: _accuracy(cube, measure, proc, k) for k in levels}
+        for proc in cube.procedures
+    }
+    cols = {k: np.arange(cube.horizons[k]) for k in levels}
     rows = []
     groups = ["all", "uts", "bts"] if cube.n_a and cube.n_a < len(
         cube.series_labels
     ) else ["all"]
     for group in groups:
+        sel = np.asarray(cube.series_group(group), dtype=np.intp)
         for proc in cube.procedures:
+            ratios = {
+                k: _relative(acc[proc][k], acc[cube.benchmark][k], k, sel, cols[k])
+                for k in levels
+            }
             row = [group, proc]
             for k in levels:
-                for h in range(1, cube.horizons[k] + 1):
-                    row.append(
-                        avg_rel_index(
-                            cube, measure, proc, series=group, levels=[k],
-                            horizons=(h, h),
-                        )
-                    )
-                row.append(
-                    avg_rel_index(cube, measure, proc, series=group, levels=[k])
-                )
-            row.append(avg_rel_index(cube, measure, proc, series=group))
+                row += _geometric_mean(ratios[k], axis=0).tolist()
+                row.append(float(_geometric_mean(ratios[k])))
+            everything = np.concatenate([r.ravel() for r in ratios.values()])
+            row.append(float(_geometric_mean(everything)))
             rows.append(row)
     return header, rows
 

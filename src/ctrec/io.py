@@ -31,6 +31,7 @@ is free, and every key must appear exactly once.  Floats are printed with
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,28 @@ class FormatError(InvalidInput):
     """Structural problem in an input file; names the offending key."""
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _parse_error(path, line: int, row: dict, fields) -> FormatError:
+    """Error naming the first of the numeric ``fields`` (name, converter)
+    of a CSV row that does not parse."""
+    for name, convert in fields:
+        try:
+            convert(row[name])
+        except (TypeError, ValueError):
+            break
+    return FormatError(f"{path}: line {line}: {name} {row[name]!r} is not a number")
+
+
+_VALUE_FIELDS = (("level_k", int), ("index_within_level", int), ("value", float))
+_RESIDUAL_FIELDS = _VALUE_FIELDS[:2] + (("origin_column", int), ("value", float))
+
+
 # ---------------------------------------------------------------------------
 # Hierarchy spec
 
@@ -67,7 +90,7 @@ def _compile_edges(rows: list) -> tuple[np.ndarray, list]:
     parents = {r[1] for r in rows}
     children = {}
     for node, parent, weight in rows:
-        children.setdefault(parent, []).append((node, float(weight)))
+        children.setdefault(parent, []).append((node, weight))
     nodes = {r[0] for r in rows} | parents
     bottoms = sorted(nodes - parents)
     uppers = [n for n in nodes if n in parents]
@@ -102,7 +125,7 @@ def _compile_edges(rows: list) -> tuple[np.ndarray, list]:
 
 def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
     """Parse a hierarchy spec file into its two component structures."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     m = None
     factors = None
     section = None
@@ -117,15 +140,22 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
             continue
         if section is None:
             if "=" not in line:
-                raise FormatError(f"line {lineno}: expected key = value, got {raw!r}")
+                raise FormatError(
+                    f"{path}: line {lineno}: expected key = value, got {raw!r}"
+                )
             key, _, value = line.partition("=")
-            key = key.strip().lower()
-            if key == "m":
-                m = int(value.strip())
-            elif key == "factors":
-                factors = [int(v) for v in value.replace(" ", "").split(",") if v]
-            else:
-                raise FormatError(f"line {lineno}: unknown key {key!r}")
+            key, value = key.strip().lower(), value.strip()
+            if key not in ("m", "factors"):
+                raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
+            try:
+                if key == "m":
+                    m = int(value)
+                else:
+                    factors = [int(v) for v in value.replace(" ", "").split(",") if v]
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {lineno}: {key} = {value!r}: expected integers"
+                ) from None
         elif section == "matrix":
             matrix_rows.append([c.strip() for c in line.split(",")])
         else:
@@ -135,27 +165,34 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
             if len(parts) == 2:
                 parts.append("1")
             if len(parts) != 3:
-                raise FormatError(f"line {lineno}: expected node,parent,weight")
-            edge_rows.append((parts[0], parts[1], parts[2]))
+                raise FormatError(f"{path}: line {lineno}: expected node,parent,weight")
+            try:
+                edge_rows.append((parts[0], parts[1], float(parts[2])))
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {lineno}: weight {parts[2]!r} is not a number"
+                ) from None
     if m is None:
-        raise FormatError("hierarchy spec is missing the 'm =' line")
+        raise FormatError(f"{path}: hierarchy spec is missing the 'm =' line")
     ts = build_temporal(m, factors)
     if matrix_rows:
         header = matrix_rows[0]
         bottoms = header[1:]
         uppers = [r[0] for r in matrix_rows[1:]]
+        if not uppers:
+            raise FormatError(f"{path}: matrix block has no aggregate rows")
         try:
             C = np.array([[float(v) for v in r[1:]] for r in matrix_rows[1:]])
         except ValueError as exc:
-            raise FormatError(f"matrix block: {exc}") from exc
+            raise FormatError(f"{path}: matrix block: {exc}") from exc
         if C.shape[1] != len(bottoms):
-            raise FormatError("matrix rows do not match the header width")
+            raise FormatError(f"{path}: matrix rows do not match the header width")
         cs = build_cross_sectional(C, uppers + bottoms)
     elif edge_rows:
         C, labels = _compile_edges(edge_rows)
         cs = build_cross_sectional(C, labels)
     else:
-        raise FormatError("hierarchy spec has neither [matrix] nor [edges]")
+        raise FormatError(f"{path}: hierarchy spec has neither [matrix] nor [edges]")
     return cs, ts
 
 
@@ -202,19 +239,19 @@ def read_values(
     level blocks must cover whole cycles consistently.
     """
     entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"series", "level_k", "index_within_level", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
+    reader = csv.DictReader(_read_text(path).splitlines())
+    required = {"series", "level_k", "index_within_level", "value"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise FormatError(f"{path}: expected columns {sorted(required)}")
+    for row in reader:
+        try:
             key = (row["series"], int(row["level_k"]), int(row["index_within_level"]))
-            if key in entries:
-                raise FormatError(f"{path}: duplicate key {key}")
-            try:
-                entries[key] = float(row["value"])
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad value at {key}") from exc
+            value = float(row["value"])
+        except (TypeError, ValueError):
+            raise _parse_error(path, reader.line_num, row, _VALUE_FIELDS) from None
+        if key in entries:
+            raise FormatError(f"{path}: duplicate key {key}")
+        entries[key] = value
     if not entries:
         raise FormatError(f"{path}: no data rows")
     label_set = set(cs.labels)
@@ -252,6 +289,9 @@ def read_values(
             slc = ts.level_slice(k, cycles)
             for pos in range(cycles * ts.M_k[k]):
                 values[i, slc.start + pos] = entries[(label, k, pos + 1)]
+    if not np.all(np.isfinite(values)):
+        key = next(key for key, v in entries.items() if not math.isfinite(v))
+        raise FormatError(f"{path}: non-finite value at {key}")
     return values, cycles
 
 
@@ -276,22 +316,25 @@ def read_residuals(
 ) -> ResidualTableau:
     entries = {}
     n_cols = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"series", "level_k", "index_within_level", "origin_column", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
+    reader = csv.DictReader(_read_text(path).splitlines())
+    required = {"series", "level_k", "index_within_level", "origin_column", "value"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise FormatError(f"{path}: expected columns {sorted(required)}")
+    for row in reader:
+        try:
             key = (
                 row["series"],
                 int(row["level_k"]),
                 int(row["index_within_level"]),
                 int(row["origin_column"]),
             )
-            if key in entries:
-                raise FormatError(f"{path}: duplicate key {key}")
-            entries[key] = float(row["value"])
-            n_cols = max(n_cols, key[3])
+            value = float(row["value"])
+        except (TypeError, ValueError):
+            raise _parse_error(path, reader.line_num, row, _RESIDUAL_FIELDS) from None
+        if key in entries:
+            raise FormatError(f"{path}: duplicate key {key}")
+        entries[key] = value
+        n_cols = max(n_cols, key[3])
     if not entries:
         raise FormatError(f"{path}: no data rows")
     cl = ts.cycle_len
@@ -324,7 +367,7 @@ def read_residuals(
 def read_config(path) -> dict:
     """Parse a ``key = value`` config file mirroring the CLI flags."""
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -31,7 +31,7 @@ from .covariance import (
     temporal_cov,
 )
 from .crosstemporal import CrossTemporalStructure
-from .errors import DimensionMismatch, InvalidInput, SingularSystem
+from .errors import DimensionMismatch, InvalidEntry, InvalidInput, SingularSystem
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
 
@@ -117,6 +117,8 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
         raise DimensionMismatch(
             f"kernel has {K.shape[1]} columns, forecast vector has {y.size}"
         )
+    if not np.all(np.isfinite(y)):
+        raise InvalidEntry("forecast vector contains NaN or infinite entries")
     d0 = np.asarray(K @ y).ravel()
     WKt, cho, diagnostics = _normal_factor(K, W, "project")
     adjustment = np.asarray(WKt @ scipy.linalg.cho_solve(cho, d0)).ravel()
@@ -205,6 +207,8 @@ def reconcile_cross_sectional(
         raise DimensionMismatch(
             f"forecast matrix has {Y.shape[0]} rows, structure has {cs.n} series"
         )
+    if not np.all(np.isfinite(Y)):
+        raise InvalidEntry("forecast matrix contains NaN or infinite entries")
     W = cross_sectional_cov(kind, cs, residuals)
     M = projector(cs.kernel, W)
     return M @ Y

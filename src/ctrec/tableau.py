@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .crosstemporal import CrossTemporalStructure
@@ -39,6 +39,8 @@ class ForecastTableau:
                 f"tableau shape {vals.shape} does not match structure "
                 f"({st.n}, {st.width})"
             )
+        if not np.all(np.isfinite(vals)):
+            raise InvalidEntry("tableau contains NaN or infinite entries")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -25,7 +25,6 @@ __all__ = [
     "aggregate_series",
     "build_full_temporal_kernel",
     "build_full_temporal_agg",
-    "cycle_interleave_permutation",
 ]
 
 
@@ -194,24 +193,3 @@ def full_vector(ts: TemporalStructure, x: np.ndarray) -> np.ndarray:
     """Stack all temporal aggregates of ``x`` in the level-blocked layout."""
     return np.concatenate([aggregate_series(ts, x, k) for k in ts.factors])
 
-
-def cycle_interleave_permutation(ts: TemporalStructure, N: int) -> np.ndarray:
-    """Index map from level-blocked to cycle-blocked ordering.
-
-    Returns ``perm`` of length ``N (k*+m)`` such that a level-blocked
-    vector ``v`` satisfies ``v[perm[c*(k*+m) + u]]`` = value ``u`` of
-    cycle ``c`` in the within-cycle layout.  Used to extend per-cycle
-    covariance matrices to ``N`` cycles.
-    """
-    q = ts.cycle_len
-    perm = np.empty(N * q, dtype=np.intp)
-    off = 0  # running offset of the current level block
-    u = 0  # within-cycle position
-    for k in ts.factors:
-        Mk = ts.M_k[k]
-        for c in range(N):
-            for l in range(Mk):
-                perm[c * q + u + l] = off + c * Mk + l
-        off += N * Mk
-        u += Mk
-    return perm

@@ -243,6 +243,63 @@ def test_t_h_extension_block_structure():
     np.testing.assert_array_equal(ext[np.ix_(idx1, idx2)], 0.0)
 
 
+def cycle_interleave_permutation(ts, N):
+    """Loop reference: ``perm[c*(k*+m) + u]`` is the level-blocked index of
+    value ``u`` of cycle ``c``."""
+    q = ts.cycle_len
+    perm = np.empty(N * q, dtype=np.intp)
+    off = 0  # running offset of the current level block
+    u = 0  # within-cycle position
+    for k in ts.factors:
+        Mk = ts.M_k[k]
+        for c in range(N):
+            for l in range(Mk):
+                perm[c * q + u + l] = off + c * Mk + l
+        off += N * Mk
+        u += Mk
+    return perm
+
+
+def extension_oracle(A, ts, h, n):
+    """Dense scatter of ``h`` copies of a per-cycle ``n``-series matrix into
+    the series-major, level-blocked layout."""
+    cl = ts.cycle_len
+    inner = cycle_interleave_permutation(ts, h)
+    perm = np.empty(h * n * cl, dtype=np.intp)
+    for c in range(h):
+        for i in range(n):
+            dst = c * (n * cl) + i * cl
+            perm[dst : dst + cl] = i * h * cl + inner[c * cl : (c + 1) * cl]
+    out = np.zeros((perm.size, perm.size))
+    for c in range(h):
+        idx = perm[c * n * cl : (c + 1) * n * cl]
+        out[np.ix_(idx, idx)] = A
+    return out
+
+
+@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("C, m", [([[1, 1]], 4), ([[1] * 6, [1, 0] * 3, [0, 1] * 3], 6)])
+def test_every_model_extends_its_one_cycle_model(C, m, h):
+    cs, ts = build_cross_sectional(C), build_temporal(m)
+    one = build_cross_temporal(cs, ts, 1)
+    many = build_cross_temporal(cs, ts, h)
+    res = random_residuals(np.random.default_rng(h * m), one)
+    models = [
+        (temporal_cov(kind, ts, res.series_block(1)),
+         temporal_cov(kind, ts, res.series_block(1), h=h), 1)
+        for kind in T_KINDS
+    ] + [
+        (cross_temporal_cov(kind, one, res), cross_temporal_cov(kind, many, res), cs.n)
+        for kind in OCT_KINDS
+    ]
+    for W1, Wh, n in models:
+        np.testing.assert_array_equal(
+            Wh.dense(), extension_oracle(W1.dense(), ts, h, n), err_msg=W1.kind
+        )
+        assert (Wh.lam, Wh.rho) == (W1.lam, W1.rho)
+        assert Wh.structure == {"full": "block-diagonal"}.get(W1.structure, W1.structure)
+
+
 def toy_xts(h=1):
     return build_cross_temporal(
         build_cross_sectional([[1, 1]], ["X", "W", "Z"]), build_temporal(4), h

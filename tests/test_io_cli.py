@@ -350,3 +350,51 @@ def test_cli_evaluate_table_matches_error_cube(tmp_path, toy_file):
         cells = line.split(",")
         assert cells[:2] == row[:2]
         assert [float(c) for c in cells[2:]] == row[2:]
+
+
+def _corrupt_first_row(path, column, text):
+    """Copy of a long-format CSV whose first data row has ``column`` = ``text``."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[1].split(",")
+    row[header.index(column)] = text
+    bad = path.with_name("bad-" + path.name)
+    bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize(
+    "case, key",
+    [
+        ("hierarchy m", "m = 'four'"),
+        ("values level_k", "level_k 'x'"),
+        ("values non-finite", "non-finite value"),
+        ("residuals value", "value 'abc'"),
+        ("config delta", "delta = 'abc'"),
+        ("config max_iter", "max_iter = '2.5'"),
+    ],
+)
+def test_cli_unparsable_input_exits_2_naming_the_key(tmp_path, toy_file, case, key):
+    _write_forecasts(tmp_path, toy_file)
+    spec, fc, res = toy_file, tmp_path / "fc.csv", tmp_path / "res.csv"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("")
+    if case == "hierarchy m":
+        spec = tmp_path / "bad-spec.txt"
+        spec.write_text(TOY_SPEC.replace("m = 4", "m = four"))
+    elif case == "values level_k":
+        fc = _corrupt_first_row(fc, "level_k", "x")
+    elif case == "values non-finite":
+        fc = _corrupt_first_row(fc, "value", "nan")
+    elif case == "residuals value":
+        res = _corrupt_first_row(res, "value", "abc")
+    else:
+        cfg.write_text(key.replace("'", "") + "\n")
+    result = CliRunner().invoke(
+        main,
+        ["heuristic", "--iterative", "--in", str(fc), "--residuals", str(res),
+         "--hierarchy", str(spec), "--config", str(cfg),
+         "--out", str(tmp_path / "o.csv")],
+    )
+    assert result.exit_code == 2, result.output
+    assert key in result.output

@@ -5,12 +5,16 @@ import scipy.sparse as sp
 
 from ctrec import (
     CovarianceModel,
+    HeuristicConfig,
+    InvalidEntry,
     SingularSystem,
     bottom_up,
     build_cross_sectional,
     build_cross_temporal,
     coherence_report,
     cross_temporal_cov,
+    iterative,
+    ka_two_step,
     project,
     project_structural,
     reconcile_cross_sectional,
@@ -267,3 +271,28 @@ def test_error_covariance_emitted_for_dense_w(toy, monkeypatch):
     assert np.max(np.abs(MW - expected)) <= 1e-10 * np.max(np.abs(expected))
     # the reconciliation error lives inside the coherent subspace
     assert np.max(np.abs(toy.kernel @ MW)) <= 1e-6
+
+
+def _nan_tableau(xts):
+    Y = np.ones((xts.n, xts.width))
+    Y[1, 2] = np.nan
+    return Y
+
+
+OLS_HEURISTIC = HeuristicConfig("t-ols", "cs-ols")
+NON_FINITE_CASES = {
+    "reconcile_cross_temporal": lambda x: reconcile_cross_temporal(_nan_tableau(x), x),
+    "project": lambda x: project(_nan_tableau(x).ravel(), identity_w(x.size), x.kernel),
+    "reconcile_cross_sectional": lambda x: reconcile_cross_sectional(
+        _nan_tableau(x), x.cs
+    ),
+    "ka_two_step": lambda x: ka_two_step(_nan_tableau(x), x, OLS_HEURISTIC),
+    "iterative": lambda x: iterative(_nan_tableau(x), x, OLS_HEURISTIC),
+    "bottom_up": lambda x: bottom_up(np.full((x.cs.n_b, x.h * x.ts.m), np.inf), x),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_input_raises_invalid_entry(toy, case):
+    with pytest.raises(InvalidEntry, match="NaN or infinite"):
+        NON_FINITE_CASES[case](toy)
