@@ -7,14 +7,18 @@ uncentered mean-square-error moments throughout; no mean is subtracted.
 
 Three menus are provided, one per reconciliation dimension:
 
-* cross-sectional (``cs-``): per time point, ``n x n``;
-* temporal (``t-``): per series, ``h(k*+m)`` square;
 * cross-temporal (``oct-``): global, ``n h(k*+m)`` square, parameterized
-  for the series-major vectorization.
+  for the series-major vectorization;
+* cross-sectional (``cs-``): per time point, ``n x n``; the ``oct-`` menu
+  over one temporal level (``cs-wls`` is its ``wlsh``);
+* temporal (``t-``): per series, ``h(k*+m)`` square; apart from its Markov
+  family (``t-strar1``, ``t-sar1``, ``t-har1``), the ``oct-`` menu over
+  one series.
 
-Every ``t-`` and ``oct-`` model is built once per cycle (series-major, each
-series in the within-cycle layout) and extended to ``h`` forecast cycles by
-:func:`_extend`, the one map to the level-blocked ``I_h (x) A`` layout.
+One estimator, :func:`_estimate`, serves all three menus but the Markov
+family, and every residual input is read as a :class:`ResidualTableau`.
+Every model is built once per cycle (series-major) and extended to ``h``
+forecast cycles by :func:`_extend`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     SingularCovariance,
 )
 from .hierarchy import CrossSectionalStructure
-from .temporal import TemporalStructure
+from .temporal import TemporalStructure, build_temporal
 
 __all__ = [
     "ResidualTableau",
@@ -110,7 +114,7 @@ class ResidualTableau:
         if vals.shape[1] < 1:
             raise InvalidInput("residual tableau needs at least one cycle")
         if not np.all(np.isfinite(vals)):
-            raise InvalidEntry("residual tableau contains non-finite entries")
+            raise InvalidEntry("residual tableau contains NaN or infinite entries")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -376,50 +380,12 @@ def shrink(
 
 
 # ---------------------------------------------------------------------------
-# Cross-sectional menu
+# The three menus
 
 
 def _require(cond: bool, kind: str, condition: str, detail: str):
     if not cond:
         raise SingularCovariance(f"{kind} requires {condition} ({detail})")
-
-
-def cross_sectional_cov(
-    kind: str, cs: CrossSectionalStructure, residuals: np.ndarray | None = None
-) -> CovarianceModel:
-    """Materialize one entry of the cross-sectional covariance menu.
-
-    ``residuals`` is an ``n x N`` matrix of in-sample errors of the level
-    being reconciled (the highest-frequency level, unless the caller
-    slices per level).
-    """
-    if kind not in CS_KINDS:
-        raise InvalidInput(f"unknown cross-sectional covariance kind {kind!r}")
-    n = cs.n
-    if kind == "cs-ols":
-        return _identity(kind, n)
-    if kind == "cs-struc":
-        return _diagonal(kind, cs.summing_matrix @ np.ones(cs.n_b))
-
-    if residuals is None:
-        raise InvalidInput(f"{kind} needs residuals")
-    E = np.atleast_2d(np.asarray(residuals, dtype=float))
-    if E.shape[0] != n:
-        raise DimensionMismatch(
-            f"residuals have {E.shape[0]} rows, structure has {n} series"
-        )
-    N = E.shape[1]
-    _require(N > 1, kind, "N > 1", f"got N={N}")
-    if kind == "cs-wls":
-        return _diagonal(kind, np.mean(E * E, axis=1))
-    if kind == "cs-sam":
-        _require(N > n, kind, "N > n", f"got N={N}, n={n}")
-    W, lam = _sample_estimate(kind, E, shrunk=kind == "cs-shr")
-    return _full(kind, W, lam=lam)
-
-
-# ---------------------------------------------------------------------------
-# Temporal menu
 
 
 def _per_level(ts: TemporalStructure, values) -> np.ndarray:
@@ -453,6 +419,135 @@ def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
     return sp.coo_matrix((K.data, (perm[K.row], perm[K.col])), shape=K.shape)
 
 
+def _residual_tableau(kind: str, residuals, n: int, ts: TemporalStructure):
+    """Residuals of ``n`` series over ``ts`` as a checked tableau with at
+    least two cycles; raw arrays are converted."""
+    if residuals is None:
+        raise InvalidInput(f"{kind} needs residuals")
+    if not isinstance(residuals, ResidualTableau):
+        # A copy, so that freezing it leaves the caller's array writeable.
+        residuals = ResidualTableau(np.array(residuals, dtype=float), n, ts)
+    if residuals.n != n or residuals.ts.factors != ts.factors:
+        raise OrderingMismatch(
+            "residual rows do not follow the structure's series/level layout"
+        )
+    N = residuals.n_cycles
+    _require(N > 1, kind, "N > 1", f"got N={N}")
+    return residuals
+
+
+def _level_mse(res: ResidualTableau) -> np.ndarray:
+    """Mean squared residual of every series at every level, spread over
+    the series' within-cycle positions."""
+    ts = res.ts
+    return np.concatenate([
+        _per_level(ts, [np.mean(Ei[ts.level_slice(k)] ** 2) for k in ts.factors])
+        for Ei in map(res.series_block, range(res.n))
+    ])
+
+
+def _estimate(
+    kind: str, family: str, ts: TemporalStructure, h: int, d_series, residuals
+) -> CovarianceModel:
+    """Estimate ``family`` (a kind without its menu prefix) for the
+    ``n = len(d_series)`` series over ``ts``, extended to ``h`` cycles.
+
+    ``d_series`` holds each series' bottom count ``S 1``.  The model is
+    series-major and labelled ``kind``.
+    """
+    n, cl = len(d_series), ts.cycle_len
+    if family == "ols":
+        return _identity(kind, n * cl * h)
+    if family == "struc":
+        d = np.kron(d_series, _per_level(ts, ts.factors))
+        return _diagonal(kind, _extend(d, ts, h, n))
+
+    res = _residual_tableau(kind, residuals, n, ts)
+    E, N = res.values, res.n_cycles  # E: n(k*+m) x N, series-major
+    if family == "wlsh":
+        return _diagonal(kind, _extend(np.mean(E * E, axis=1), ts, h, n))
+    if family == "wlsv":
+        return _diagonal(kind, _extend(_level_mse(res), ts, h, n))
+
+    if family in ("shr", "sam"):
+        if family == "sam":
+            # Named as the menu counts rows: cs- per series, t- per position.
+            rows = "k*+m" if n == 1 else "n" if cl == 1 else "n(k*+m)"
+            _require(N > n * cl, kind, f"N > {rows}", f"got N={N}, {rows}={n * cl}")
+        A, lam = _sample_estimate(kind, E, shrunk=family == "shr")
+        # Copies of one PD cycle block stay PD after extension.
+        ext = _extend(A, ts, h, n)
+        if sp.issparse(ext):
+            return _block_diagonal(kind, ext, lam=lam)
+        return _full(kind, ext, lam=lam)
+
+    if family in ("bdsam", "bdshr", "bdsam-l"):
+        _require(N > n, kind, "N > n", f"got N={N}, n={n}")
+        # One n x n block per within-cycle position, time-major.
+        blocks, lams = [], []
+        for k in ts.factors:
+            if family == "bdsam-l":
+                blocks += [
+                    _sample_estimate(kind, res.level_slice_matrix(k, l), False)[0]
+                    for l in range(ts.M_k[k])
+                ]
+            else:
+                B, lam = _sample_estimate(
+                    kind, res.level_matrix(k), shrunk=family == "bdshr"
+                )
+                blocks += [B] * ts.M_k[k]
+                lams.append(lam)
+        P = commutation_matrix(n, cl)  # time-major -> series-major
+        A = P @ sp.block_diag(blocks, format="csr") @ P.T
+        lam = float(np.mean(lams)) if family == "bdshr" else None
+        return _block_diagonal(kind, _extend(A, ts, h, n), lam=lam)
+
+    # acov: per-series level-wise autocovariance blocks.
+    _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
+    blocks = [
+        _lift_to_pd(sample_mse(Ei[ts.level_slice(k)]), kind)
+        for Ei in map(res.series_block, range(n))
+        for k in ts.factors
+    ]
+    return _block_diagonal(kind, _extend(sp.block_diag(blocks), ts, h, n))
+
+
+def cross_temporal_cov(
+    kind: str,
+    xts: CrossTemporalStructure,
+    residuals: ResidualTableau | np.ndarray | None = None,
+) -> CovarianceModel:
+    """Materialize one entry of the cross-temporal covariance menu.
+
+    The model is parameterized for the series-major vectorization of the
+    tableau (the one the global solver consumes); the time-major form is
+    its conjugate by the commutation permutation.
+    """
+    if kind not in OCT_KINDS:
+        raise InvalidInput(f"unknown cross-temporal covariance kind {kind!r}")
+    d_series = xts.cs.summing_matrix @ np.ones(xts.cs.n_b)
+    return _estimate(kind, kind[4:], xts.ts, xts.h, d_series, residuals)
+
+
+_ONE_LEVEL = build_temporal(1)
+
+
+def cross_sectional_cov(
+    kind: str, cs: CrossSectionalStructure, residuals: np.ndarray | None = None
+) -> CovarianceModel:
+    """Materialize one entry of the cross-sectional covariance menu.
+
+    ``residuals`` is an ``n x N`` matrix of in-sample errors of the level
+    being reconciled (the highest-frequency level, unless the caller
+    slices per level).
+    """
+    if kind not in CS_KINDS:
+        raise InvalidInput(f"unknown cross-sectional covariance kind {kind!r}")
+    family = "wlsh" if kind == "cs-wls" else kind[3:]
+    d_series = cs.summing_matrix @ np.ones(cs.n_b)
+    return _estimate(kind, family, _ONE_LEVEL, 1, d_series, residuals)
+
+
 def _lag1_autocorr(x: np.ndarray) -> float:
     """Uncentered lag-1 autocorrelation, kept inside the open unit interval."""
     x = np.asarray(x, dtype=float).ravel()
@@ -484,47 +579,12 @@ def temporal_cov(
     """
     if kind not in T_KINDS:
         raise InvalidInput(f"unknown temporal covariance kind {kind!r}")
-    cl = ts.cycle_len
-    if kind == "t-ols":
-        return _identity(kind, h * cl)
-    if kind == "t-struc":
-        return _diagonal(kind, _extend(_per_level(ts, ts.factors), ts, h))
-
-    if residuals is None:
-        raise InvalidInput(f"{kind} needs residuals")
-    E = np.atleast_2d(np.asarray(residuals, dtype=float))
-    if E.shape[0] != cl:
-        raise DimensionMismatch(
-            f"residuals have {E.shape[0]} rows, expected {cl}"
-        )
-    N = E.shape[1]
-    _require(N > 1, kind, "N > 1", f"got N={N}")
-    node_var = np.mean(E * E, axis=1)
-    level_var = _per_level(
-        ts, [np.mean(E[ts.level_slice(k)] ** 2) for k in ts.factors]
-    )
-
-    if kind == "t-wlsh":
-        return _diagonal(kind, _extend(node_var, ts, h))
-    if kind == "t-wlsv":
-        return _diagonal(kind, _extend(level_var, ts, h))
-    if kind in ("t-shr", "t-sam"):
-        if kind == "t-sam":
-            _require(N > cl, kind, "N > k*+m", f"got N={N}, k*+m={cl}")
-        A, lam = _sample_estimate(kind, E, shrunk=kind == "t-shr")
-        # Copies of one PD cycle block stay PD after extension.
-        ext = _extend(A, ts, h)
-        if sp.issparse(ext):
-            return _block_diagonal(kind, ext, lam=lam)
-        return _full(kind, ext, lam=lam)
-    if kind == "t-acov":
-        _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
-        blocks = [
-            _lift_to_pd(sample_mse(E[ts.level_slice(k)]), kind) for k in ts.factors
-        ]
-        return _block_diagonal(kind, _extend(sp.block_diag(blocks), ts, h))
+    if kind not in ("t-strar1", "t-sar1", "t-har1"):
+        return _estimate(kind, kind[2:], ts, h, [1.0], residuals)
 
     # Markov family: scaled AR(1) correlation blocks per level.
+    res = _residual_tableau(kind, residuals, 1, ts)
+    E = res.values
     rho = {
         k: _lag1_autocorr(E[ts.level_slice(k)].T.ravel())
         for k in ts.factors[1:]
@@ -532,9 +592,9 @@ def temporal_cov(
     if kind == "t-strar1":
         d = _per_level(ts, ts.factors)
     elif kind == "t-sar1":
-        d = level_var
+        d = _level_mse(res)
     else:  # t-har1
-        d = node_var
+        d = np.mean(E * E, axis=1)
     if np.any(d <= 0):
         raise SingularCovariance(f"{kind}: zero variance on a node")
     gamma = sp.block_diag(
@@ -544,100 +604,3 @@ def temporal_cov(
     # preserves that.
     root = sp.diags(np.sqrt(d))
     return _block_diagonal(kind, _extend(root @ gamma @ root, ts, h), rho=rho)
-
-
-# ---------------------------------------------------------------------------
-# Cross-temporal menu
-
-
-def _check_residual_tableau(
-    residuals: ResidualTableau, xts: CrossTemporalStructure
-) -> ResidualTableau:
-    if not isinstance(residuals, ResidualTableau):
-        residuals = ResidualTableau(np.asarray(residuals), xts.n, xts.ts)
-    if residuals.n != xts.n or residuals.ts.factors != xts.ts.factors:
-        raise OrderingMismatch(
-            "residual rows do not follow the structure's series/level layout"
-        )
-    return residuals
-
-
-def cross_temporal_cov(
-    kind: str,
-    xts: CrossTemporalStructure,
-    residuals: ResidualTableau | np.ndarray | None = None,
-) -> CovarianceModel:
-    """Materialize one entry of the cross-temporal covariance menu.
-
-    The model is parameterized for the series-major vectorization of the
-    tableau (the one the global solver consumes); the time-major form is
-    its conjugate by the commutation permutation.
-    """
-    if kind not in OCT_KINDS:
-        raise InvalidInput(f"unknown cross-temporal covariance kind {kind!r}")
-    ts, cs, h, n = xts.ts, xts.cs, xts.h, xts.n
-    cl = ts.cycle_len
-    if kind == "oct-ols":
-        return _identity(kind, xts.size)
-    if kind == "oct-struc":
-        d_series = cs.summing_matrix @ np.ones(cs.n_b)
-        d = np.kron(d_series, _per_level(ts, ts.factors))
-        return _diagonal(kind, _extend(d, ts, h, n))
-
-    if residuals is None:
-        raise InvalidInput(f"{kind} needs residuals")
-    res = _check_residual_tableau(residuals, xts)
-    E = res.values  # n(k*+m) x N, series-major
-    N = res.n_cycles
-    _require(N > 1, kind, "N > 1", f"got N={N}")
-
-    if kind == "oct-wlsh":
-        return _diagonal(kind, _extend(np.mean(E * E, axis=1), ts, h, n))
-    if kind == "oct-wlsv":
-        level_var = [
-            [np.mean(Ei[ts.level_slice(k)] ** 2) for k in ts.factors]
-            for Ei in map(res.series_block, range(n))
-        ]
-        d = np.concatenate([_per_level(ts, v) for v in level_var])
-        return _diagonal(kind, _extend(d, ts, h, n))
-
-    if kind in ("oct-shr", "oct-sam"):
-        if kind == "oct-sam":
-            _require(
-                N > n * cl, kind, "N > n(k*+m)", f"got N={N}, n(k*+m)={n * cl}"
-            )
-        A, lam = _sample_estimate(kind, E, shrunk=kind == "oct-shr")
-        ext = _extend(A, ts, h, n)
-        if sp.issparse(ext):
-            return _block_diagonal(kind, ext, lam=lam)
-        return _full(kind, ext, lam=lam)
-
-    if kind in ("oct-bdsam", "oct-bdshr", "oct-bdsam-l"):
-        _require(N > n, kind, "N > n", f"got N={N}, n={n}")
-        # One n x n block per within-cycle position, time-major.
-        blocks, lams = [], []
-        for k in ts.factors:
-            if kind == "oct-bdsam-l":
-                blocks += [
-                    _sample_estimate(kind, res.level_slice_matrix(k, l), False)[0]
-                    for l in range(ts.M_k[k])
-                ]
-            else:
-                B, lam = _sample_estimate(
-                    kind, res.level_matrix(k), shrunk=kind == "oct-bdshr"
-                )
-                blocks += [B] * ts.M_k[k]
-                lams.append(lam)
-        P = commutation_matrix(n, cl)  # time-major -> series-major
-        A = P @ sp.block_diag(blocks, format="csr") @ P.T
-        lam = float(np.mean(lams)) if kind == "oct-bdshr" else None
-        return _block_diagonal(kind, _extend(A, ts, h, n), lam=lam)
-
-    # oct-acov: per-series level-wise autocovariance blocks.
-    _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
-    blocks = [
-        _lift_to_pd(sample_mse(Ei[ts.level_slice(k)]), kind)
-        for Ei in map(res.series_block, range(n))
-        for k in ts.factors
-    ]
-    return _block_diagonal(kind, _extend(sp.block_diag(blocks), ts, h, n))

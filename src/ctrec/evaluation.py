@@ -126,11 +126,19 @@ def _geometric_mean(ratios: np.ndarray, axis=None):
         return np.exp(np.mean(np.log(ratios), axis=axis))
 
 
+def _horizon_column(cube: ErrorCube, k: int, h: int) -> int:
+    """0-based column of horizon ``h`` of level ``k``."""
+    if k not in cube.factors or not 1 <= h <= cube.horizons[k]:
+        raise InvalidInput(f"level {k}, horizon {h} is not a cell of the cube")
+    return h - 1
+
+
 def accuracy_index(
     cube: ErrorCube, measure: str, i, j: str, k: int, h: int
 ) -> float:
     """Mean error index over origins for one (series, level, horizon) cell."""
-    return float(_accuracy(cube, measure, j, k)[cube.series_index(i), h - 1])
+    col = _horizon_column(cube, k, h)
+    return float(_accuracy(cube, measure, j, k)[cube.series_index(i), col])
 
 
 def relative_index(
@@ -141,9 +149,10 @@ def relative_index(
     A zero benchmark with a nonzero candidate is an error; two zeros
     carry no information and count as 1 (with a warning).
     """
+    col = _horizon_column(cube, k, h)
     num = _accuracy(cube, measure, j, k)
     den = _accuracy(cube, measure, cube.benchmark, k)
-    return float(_relative(num, den, k, [cube.series_index(i)], [h - 1])[0, 0])
+    return float(_relative(num, den, k, [cube.series_index(i)], [col])[0, 0])
 
 
 def _selection(cube: ErrorCube, series, levels, horizons):

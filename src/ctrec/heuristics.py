@@ -22,6 +22,8 @@ from .crosstemporal import CrossTemporalStructure, coherence_report
 from .errors import InvalidInput, NonConvergence
 from .reconcile import (
     ReconciliationResult,
+    _apply_cross_sectional,
+    _apply_temporal,
     _as_tableau,
     _per_level_projectors,
     _per_series_temporal_projectors,
@@ -67,23 +69,6 @@ class HeuristicConfig:
             raise InvalidInput("tolerance must be a finite positive number")
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be at least 1")
-
-
-def _apply_temporal(vals: np.ndarray, projs: list) -> np.ndarray:
-    out = np.empty_like(vals)
-    for i, M in enumerate(projs):
-        out[i] = M @ vals[i]
-    return out
-
-
-def _apply_cross_sectional(
-    vals: np.ndarray, projs: dict, xts: CrossTemporalStructure
-) -> np.ndarray:
-    out = np.empty_like(vals)
-    for k in xts.ts.factors:
-        slc = xts.ts.level_slice(k, xts.h)
-        out[:, slc] = projs[k] @ vals[:, slc]
-    return out
 
 
 def _averaged_cs_projector(

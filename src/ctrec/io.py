@@ -78,6 +78,21 @@ def _parse_error(path, line: int, row: dict, fields) -> FormatError:
     return FormatError(f"{path}: line {line}: {name} {row[name]!r} is not a number")
 
 
+def _csv_rows(path, required: set):
+    """``(line, row)`` for every data row of a long-format CSV that has the
+    ``required`` columns; a malformed line is a :class:`FormatError`."""
+    reader = csv.DictReader(_read_text(path).splitlines())
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise FormatError(f"{path}: expected columns {sorted(required)}")
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        # The DictReader's own count lags one line behind on a failed read.
+        line = reader.reader.line_num
+        raise FormatError(f"{path}: line {line}: {exc}") from None
+
+
 _VALUE_FIELDS = (("level_k", int), ("index_within_level", int), ("value", float))
 _RESIDUAL_FIELDS = _VALUE_FIELDS[:2] + (("origin_column", int), ("value", float))
 
@@ -239,16 +254,13 @@ def read_values(
     level blocks must cover whole cycles consistently.
     """
     entries = {}
-    reader = csv.DictReader(_read_text(path).splitlines())
     required = {"series", "level_k", "index_within_level", "value"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise FormatError(f"{path}: expected columns {sorted(required)}")
-    for row in reader:
+    for line, row in _csv_rows(path, required):
         try:
             key = (row["series"], int(row["level_k"]), int(row["index_within_level"]))
             value = float(row["value"])
         except (TypeError, ValueError):
-            raise _parse_error(path, reader.line_num, row, _VALUE_FIELDS) from None
+            raise _parse_error(path, line, row, _VALUE_FIELDS) from None
         if key in entries:
             raise FormatError(f"{path}: duplicate key {key}")
         entries[key] = value
@@ -316,11 +328,8 @@ def read_residuals(
 ) -> ResidualTableau:
     entries = {}
     n_cols = 0
-    reader = csv.DictReader(_read_text(path).splitlines())
     required = {"series", "level_k", "index_within_level", "origin_column", "value"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise FormatError(f"{path}: expected columns {sorted(required)}")
-    for row in reader:
+    for line, row in _csv_rows(path, required):
         try:
             key = (
                 row["series"],
@@ -330,7 +339,12 @@ def read_residuals(
             )
             value = float(row["value"])
         except (TypeError, ValueError):
-            raise _parse_error(path, reader.line_num, row, _RESIDUAL_FIELDS) from None
+            raise _parse_error(path, line, row, _RESIDUAL_FIELDS) from None
+        if key[3] < 1:
+            raise FormatError(
+                f"{path}: line {line}: origin_column {row['origin_column']!r} "
+                "is below 1"
+            )
         if key in entries:
             raise FormatError(f"{path}: duplicate key {key}")
         entries[key] = value

@@ -227,6 +227,16 @@ def _per_level_projectors(
     return out
 
 
+def _apply_cross_sectional(
+    vals: np.ndarray, projs: dict, xts: CrossTemporalStructure
+) -> np.ndarray:
+    out = np.empty_like(vals)
+    for k in xts.ts.factors:
+        slc = xts.ts.level_slice(k, xts.h)
+        out[:, slc] = projs[k] @ vals[:, slc]
+    return out
+
+
 def reconcile_cross_sectional_tableau(
     tableau: ForecastTableau,
     kind: str = "cs-ols",
@@ -239,10 +249,7 @@ def reconcile_cross_sectional_tableau(
     """
     xts = tableau.structure
     projs = _per_level_projectors(xts, kind, residuals)
-    vals = np.array(tableau.values)
-    for k in xts.ts.factors:
-        slc = xts.ts.level_slice(k, xts.h)
-        vals[:, slc] = projs[k] @ vals[:, slc]
+    vals = _apply_cross_sectional(tableau.values, projs, xts)
     return tableau.with_values(vals, provenance=f"reconciled:{kind}")
 
 
@@ -264,17 +271,21 @@ def _per_series_temporal_projectors(
     return out
 
 
+def _apply_temporal(vals: np.ndarray, projs: list) -> np.ndarray:
+    out = np.empty_like(vals)
+    for i, M in enumerate(projs):
+        out[i] = M @ vals[i]
+    return out
+
+
 def reconcile_temporal(
     tableau: ForecastTableau,
     kind: str = "t-ols",
     residuals: ResidualTableau | None = None,
 ) -> ForecastTableau:
     """Reconcile every series against its temporal hierarchy (row by row)."""
-    xts = tableau.structure
-    projs = _per_series_temporal_projectors(xts, kind, residuals)
-    vals = np.array(tableau.values)
-    for i in range(xts.n):
-        vals[i] = projs[i] @ vals[i]
+    projs = _per_series_temporal_projectors(tableau.structure, kind, residuals)
+    vals = _apply_temporal(tableau.values, projs)
     return tableau.with_values(vals, provenance=f"reconciled:{kind}")
 
 

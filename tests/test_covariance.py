@@ -102,6 +102,18 @@ def test_cs_shr_equals_wls_for_orthogonal_residuals():
     np.testing.assert_allclose(shr.dense(), wls.dense(), atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", CS_KINDS)
+def test_cs_menu_is_the_oct_menu_over_one_level(kind):
+    cs = build_cross_sectional([[1, 1, 1], [1, 1, 0]])
+    xts = build_cross_temporal(cs, build_temporal(1), 1)
+    E = np.random.default_rng(4).standard_normal((cs.n, 12))
+    oct_kind = "oct-wlsh" if kind == "cs-wls" else "oct" + kind[2:]
+    np.testing.assert_array_equal(
+        cross_sectional_cov(kind, cs, E).dense(),
+        cross_temporal_cov(oct_kind, xts, E).dense(),
+    )
+
+
 def test_cs_sam_condition_named():
     cs = build_cross_sectional([[1, 1]])
     with pytest.raises(SingularCovariance, match="N > n"):
@@ -454,6 +466,19 @@ def test_residual_tableau_views(toy):
     per_series = res.series_level(0, 2)
     assert per_series.shape == (2, 2)
     np.testing.assert_array_equal(per_series[:, 0], vals[1])
+
+
+def test_menus_leave_raw_residual_arrays_writeable(toy):
+    rng = np.random.default_rng(3)
+    arrays = {
+        "oct-wlsv": rng.standard_normal((toy.n * toy.ts.cycle_len, 30)),
+        "cs-shr": rng.standard_normal((toy.n, 30)),
+        "t-sar1": rng.standard_normal((toy.ts.cycle_len, 30)),
+    }
+    cross_temporal_cov("oct-wlsv", toy, arrays["oct-wlsv"])
+    cross_sectional_cov("cs-shr", toy.cs, arrays["cs-shr"])
+    temporal_cov("t-sar1", toy.ts, arrays["t-sar1"])
+    assert all(E.flags.writeable for E in arrays.values())
 
 
 def test_ordering_mismatch(toy):

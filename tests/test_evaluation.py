@@ -9,6 +9,7 @@ from ctrec import (
     BenchmarkZero,
     EmptySelection,
     ErrorCube,
+    InvalidInput,
     accuracy_index,
     avg_rel_index,
     avgrel_table,
@@ -76,6 +77,14 @@ def test_relative_index_and_zero_handling():
     cube0 = small_cube(be, ce0)
     with pytest.warns(UserWarning):
         assert relative_index(cube0, "mse", 0, "cand", 2, 1) == 1.0
+
+
+@pytest.mark.parametrize("index", [accuracy_index, relative_index])
+@pytest.mark.parametrize("k, h", [(2, 0), (2, -1), (2, 2), (1, 3), (3, 1)])
+def test_single_cell_indices_reject_cells_outside_the_cube(index, k, h):
+    # constant_cube has one horizon at level 2 and two at level 1
+    with pytest.raises(InvalidInput, match=f"level {k}"):
+        index(constant_cube(), "mse", 0, "cand", k, h)
 
 
 def test_geometric_mean_symmetry():

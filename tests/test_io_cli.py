@@ -370,6 +370,8 @@ def _corrupt_first_row(path, column, text):
         ("values level_k", "level_k 'x'"),
         ("values non-finite", "non-finite value"),
         ("residuals value", "value 'abc'"),
+        ("residuals origin_column", "origin_column '0'"),
+        ("values field limit", "line 2: field larger than field limit"),
         ("config delta", "delta = 'abc'"),
         ("config max_iter", "max_iter = '2.5'"),
     ],
@@ -388,6 +390,10 @@ def test_cli_unparsable_input_exits_2_naming_the_key(tmp_path, toy_file, case, k
         fc = _corrupt_first_row(fc, "value", "nan")
     elif case == "residuals value":
         res = _corrupt_first_row(res, "value", "abc")
+    elif case == "residuals origin_column":
+        res = _corrupt_first_row(res, "origin_column", "0")
+    elif case == "values field limit":
+        fc = _corrupt_first_row(fc, "value", "1" * 200000)
     else:
         cfg.write_text(key.replace("'", "") + "\n")
     result = CliRunner().invoke(

@@ -12,6 +12,7 @@ from ctrec import (
     build_cross_sectional,
     build_cross_temporal,
     coherence_report,
+    cross_sectional_cov,
     cross_temporal_cov,
     iterative,
     ka_two_step,
@@ -21,6 +22,7 @@ from ctrec import (
     reconcile_cross_sectional_tableau,
     reconcile_cross_temporal,
     reconcile_temporal,
+    temporal_cov,
 )
 from tests.conftest import random_residuals, random_structure
 
@@ -279,6 +281,12 @@ def _nan_tableau(xts):
     return Y
 
 
+def _bad_residuals(rows):
+    E = np.ones((rows, 12))
+    E[0, 1], E[-1, 3] = np.nan, np.inf
+    return E
+
+
 OLS_HEURISTIC = HeuristicConfig("t-ols", "cs-ols")
 NON_FINITE_CASES = {
     "reconcile_cross_temporal": lambda x: reconcile_cross_temporal(_nan_tableau(x), x),
@@ -289,6 +297,18 @@ NON_FINITE_CASES = {
     "ka_two_step": lambda x: ka_two_step(_nan_tableau(x), x, OLS_HEURISTIC),
     "iterative": lambda x: iterative(_nan_tableau(x), x, OLS_HEURISTIC),
     "bottom_up": lambda x: bottom_up(np.full((x.cs.n_b, x.h * x.ts.m), np.inf), x),
+    "cross_sectional_cov residuals": lambda x: cross_sectional_cov(
+        "cs-wls", x.cs, _bad_residuals(x.n)
+    ),
+    "temporal_cov diagonal residuals": lambda x: temporal_cov(
+        "t-wlsv", x.ts, _bad_residuals(x.ts.cycle_len)
+    ),
+    "temporal_cov markov residuals": lambda x: temporal_cov(
+        "t-sar1", x.ts, _bad_residuals(x.ts.cycle_len)
+    ),
+    "reconcile_cross_sectional residuals": lambda x: reconcile_cross_sectional(
+        np.ones((x.n, 4)), x.cs, "cs-shr", _bad_residuals(x.n)
+    ),
 }
 
 
