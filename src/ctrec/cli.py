@@ -185,7 +185,8 @@ def reconcile(method, in_path, residuals_path, hierarchy, out_path, config_path)
                    f"d_te {before[1]:.6g} -> {after[1]:.6g}")
         if "condition_estimate" in diagnostics:
             click.echo(
-                f"  condition estimate: {diagnostics['condition_estimate']:.3e}"
+                f"  {diagnostics['factorization']}, "
+                f"condition estimate: {diagnostics['condition_estimate']:.3e}"
             )
         if "warning" in diagnostics:
             click.echo(f"  warning: {diagnostics['warning']}")

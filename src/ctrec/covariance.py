@@ -105,7 +105,11 @@ class ResidualTableau:
     ts: TemporalStructure
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        try:
+            # A copy, so that freezing it leaves the caller's array writeable.
+            vals = np.array(self.values, dtype=float, order="C")
+        except (TypeError, ValueError) as exc:
+            raise InvalidEntry("residual tableau has non-numeric entries") from exc
         expected = self.n * self.ts.cycle_len
         if vals.ndim != 2 or vals.shape[0] != expected:
             raise DimensionMismatch(
@@ -425,8 +429,7 @@ def _residual_tableau(kind: str, residuals, n: int, ts: TemporalStructure):
     if residuals is None:
         raise InvalidInput(f"{kind} needs residuals")
     if not isinstance(residuals, ResidualTableau):
-        # A copy, so that freezing it leaves the caller's array writeable.
-        residuals = ResidualTableau(np.array(residuals, dtype=float), n, ts)
+        residuals = ResidualTableau(residuals, n, ts)
     if residuals.n != n or residuals.ts.factors != ts.factors:
         raise OrderingMismatch(
             "residual rows do not follow the structure's series/level layout"

@@ -5,11 +5,18 @@ the null space of a constraint kernel ``K``::
 
     y_tilde = y_hat - W K' (K W K')^{-1} K y_hat
 
-computed through a symmetric positive-definite factorization of
-``K W K'``; ``W`` is never inverted and structured forms (diagonal,
-block-diagonal) are used without densification.  The equivalent
-structural form solves the generalized least-squares problem on the
-bottom coordinates and re-aggregates.
+computed through one factorization of the normal matrix ``G = K W K'``
+(:func:`_normal_factor`); ``W`` is never inverted and structured forms
+(diagonal, block-diagonal) are used without densification.  ``G`` is
+factored by a sparse LU with diagonal pivots (SuperLU) when it is large
+and sparse: at least ``_SPARSE_MIN_RANK`` rows and at most a
+``_SPARSE_MAX_FILL`` share of nonzeros, as with an identity, diagonal or
+block-diagonal ``W`` on a large hierarchy.  Otherwise (every full ``W``,
+a small or dense ``G``) it is densified and Cholesky-factored.  Both
+paths pass one positive-definiteness gate on their pivots and report a
+1-norm condition estimate.  The equivalent structural form solves the
+generalized least-squares problem on the bottom coordinates and
+re-aggregates.
 
 Wrappers apply the projection per time point (cross-sectional), per
 series (temporal) or once globally (cross-temporal).
@@ -17,11 +24,14 @@ series (temporal) or once globally (cross-temporal).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .covariance import (
     CovarianceModel,
@@ -49,15 +59,30 @@ __all__ = [
 # Condition estimates beyond this trigger a diagnostics warning, not an error.
 _COND_WARN = 1e12
 
+# K W K' is factored by sparse LU when it has at least _SPARSE_MIN_RANK rows
+# and at most a _SPARSE_MAX_FILL share of nonzeros; otherwise by dense
+# Cholesky.  Measured with two BLAS threads, one projection, dense -> sparse:
+# at rank 340 the two tie (oct-ols 2.8 -> 2.2 ms, oct-wlsv 2.3 -> 2.7 ms,
+# oct-acov at 17% fill 2.8 -> 3.0 ms); from rank 496 sparse wins at 3-12%
+# fill (oct-wlsv 5.5 -> 2.6 ms; 7.8 -> 3.3 ms at rank 652; 3.0 s -> 42 ms at
+# rank 7016).  At rank 131 the sparse path's fixed cost loses (0.7 -> 2.0 ms).
+# Fill-in decides the rest: the block-diagonal oct-bdshr, at 21% fill, ties
+# at rank 1304 (54 vs 52 ms) and loses at rank 680 (12 -> 19 ms); at 37-42%
+# fill it loses at every rank (14 -> 37 ms at rank 652).
+_SPARSE_MIN_RANK = 400
+_SPARSE_MAX_FILL = 0.15
+
 
 @dataclass(frozen=True)
 class ReconciliationResult:
     """Outcome of one reconciliation solve.
 
     ``coherency_errors_before`` is the negated constraint residual of the
-    input; ``diagnostics`` records the factorization used, a condition
-    estimate of the normal-equations matrix, and the post-solve maximum
-    constraint violation.
+    input; ``diagnostics`` records the factorization used
+    (``"factorization"``: ``"sparse-lu"`` for a large, sparse ``K W K'``,
+    else ``"cholesky"``), a 1-norm condition estimate of the
+    normal-equations matrix (with a ``"warning"`` above 1e12), and the
+    post-solve maximum constraint violation.
     """
 
     y_tilde: np.ndarray
@@ -75,11 +100,70 @@ def _as_dense(A) -> np.ndarray:
     return np.asarray(A.todense() if sp.issparse(A) else A, dtype=float)
 
 
-def _cholesky(A, context: str):
-    """Symmetrize and Cholesky-factor ``A``; also return the diagnostics.
+@dataclass(frozen=True)
+class _Factor:
+    """A factorization of a symmetric positive-definite matrix ``A``.
 
-    The diagnostics carry a cheap condition estimate from the factor and a
-    warning when that estimate is large.
+    ``solve(b)`` returns ``A^{-1} b``; ``diagnostics`` name the
+    factorization and carry a 1-norm condition estimate of ``A``.
+    """
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    diagnostics: dict
+
+
+def _factored(factorization: str, solve, cond_est: float) -> _Factor:
+    diagnostics = {"factorization": factorization, "condition_estimate": cond_est}
+    if cond_est > _COND_WARN:
+        diagnostics["warning"] = (
+            f"ill-conditioned system (condition estimate {cond_est:.3e})"
+        )
+    return _Factor(solve, diagnostics)
+
+
+def _check_pivots(pivots: np.ndarray, context: str) -> None:
+    """The SPD gate: every pivot of a symmetric factorization without
+    off-diagonal pivoting must be positive, and above ``r eps`` times the
+    largest one (the rank tolerance of ``numpy.linalg.matrix_rank``).
+
+    The signs of such pivots are the inertia of the matrix; a pivot at
+    the rank tolerance is roundoff from a singular matrix, of either sign.
+    """
+    tol = pivots.size * np.finfo(float).eps * pivots.max(initial=0.0)
+    if not np.all(pivots > tol):
+        raise SingularSystem(
+            f"{context}: normal-equations matrix is not numerically positive definite"
+        )
+
+
+def _inverse_norm1(solve, r: int) -> float:
+    """Estimate ``||A^{-1}||_1`` of a symmetric ``A`` from its solves.
+
+    This is Hager's method with Higham's alternating-sign test vector, the
+    algorithm of LAPACK's ``dlacn2`` that ``dpocon`` runs; it is
+    deterministic and takes at most eleven solves.
+    """
+    x = np.full(r, 1.0 / r)
+    est = 0.0
+    for _ in range(5):
+        y = solve(x)
+        if np.abs(y).sum() <= est:
+            break
+        est = np.abs(y).sum()
+        z = solve(np.where(y >= 0.0, 1.0, -1.0))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(r)
+        x[j] = 1.0
+    alt = (-1.0) ** np.arange(r) * (1.0 + np.arange(r) / max(r - 1, 1))
+    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * r)))
+
+
+def _cholesky(A, context: str) -> _Factor:
+    """Symmetrize and Cholesky-factor the dense matrix ``A``.
+
+    The condition estimate is LAPACK's ``dpocon`` on the factor.
     """
     A = 0.5 * (A + A.T)
     try:
@@ -88,21 +172,58 @@ def _cholesky(A, context: str):
         raise SingularSystem(
             f"{context}: normal-equations matrix could not be factorized"
         ) from exc
-    d = np.abs(np.diag(cho[0]))
-    cond_est = float((d.max() / d.min()) ** 2) if d.size else 1.0
-    diagnostics = {"factorization": "cholesky", "condition_estimate": cond_est}
-    if cond_est > _COND_WARN:
-        diagnostics["warning"] = (
-            f"ill-conditioned system (condition estimate {cond_est:.3e})"
+    _check_pivots(np.diag(cho[0]) ** 2, context)
+    cond_est = 1.0
+    if A.size:
+        rcond, _ = scipy.linalg.lapack.dpocon(
+            cho[0], np.abs(A).sum(axis=0).max(), uplo="L"
         )
-    return cho, diagnostics
+        cond_est = 1.0 / rcond
+    return _factored("cholesky", partial(scipy.linalg.cho_solve, cho), cond_est)
+
+
+def _sparse_lu(G, context: str) -> _Factor:
+    """Symmetrize and factor the sparse matrix ``G`` by SuperLU with
+    diagonal pivots only (``G = P L U P'``), gated on the pivots
+    ``diag(U)``.
+
+    The condition estimate is ``||G||_1`` times :func:`_inverse_norm1`.
+    """
+    G = (0.5 * (G + G.T)).tocsc()
+    try:
+        lu = spla.splu(
+            G,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularSystem(
+            f"{context}: normal-equations matrix could not be factorized"
+        ) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularSystem(
+            f"{context}: normal-equations matrix needed off-diagonal pivots"
+        )
+    _check_pivots(lu.U.diagonal(), context)
+    cond_est = spla.norm(G, 1) * _inverse_norm1(lu.solve, G.shape[0])
+    return _factored("sparse-lu", lu.solve, float(cond_est))
 
 
 def _normal_factor(kernel, W: CovarianceModel, context: str):
-    """Assemble ``G = K W K'`` and factor it: ``(W K', factor, diagnostics)``."""
+    """Assemble ``G = K W K'`` and factor it: ``(W K', factor)``.
+
+    ``G`` is factored by sparse LU when it has at least
+    ``_SPARSE_MIN_RANK`` rows and at most ``_SPARSE_MAX_FILL`` of its
+    entries are nonzero, and by dense Cholesky otherwise (every full
+    ``W``, a dense or small ``G``, an empty kernel).
+    """
     WKt = W.apply(kernel.T)
-    cho, diagnostics = _cholesky(_as_dense(kernel @ WKt), context)
-    return WKt, cho, diagnostics
+    G = kernel @ WKt
+    r = G.shape[0]
+    if sp.issparse(G) and r >= _SPARSE_MIN_RANK and G.nnz <= _SPARSE_MAX_FILL * r * r:
+        return WKt, _sparse_lu(G, context)
+    return WKt, _cholesky(_as_dense(G), context)
 
 
 def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
@@ -120,17 +241,16 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     if not np.all(np.isfinite(y)):
         raise InvalidEntry("forecast vector contains NaN or infinite entries")
     d0 = np.asarray(K @ y).ravel()
-    WKt, cho, diagnostics = _normal_factor(K, W, "project")
-    adjustment = np.asarray(WKt @ scipy.linalg.cho_solve(cho, d0)).ravel()
+    WKt, factor = _normal_factor(K, W, "project")
+    diagnostics = factor.diagnostics
+    adjustment = np.asarray(WKt @ factor.solve(d0)).ravel()
     y_tilde = y - adjustment
     diagnostics["constraint_residual"] = float(
         np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)
     )
     if W.structure == "full":
         # Reconciliation-error covariance is only cheap with a dense W.
-        diagnostics["error_covariance"] = W.matrix - WKt @ scipy.linalg.cho_solve(
-            cho, WKt.T
-        )
+        diagnostics["error_covariance"] = W.matrix - WKt @ factor.solve(WKt.T)
     return ReconciliationResult(
         y_tilde=y_tilde,
         adjustment=adjustment,
@@ -153,8 +273,9 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
     WinvS = W.solve(S)
-    cho, diagnostics = _cholesky(S.T @ WinvS, "project_structural")
-    beta = scipy.linalg.cho_solve(cho, WinvS.T @ y)
+    factor = _cholesky(S.T @ WinvS, "project_structural")
+    diagnostics = factor.diagnostics
+    beta = factor.solve(WinvS.T @ y)
     y_tilde = S @ beta
     diagnostics["beta"] = beta
     return ReconciliationResult(
@@ -167,10 +288,8 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
     """Materialize the dense projection matrix fixing the kernel's null space."""
-    WKt, cho, _ = _normal_factor(kernel, W, "projector")
-    return np.eye(kernel.shape[1]) - _as_dense(WKt) @ scipy.linalg.cho_solve(
-        cho, _as_dense(kernel)
-    )
+    WKt, factor = _normal_factor(kernel, W, "projector")
+    return np.eye(kernel.shape[1]) - _as_dense(WKt) @ factor.solve(_as_dense(kernel))
 
 
 def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:

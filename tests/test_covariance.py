@@ -478,6 +478,8 @@ def test_menus_leave_raw_residual_arrays_writeable(toy):
     cross_temporal_cov("oct-wlsv", toy, arrays["oct-wlsv"])
     cross_sectional_cov("cs-shr", toy.cs, arrays["cs-shr"])
     temporal_cov("t-sar1", toy.ts, arrays["t-sar1"])
+    arrays["ResidualTableau"] = rng.standard_normal((toy.n * toy.ts.cycle_len, 30))
+    ResidualTableau(arrays["ResidualTableau"], toy.n, toy.ts)
     assert all(E.flags.writeable for E in arrays.values())
 
 

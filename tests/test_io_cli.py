@@ -173,6 +173,7 @@ def test_cli_reconcile_all_method_families(tmp_path, toy_file):
         assert result.exit_code == 0, result.output
         assert out.exists()
         assert "d_cs" in result.output
+    assert "  cholesky, condition estimate: " in result.output
     vals, cycles = read_values(tmp_path / "out-oct-wlsv.csv", cs, ts)
     assert cycles == 1 and vals.shape == (3, 7)
 

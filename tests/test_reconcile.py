@@ -7,15 +7,19 @@ from ctrec import (
     CovarianceModel,
     HeuristicConfig,
     InvalidEntry,
+    ResidualTableau,
     SingularSystem,
     bottom_up,
     build_cross_sectional,
     build_cross_temporal,
+    build_temporal,
     coherence_report,
     cross_sectional_cov,
     cross_temporal_cov,
+    generate_coherent,
     iterative,
     ka_two_step,
+    naive_base_forecasts,
     project,
     project_structural,
     reconcile_cross_sectional,
@@ -316,3 +320,119 @@ NON_FINITE_CASES = {
 def test_non_finite_input_raises_invalid_entry(toy, case):
     with pytest.raises(InvalidEntry, match="NaN or infinite"):
         NON_FINITE_CASES[case](toy)
+
+
+NON_NUMERIC_CASES = {
+    "ResidualTableau": lambda x: ResidualTableau([[1j] * 4] * x.n, x.n, build_temporal(1)),
+    "cross_sectional_cov": lambda x: cross_sectional_cov("cs-wls", x.cs, [["a"] * 5] * x.n),
+    "temporal_cov": lambda x: temporal_cov(
+        "t-wlsv", x.ts, [["a"] * 5] * x.ts.cycle_len
+    ),
+    "cross_temporal_cov": lambda x: cross_temporal_cov(
+        "oct-wlsv", x, [["a"] * 5] * (x.n * x.ts.cycle_len)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_NUMERIC_CASES))
+def test_non_numeric_residuals_raise_invalid_entry(toy, case):
+    with pytest.raises(InvalidEntry, match="non-numeric"):
+        NON_NUMERIC_CASES[case](toy)
+
+
+# ---------------------------------------------------------------------------
+# Sparse and dense factorizations above 3000 values
+
+
+def grouped_structure(n_b, g, m, h):
+    """One total plus ``g`` interleaved group totals over ``n_b`` bottoms."""
+    C = np.zeros((1 + g, n_b))
+    C[0] = 1.0
+    for j in range(g):
+        C[1 + j, j::g] = 1.0
+    return build_cross_temporal(build_cross_sectional(C), build_temporal(m), h)
+
+
+def seeded_inputs(xts, origin=40):
+    actuals, _ = generate_coherent(xts.cs, xts.ts, origin + xts.h, seed=0)
+    Y_hat, residuals = naive_base_forecasts(actuals, xts.cs, xts.ts, origin, xts.h)
+    return np.asarray(Y_hat, dtype=float).ravel(), residuals
+
+
+@pytest.fixture(scope="module")
+def large():
+    """Size 4088, rank 2552: ``(n_b, g) = (64, 8)``, ``m = 12``, ``h = 2``."""
+    xts = grouped_structure(64, 8, 12, 2)
+    return (xts, *seeded_inputs(xts))
+
+
+def normal_matrix(K, W):
+    G = K @ W.apply(K.T)
+    return G.toarray() if sp.issparse(G) else np.asarray(G)
+
+
+def relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("kind", ["oct-ols", "oct-wlsv", "oct-acov"])
+def test_sparse_path_matches_dense_and_structural_oracles(large, kind):
+    xts, y, residuals = large
+    K = xts.kernel
+    W = cross_temporal_cov(kind, xts, residuals)
+    res = project(y, W, K)
+    assert res.diagnostics["factorization"] == "sparse-lu"
+    dense = y - W.apply(K.T) @ np.linalg.solve(normal_matrix(K, W), K @ y)
+    assert relative_gap(res.y_tilde, dense) <= 1e-10
+    structural = project_structural(y, W, xts.struct_perm @ xts.struct_summing)
+    assert relative_gap(res.y_tilde, structural.y_tilde) <= 1e-10
+    assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
+
+
+def test_dense_path_for_full_dense_or_small_normal_matrices():
+    medium = grouped_structure(32, 4, 12, 1)  # rank 652
+    y, residuals = seeded_inputs(medium)
+    for kind in ("oct-shr", "oct-bdshr"):  # a full W; a 42%-dense K W K'
+        W = cross_temporal_cov(kind, medium, residuals)
+        assert project(y, W, medium.kernel).diagnostics["factorization"] == "cholesky"
+    small = grouped_structure(32, 4, 4, 1)  # rank 131, 8% dense
+    y, residuals = seeded_inputs(small)
+    W = cross_temporal_cov("oct-ols", small, residuals)
+    assert project(y, W, small.kernel).diagnostics["factorization"] == "cholesky"
+
+
+@pytest.mark.parametrize("kind", ["oct-wlsv", "oct-acov", "oct-bdshr", "oct-shr"])
+def test_condition_estimate_within_factor_two(kind):
+    xts = grouped_structure(32, 4, 12, 1)
+    y, residuals = seeded_inputs(xts)
+    W = cross_temporal_cov(kind, xts, residuals)
+    diagnostics = project(y, W, xts.kernel).diagnostics
+    true = np.linalg.cond(normal_matrix(xts.kernel, W), 1)
+    assert true / 2 <= diagnostics["condition_estimate"] <= true * 2
+
+
+@pytest.mark.parametrize("row", [0, 5, 100, 2000])
+def test_duplicated_kernel_row_raises_on_sparse_path(large, row):
+    xts = large[0]
+    K = sp.vstack([xts.kernel, xts.kernel[row : row + 1]]).tocsr()
+    with pytest.raises(SingularSystem):
+        project(np.zeros(xts.size), identity_w(xts.size), K)
+
+
+@pytest.mark.parametrize("j", [0, 500, 4000])
+def test_indefinite_diagonal_w_raises_on_sparse_path(large, j):
+    xts = large[0]
+    d = np.ones(xts.size)
+    d[j] = -1.0
+    W = CovarianceModel(kind="w", structure="diagonal", size=xts.size, diag_values=d)
+    G = sp.csr_matrix(xts.kernel @ W.apply(xts.kernel.T))
+    assert np.min(np.linalg.eigvalsh(G.toarray())) < 0
+    with pytest.raises(SingularSystem):
+        project(np.ones(xts.size), W, xts.kernel)
+
+
+def test_empty_kernel_takes_dense_path(large):
+    xts, y, _ = large
+    res = project(y, identity_w(xts.size), sp.csr_matrix((0, xts.size)))
+    assert res.diagnostics["factorization"] == "cholesky"
+    np.testing.assert_array_equal(res.y_tilde, y)
