@@ -249,6 +249,16 @@ def test_condition_warning_flag():
     assert res.diagnostics["condition_estimate"] > 0
 
 
+def test_condition_warning_fires_above_threshold():
+    K = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, -1.0]])  # K W K' = diag(1e14 + 2, 2)
+    W = CovarianceModel(
+        kind="w", structure="diagonal", size=3, diag_values=np.array([1e14, 1.0, 1.0])
+    )
+    diagnostics = project(np.array([3.0, 1.0, 1.0]), W, K).diagnostics
+    assert diagnostics["condition_estimate"] == pytest.approx(5e13)
+    assert "ill-conditioned" in diagnostics["warning"]
+
+
 def test_error_covariance_emitted_for_dense_w(toy, monkeypatch):
     rng = np.random.default_rng(14)
     W = random_spd_w(rng, 21)
