@@ -62,6 +62,7 @@ from .reconcile import (
     ReconciliationResult,
     project,
     project_structural,
+    reconciled_covariance,
     reconcile_cross_sectional,
     reconcile_cross_sectional_tableau,
     reconcile_cross_temporal,
@@ -125,6 +126,7 @@ __all__ = [
     "ReconciliationResult",
     "project",
     "project_structural",
+    "reconciled_covariance",
     "reconcile_cross_sectional",
     "reconcile_cross_sectional_tableau",
     "reconcile_cross_temporal",

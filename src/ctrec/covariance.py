@@ -1,9 +1,10 @@
 """Covariance approximations for reconciliation solves.
 
 Every estimator produces a :class:`CovarianceModel`: a named, symmetric,
-positive-definite matrix in one of four structural forms (identity,
-diagonal, block-diagonal, full).  Residual-based estimators work on
-uncentered mean-square-error moments throughout; no mean is subtracted.
+positive-definite matrix in one of five structural forms (identity,
+diagonal, block-diagonal, diagonal plus low rank, full).  Residual-based
+estimators work on uncentered mean-square-error moments throughout; no
+mean is subtracted.
 
 Three menus are provided, one per reconciliation dimension:
 
@@ -24,7 +25,7 @@ forecast cycles by :func:`_extend`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -162,9 +163,13 @@ class ResidualTableau:
 class CovarianceModel:
     """A named covariance approximation with explicit structure.
 
-    ``structure`` is one of ``identity``, ``diagonal``, ``block-diagonal``
-    or ``full``; the payload lives in ``diag_values`` (diagonal forms) or
-    ``matrix`` (dense for full, sparse for block-diagonal).
+    ``structure`` is one of ``identity``, ``diagonal``, ``block-diagonal``,
+    ``low-rank`` or ``full``; the payload lives in ``diag_values``
+    (diagonal forms) or ``matrix`` (dense for full, sparse for
+    block-diagonal).  ``low-rank`` is ``W = diag(diag_values) + U U'``:
+    ``matrix`` is given as the tall factor ``U`` and held with the diagonal
+    in one object whose ``np.asarray`` is the dense ``W``, built only on
+    that access.  Arrays are copied, so the caller's stay writeable.
     """
 
     kind: str
@@ -177,12 +182,14 @@ class CovarianceModel:
 
     def __post_init__(self):
         if self.diag_values is not None:
-            d = np.ascontiguousarray(self.diag_values, dtype=float)
+            d = np.array(self.diag_values, dtype=float, order="C")
             d.flags.writeable = False
             object.__setattr__(self, "diag_values", d)
         if isinstance(self.matrix, np.ndarray):
-            m = np.ascontiguousarray(self.matrix, dtype=float)
+            m = np.array(self.matrix, dtype=float, order="C")
             m.flags.writeable = False
+            if self.structure == "low-rank":
+                m = _LowRank(self.diag_values, m)
             object.__setattr__(self, "matrix", m)
 
     def apply(self, M):
@@ -194,6 +201,11 @@ class CovarianceModel:
                 return sp.diags(self.diag_values) @ M
             M = np.asarray(M)
             return self.diag_values[:, None] * M if M.ndim == 2 else self.diag_values * M
+        if self.structure == "low-rank":
+            M = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+            U = self.matrix.U
+            d = self.diag_values[:, None] if M.ndim == 2 else self.diag_values
+            return d * M + U @ (U.T @ M)
         return self.matrix @ M
 
     def solve(self, M):
@@ -208,6 +220,13 @@ class CovarianceModel:
 
     @cached_property
     def _solver(self):
+        if self.structure == "low-rank":
+            d = self.diag_values
+            return _woodbury(
+                lambda b: b / (d[:, None] if b.ndim == 2 else d),
+                self.matrix.U,
+                lambda C: partial(scipy.linalg.cho_solve, _spd_factor(C, self.kind)),
+            )
         if sp.issparse(self.matrix):
             lu = spla.splu(sp.csc_matrix(self.matrix))
             return lu.solve
@@ -228,21 +247,60 @@ class CovarianceModel:
             return np.ones(self.size)
         if self.structure == "diagonal":
             return np.array(self.diag_values)
+        if self.structure == "low-rank":
+            U = self.matrix.U
+            return self.diag_values + np.einsum("ij,ij->i", U, U)
         if sp.issparse(self.matrix):
             return np.asarray(self.matrix.diagonal())
         return np.diag(self.matrix).copy()
 
     def require_spd(self):
-        """Raise :class:`SingularCovariance` unless positive definite."""
+        """Raise :class:`SingularCovariance` unless positive definite.
+
+        A low-rank model is positive definite when its diagonal is, since
+        ``U U'`` is positive semi-definite.
+        """
         if self.structure == "identity":
             return
-        if self.structure == "diagonal":
+        if self.structure in ("diagonal", "low-rank"):
             if np.any(self.diag_values <= 0):
                 raise SingularCovariance(
                     f"{self.kind}: diagonal has non-positive entries"
                 )
             return
         _spd_factor(self.dense(), self.kind)
+
+
+class _LowRank:
+    """The payload of a ``low-rank`` model: ``diag(d) + U U'`` as factors.
+
+    ``np.asarray`` builds the dense matrix, for callers that need one.
+    """
+
+    def __init__(self, d: np.ndarray, U: np.ndarray):
+        self.d, self.U = d, U
+
+    def __array__(self, dtype=None, copy=None):
+        W = self.U @ self.U.T
+        W[np.diag_indices_from(W)] += self.d
+        return W if dtype is None else W.astype(dtype, copy=False)
+
+
+def _woodbury(solve, V, factor):
+    """Solver of ``A + V V'`` from a solver of ``A``, by the Woodbury identity.
+
+    ``(A + V V')^{-1} = A^{-1} - A^{-1} V C^{-1} V' A^{-1}`` with the
+    capacitance matrix ``C = I + V' A^{-1} V``; ``factor(C)`` returns a
+    solver of ``C``.  Only ``A^{-1} V`` and ``C`` are stored.
+    """
+    AiV = solve(V)
+    solve_c = factor(np.eye(V.shape[1]) + V.T @ AiV)
+
+    def solve_sum(b):
+        y = solve(b)
+        return y - AiV @ solve_c(V.T @ y)
+
+    return solve_sum
 
 
 def _spd_factor(A: np.ndarray, label: str):
@@ -340,10 +398,7 @@ def shrink(
 
     Returns ``lam * target + (1 - lam) * sample`` together with the
     intensity used.  When ``lam`` is not supplied it is estimated from the
-    per-observation products of the standardized residuals:
-    ``lam = sum var(r_ij) / sum r_ij^2`` over off-diagonal cells, where
-    ``var(r_ij)`` is the unbiased variance of the products divided by the
-    number of observations, clamped to [0, 1].
+    residuals by :func:`_shrink_intensity`.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     d = np.diag(sample)
@@ -356,31 +411,50 @@ def shrink(
         if residuals is None:
             raise InvalidInput("shrink needs residuals unless lam is given")
         E = np.atleast_2d(np.asarray(residuals, dtype=float))
-        p, N = E.shape
-        if p != sample.shape[0]:
+        if E.shape[0] != sample.shape[0]:
             raise DimensionMismatch("residual rows do not match the sample matrix")
-        if N < 2 or p < 2:
-            lam = 1.0
-        else:
-            scale = np.sqrt(d)
-            Z = E / scale[:, None]
-            # mean of the standardized products, without a second Gram matrix
-            R = (sample / scale[:, None]) / scale[None, :]
-            sum_r2 = float(np.sum(R * R) - np.sum(np.diag(R) ** 2))
-            Z2 = Z * Z
-            s2 = Z2.sum(axis=0)
-            s4 = (Z2 * Z2).sum(axis=0)
-            sum_w2 = float(np.sum(s2 * s2 - s4))
-            if sum_r2 <= 0:
-                lam = 1.0
-            else:
-                var_sum = (sum_w2 - N * sum_r2) / (N * (N - 1))
-                lam = var_sum / sum_r2
+        lam = _shrink_intensity(E, d, sample)
     lam = float(min(1.0, max(0.0, lam)))
     combined = lam * target + (1.0 - lam) * sample
     if diagonal_target:
         np.fill_diagonal(combined, d)  # keep the diagonal bit-exact
     return combined, lam
+
+
+def _shrink_intensity(E: np.ndarray, d: np.ndarray, sample=None) -> float:
+    """Shrinkage intensity toward the diagonal for residual rows ``E``
+    (``p x N``) with mean squares ``d``, clamped to [0, 1].
+
+    ``lam = sum var(r_ij) / sum r_ij^2`` over off-diagonal cells, where
+    ``r_ij`` is the mean product of the standardized rows ``z_i`` and
+    ``z_j``, and ``var(r_ij)`` is the unbiased variance of the products
+    divided by the number of observations.  ``sum r_ij^2`` is read from
+    ``sample`` when given; otherwise it is ``(||Z'Z||_F^2 - sum_i
+    ||z_i||^4) / N^2`` from the ``N x N`` Gram matrix, so no ``p x p``
+    matrix is formed.
+    """
+    if np.any(d == 0):
+        raise DegenerateSample("sample matrix has a zero diagonal entry")
+    p, N = E.shape
+    if N < 2 or p < 2:
+        return 1.0
+    scale = np.sqrt(d)
+    Z = E / scale[:, None]
+    Z2 = Z * Z
+    if sample is None:
+        gram = Z.T @ Z
+        sum_r2 = float(np.sum(gram * gram) - np.sum(Z2.sum(axis=1) ** 2)) / N**2
+    else:
+        R = (sample / scale[:, None]) / scale[None, :]
+        sum_r2 = float(np.sum(R * R) - np.sum(np.diag(R) ** 2))
+    if sum_r2 <= 0:
+        return 1.0
+    # sum of the squared products over off-diagonal cells and observations
+    s2 = Z2.sum(axis=0)
+    s4 = (Z2 * Z2).sum(axis=0)
+    sum_w2 = float(np.sum(s2 * s2 - s4))
+    var_sum = (sum_w2 - N * sum_r2) / (N * (N - 1))
+    return float(min(1.0, max(0.0, var_sum / sum_r2)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +475,12 @@ def _per_level(ts: TemporalStructure, values) -> np.ndarray:
 def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
     """Extend a per-cycle model to ``h`` independent forecast cycles.
 
-    ``A`` is a diagonal (1-D) or a matrix over ``n`` series, series-major,
-    each series in the within-cycle layout.  Returns the series-major,
-    level-blocked form of ``I_h (x) A``: a scattered diagonal, or a sparse
-    matrix.  For ``h = 1`` this is ``A`` itself.
+    ``A`` is a diagonal (1-D), a square matrix, or a tall factor ``U`` of
+    ``U U'``, over ``n`` series, series-major, each series in the
+    within-cycle layout.  Returns the series-major, level-blocked form of
+    ``I_h (x) A``: a scattered diagonal, a sparse matrix, or a dense factor
+    with its rows scattered and one column block per cycle.  For ``h = 1``
+    this is ``A`` itself.
     """
     if h == 1:
         return A
@@ -418,6 +494,11 @@ def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
     if np.ndim(A) == 1:
         out = np.empty(perm.size)
         out[perm] = np.tile(A, h)
+        return out
+    if A.shape[0] != A.shape[1]:
+        q = A.shape[1]
+        out = np.zeros((perm.size, h * q))
+        out[perm.reshape(h, -1, 1), np.arange(h * q).reshape(h, 1, q)] = A
         return out
     K = sp.kron(sp.identity(h), A, format="coo")
     return sp.coo_matrix((K.data, (perm[K.row], perm[K.col])), shape=K.shape)
@@ -477,6 +558,19 @@ def _estimate(
             # Named as the menu counts rows: cs- per series, t- per position.
             rows = "k*+m" if n == 1 else "n" if cl == 1 else "n(k*+m)"
             _require(N > n * cl, kind, f"N > {rows}", f"got N={N}, {rows}={n * cl}")
+        elif N < n * cl:
+            # W = lam D + (1 - lam) E E' / N is a diagonal plus rank N; at
+            # lam = 0 it is singular and the dense gate below says so.
+            d = np.mean(E * E, axis=1)
+            lam = _shrink_intensity(E, d)
+            if lam == 1.0:
+                return _diagonal(kind, _extend(d, ts, h, n), lam=lam)
+            if lam > 0.0:
+                return CovarianceModel(
+                    kind=kind, structure="low-rank", size=d.size * h,
+                    diag_values=_extend(lam * d, ts, h, n),
+                    matrix=_extend(np.sqrt((1.0 - lam) / N) * E, ts, h, n), lam=lam,
+                )
         A, lam = _sample_estimate(kind, E, shrunk=family == "shr")
         # Copies of one PD cycle block stay PD after extension.
         ext = _extend(A, ts, h, n)

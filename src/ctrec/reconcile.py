@@ -7,16 +7,22 @@ the null space of a constraint kernel ``K``::
 
 computed through one factorization of the normal matrix ``G = K W K'``
 (:func:`_normal_factor`); ``W`` is never inverted and structured forms
-(diagonal, block-diagonal) are used without densification.  ``G`` is
-factored by a sparse LU with diagonal pivots (SuperLU) when it is large
-and sparse: at least ``_SPARSE_MIN_RANK`` rows and at most a
-``_SPARSE_MAX_FILL`` share of nonzeros, as with an identity, diagonal or
-block-diagonal ``W`` on a large hierarchy.  Otherwise (every full ``W``,
-a small or dense ``G``) it is densified and Cholesky-factored.  Both
-paths pass one positive-definiteness gate on their pivots and report a
+(diagonal, block-diagonal, diagonal plus low rank) are used without
+densification.  ``G`` is factored by a sparse LU with diagonal pivots
+(SuperLU) when it is large and sparse: at least ``_SPARSE_MIN_RANK`` rows
+and at most a ``_SPARSE_MAX_FILL`` share of nonzeros, as with an
+identity, diagonal or block-diagonal ``W`` on a large hierarchy.
+Otherwise (every full ``W``, a small or dense ``G``) it is densified and
+Cholesky-factored.  A diagonal-plus-low-rank ``W = D + U U'`` (the
+shrinkage kinds with fewer residual cycles than values) takes a third
+path, ``woodbury``: ``G0 = K D K'`` is factored by that rule, and ``G =
+G0 + (K U)(K U)'`` is solved through the Cholesky factor of the small
+capacitance matrix without being formed.  Every factor passes one
+positive-definiteness gate on its pivots, and every path reports a
 1-norm condition estimate.  The equivalent structural form solves the
 generalized least-squares problem on the bottom coordinates and
-re-aggregates.
+re-aggregates.  :func:`reconciled_covariance` gives the covariance of
+the reconciliation error on demand.
 
 Wrappers apply the projection per time point (cross-sectional), per
 series (temporal) or once globally (cross-temporal).
@@ -36,6 +42,7 @@ import scipy.sparse.linalg as spla
 from .covariance import (
     CovarianceModel,
     ResidualTableau,
+    _woodbury,
     cross_sectional_cov,
     cross_temporal_cov,
     temporal_cov,
@@ -50,6 +57,7 @@ __all__ = [
     "project",
     "project_structural",
     "projector",
+    "reconciled_covariance",
     "reconcile_cross_sectional",
     "reconcile_cross_sectional_tableau",
     "reconcile_temporal",
@@ -79,10 +87,11 @@ class ReconciliationResult:
 
     ``coherency_errors_before`` is the negated constraint residual of the
     input; ``diagnostics`` records the factorization used
-    (``"factorization"``: ``"sparse-lu"`` for a large, sparse ``K W K'``,
-    else ``"cholesky"``), a 1-norm condition estimate of the
-    normal-equations matrix (with a ``"warning"`` above 1e12), and the
-    post-solve maximum constraint violation.
+    (``"factorization"``: ``"woodbury"`` for a diagonal-plus-low-rank
+    ``W``, ``"sparse-lu"`` for a large, sparse ``K W K'``, else
+    ``"cholesky"``), a 1-norm condition estimate of the normal-equations
+    matrix (with a ``"warning"`` above 1e12), and the post-solve maximum
+    constraint violation.
     """
 
     y_tilde: np.ndarray
@@ -136,28 +145,30 @@ def _check_pivots(pivots: np.ndarray, context: str) -> None:
         )
 
 
-def _inverse_norm1(solve, r: int) -> float:
-    """Estimate ``||A^{-1}||_1`` of a symmetric ``A`` from its solves.
+def _norm1_estimate(apply, r: int) -> float:
+    """Estimate the 1-norm of a symmetric ``r x r`` operator from its
+    products: ``||A^{-1}||_1`` when ``apply`` solves with ``A``, ``||A||_1``
+    when it multiplies by ``A``.
 
     This is Hager's method with Higham's alternating-sign test vector, the
     algorithm of LAPACK's ``dlacn2`` that ``dpocon`` runs; it is
-    deterministic and takes at most eleven solves.
+    deterministic and takes at most eleven products.
     """
     x = np.full(r, 1.0 / r)
     est = 0.0
     for _ in range(5):
-        y = solve(x)
+        y = apply(x)
         if np.abs(y).sum() <= est:
             break
         est = np.abs(y).sum()
-        z = solve(np.where(y >= 0.0, 1.0, -1.0))
+        z = apply(np.where(y >= 0.0, 1.0, -1.0))
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= z @ x:
             break
         x = np.zeros(r)
         x[j] = 1.0
     alt = (-1.0) ** np.arange(r) * (1.0 + np.arange(r) / max(r - 1, 1))
-    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * r)))
+    return float(max(est, 2.0 * np.abs(apply(alt)).sum() / (3.0 * r)))
 
 
 def _cholesky(A, context: str) -> _Factor:
@@ -187,7 +198,7 @@ def _sparse_lu(G, context: str) -> _Factor:
     diagonal pivots only (``G = P L U P'``), gated on the pivots
     ``diag(U)``.
 
-    The condition estimate is ``||G||_1`` times :func:`_inverse_norm1`.
+    The condition estimate is ``||G||_1`` times :func:`_norm1_estimate`.
     """
     G = (0.5 * (G + G.T)).tocsc()
     try:
@@ -206,24 +217,41 @@ def _sparse_lu(G, context: str) -> _Factor:
             f"{context}: normal-equations matrix needed off-diagonal pivots"
         )
     _check_pivots(lu.U.diagonal(), context)
-    cond_est = spla.norm(G, 1) * _inverse_norm1(lu.solve, G.shape[0])
+    cond_est = spla.norm(G, 1) * _norm1_estimate(lu.solve, G.shape[0])
     return _factored("sparse-lu", lu.solve, float(cond_est))
 
 
-def _normal_factor(kernel, W: CovarianceModel, context: str):
-    """Assemble ``G = K W K'`` and factor it: ``(W K', factor)``.
-
-    ``G`` is factored by sparse LU when it has at least
-    ``_SPARSE_MIN_RANK`` rows and at most ``_SPARSE_MAX_FILL`` of its
-    entries are nonzero, and by dense Cholesky otherwise (every full
-    ``W``, a dense or small ``G``, an empty kernel).
-    """
-    WKt = W.apply(kernel.T)
-    G = kernel @ WKt
+def _factor(G, context: str) -> _Factor:
+    """Factor ``G`` by sparse LU when it has at least ``_SPARSE_MIN_RANK``
+    rows and at most ``_SPARSE_MAX_FILL`` of its entries are nonzero, and
+    by dense Cholesky otherwise (a dense or small ``G``, an empty one)."""
     r = G.shape[0]
     if sp.issparse(G) and r >= _SPARSE_MIN_RANK and G.nnz <= _SPARSE_MAX_FILL * r * r:
-        return WKt, _sparse_lu(G, context)
-    return WKt, _cholesky(_as_dense(G), context)
+        return _sparse_lu(G, context)
+    return _cholesky(_as_dense(G), context)
+
+
+def _normal_factor(kernel, W: CovarianceModel, context: str) -> _Factor:
+    """Factor ``G = K W K'``.
+
+    ``G`` is assembled and factored by :func:`_factor`, except for a
+    low-rank ``W = D + U U'`` over a non-empty kernel.  Then ``G0 = K D
+    K'`` is factored by :func:`_factor`, the capacitance matrix ``I +
+    (KU)' G0^{-1} KU`` by :func:`_cholesky`, and ``G = G0 + KU (KU)'`` is
+    solved by the Woodbury identity without being formed.  Its condition
+    estimate is :func:`_norm1_estimate` over those solves times the same
+    estimate over products with ``G``.
+    """
+    r = kernel.shape[0]
+    if W.structure != "low-rank" or r == 0:
+        return _factor(kernel @ W.apply(kernel.T), context)
+    G0 = kernel @ (sp.diags(W.diag_values) @ kernel.T)
+    KU = np.asarray(kernel @ W.matrix.U)
+    solve = _woodbury(
+        _factor(G0, context).solve, KU, lambda C: _cholesky(C, context).solve
+    )
+    norm = _norm1_estimate(lambda b: G0 @ b + KU @ (KU.T @ b), r)
+    return _factored("woodbury", solve, norm * _norm1_estimate(solve, r))
 
 
 def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
@@ -241,16 +269,13 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     if not np.all(np.isfinite(y)):
         raise InvalidEntry("forecast vector contains NaN or infinite entries")
     d0 = np.asarray(K @ y).ravel()
-    WKt, factor = _normal_factor(K, W, "project")
+    factor = _normal_factor(K, W, "project")
     diagnostics = factor.diagnostics
-    adjustment = np.asarray(WKt @ factor.solve(d0)).ravel()
+    adjustment = np.asarray(W.apply(K.T @ factor.solve(d0))).ravel()
     y_tilde = y - adjustment
     diagnostics["constraint_residual"] = float(
         np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)
     )
-    if W.structure == "full":
-        # Reconciliation-error covariance is only cheap with a dense W.
-        diagnostics["error_covariance"] = W.matrix - WKt @ factor.solve(WKt.T)
     return ReconciliationResult(
         y_tilde=y_tilde,
         adjustment=adjustment,
@@ -288,8 +313,26 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
     """Materialize the dense projection matrix fixing the kernel's null space."""
-    WKt, factor = _normal_factor(kernel, W, "projector")
-    return np.eye(kernel.shape[1]) - _as_dense(WKt) @ factor.solve(_as_dense(kernel))
+    factor = _normal_factor(kernel, W, "projector")
+    return np.eye(kernel.shape[1]) - W.apply(kernel.T @ factor.solve(_as_dense(kernel)))
+
+
+def reconciled_covariance(W: CovarianceModel, kernel) -> np.ndarray:
+    """Covariance of the reconciliation error, ``W - W K' (K W K')^{-1} K W``.
+
+    Dense (``size x size``) for every structure of ``W``, from one
+    factorization of ``K W K'``; its columns lie in the null space of the
+    ``r x s`` kernel.  This is the covariance of the Gaussian
+    reconciled forecast distribution when ``W`` is that of the base
+    forecasts.
+    """
+    if kernel.shape[1] != W.size:
+        raise DimensionMismatch(
+            f"kernel has {kernel.shape[1]} columns, covariance has size {W.size}"
+        )
+    factor = _normal_factor(kernel, W, "reconciled_covariance")
+    WKt = _as_dense(W.apply(kernel.T))
+    return W.dense() - WKt @ factor.solve(WKt.T)
 
 
 def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrec import (
     CS_KINDS,
+    CovarianceModel,
     OCT_KINDS,
     T_KINDS,
     DegenerateSample,
@@ -18,7 +22,7 @@ from ctrec import (
     shrink,
     temporal_cov,
 )
-from ctrec.covariance import _lift_to_pd
+from ctrec.covariance import _lift_to_pd, _shrink_intensity
 from tests.conftest import random_residuals
 
 
@@ -488,3 +492,75 @@ def test_ordering_mismatch(toy):
     res = ResidualTableau(np.ones((3 * 3, 4)), 3, other_ts)
     with pytest.raises(OrderingMismatch):
         cross_temporal_cov("oct-wlsh", toy, res)
+
+
+def test_model_leaves_caller_arrays_writeable():
+    d, A, U = np.ones(3), 2.0 * np.eye(3), np.ones((3, 1))
+    CovarianceModel(kind="w", structure="diagonal", size=3, diag_values=d)
+    CovarianceModel(kind="w", structure="full", size=3, matrix=A)
+    CovarianceModel(kind="w", structure="low-rank", size=3, diag_values=d, matrix=U)
+    assert d.flags.writeable and A.flags.writeable and U.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Shrinkage with fewer residual cycles than values: diagonal plus low rank
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(3, 40), data=st.data())
+def test_gram_lambda_matches_oracle(seed, p, data):
+    N = data.draw(st.integers(2, p - 1))
+    E = np.random.default_rng(seed).standard_normal((p, N))
+    lam = _shrink_intensity(E, np.mean(E * E, axis=1))
+    assert lam == pytest.approx(shrink_lambda_oracle(E), rel=1e-10, abs=1e-14)
+    dense_lam = shrink(sample_mse(E), residuals=E)[1]
+    assert lam == pytest.approx(dense_lam, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_low_rank_model_matches_its_dense_form(h):
+    rng = np.random.default_rng(30 + h)
+    one, xts = toy_xts(1), toy_xts(h)
+    E = rng.uniform(0.5, 2.0, (21, 1)) * rng.standard_normal(5) + 0.3 * (
+        rng.standard_normal((21, 5))
+    )
+    W1, W = cross_temporal_cov("oct-shr", one, E), cross_temporal_cov("oct-shr", xts, E)
+    assert W.structure == "low-rank" and 0.0 < W.lam < 1.0 and W.lam == W1.lam
+    S, lam = shrink(sample_mse(E), residuals=E)
+    assert lam == pytest.approx(W.lam, rel=1e-12)
+    tol = 1e-14 * np.max(S)
+    np.testing.assert_allclose(W1.dense(), S, rtol=0, atol=tol)
+    Wd = W.dense()
+    np.testing.assert_allclose(Wd, extension_oracle(S, one.ts, h, 3), rtol=0, atol=tol)
+    np.testing.assert_array_equal(np.asarray(W.matrix), Wd)
+    np.testing.assert_allclose(W.diagonal(), np.diag(Wd), rtol=1e-14)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    M = rng.standard_normal((W.size, 3))
+    for B in (M, M[:, 0]):
+        assert_close(W.apply(B), Wd @ B)
+        assert_close(W.solve(B), np.linalg.solve(Wd, B))
+    assert_close(W.apply(sp.csr_matrix(M)), Wd @ M)
+    W.require_spd()
+
+
+def test_shrinkage_edges_keep_the_dense_and_diagonal_forms(toy):
+    cl = toy.ts.cycle_len
+    scales = np.random.default_rng(7).uniform(0.5, 2.0, (3 * cl, 1))
+    # Rows equal up to scale: no off-diagonal noise, so lam = 0 and
+    # W = E E' / N has rank 1 < 21.
+    same = scales * np.array([1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        cross_temporal_cov("oct-shr", toy, same)
+    # Two independent cycles: the noise swamps the correlations, lam = 1.
+    E = np.random.default_rng(0).standard_normal((3 * cl, 2))
+    W = cross_temporal_cov("oct-shr", toy, E)
+    assert (W.structure, W.lam) == ("diagonal", 1.0)
+    np.testing.assert_allclose(W.diag_values, np.mean(E * E, axis=1), rtol=1e-15)
+    # N = 21 cycles, not below the size: the dense estimate
+    E = scales * np.random.default_rng(1).standard_normal((3 * cl, 3 * cl))
+    W = cross_temporal_cov("oct-shr", toy, E)
+    assert W.structure == "full"
+    np.testing.assert_array_equal(W.dense(), shrink(sample_mse(E), residuals=E)[0])

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctrec import (
     CovarianceModel,
@@ -26,8 +30,10 @@ from ctrec import (
     reconcile_cross_sectional_tableau,
     reconcile_cross_temporal,
     reconcile_temporal,
+    reconciled_covariance,
     temporal_cov,
 )
+from ctrec.reconcile import projector
 from tests.conftest import random_residuals, random_structure
 
 
@@ -259,7 +265,7 @@ def test_condition_warning_fires_above_threshold():
     assert "ill-conditioned" in diagnostics["warning"]
 
 
-def test_error_covariance_emitted_for_dense_w(toy, monkeypatch):
+def test_reconciled_covariance_matches_closed_form(toy, monkeypatch):
     rng = np.random.default_rng(14)
     W = random_spd_w(rng, 21)
     factored = []
@@ -274,14 +280,13 @@ def test_error_covariance_emitted_for_dense_w(toy, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
     monkeypatch.setattr(scipy.linalg, "solve", no_second_solve)
-    res = project(rng.normal(size=21), W, toy.kernel)
+    MW = reconciled_covariance(W, toy.kernel)
     monkeypatch.undo()
 
     K = toy.kernel.toarray()
     Wd = W.dense()
     assert len(factored) == 1
     np.testing.assert_allclose(factored[0], K @ Wd @ K.T, rtol=1e-12)
-    MW = res.diagnostics["error_covariance"]
     assert MW.shape == (21, 21)
     expected = Wd - Wd @ K.T @ np.linalg.solve(K @ Wd @ K.T, K @ Wd)
     assert np.max(np.abs(MW - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -385,13 +390,15 @@ def relative_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("kind", ["oct-ols", "oct-wlsv", "oct-acov"])
+@pytest.mark.parametrize("kind", ["oct-ols", "oct-wlsv", "oct-acov", "oct-shr"])
 def test_sparse_path_matches_dense_and_structural_oracles(large, kind):
     xts, y, residuals = large
     K = xts.kernel
     W = cross_temporal_cov(kind, xts, residuals)
     res = project(y, W, K)
-    assert res.diagnostics["factorization"] == "sparse-lu"
+    # oct-shr: 39 residual cycles, Woodbury over a sparse-LU K D K'
+    path = "woodbury" if kind == "oct-shr" else "sparse-lu"
+    assert res.diagnostics["factorization"] == path
     dense = y - W.apply(K.T) @ np.linalg.solve(normal_matrix(K, W), K @ y)
     assert relative_gap(res.y_tilde, dense) <= 1e-10
     structural = project_structural(y, W, xts.struct_perm @ xts.struct_summing)
@@ -402,9 +409,14 @@ def test_sparse_path_matches_dense_and_structural_oracles(large, kind):
 def test_dense_path_for_full_dense_or_small_normal_matrices():
     medium = grouped_structure(32, 4, 12, 1)  # rank 652
     y, residuals = seeded_inputs(medium)
-    for kind in ("oct-shr", "oct-bdshr"):  # a full W; a 42%-dense K W K'
-        W = cross_temporal_cov(kind, medium, residuals)
+    shr = cross_temporal_cov("oct-shr", medium, residuals)
+    full = CovarianceModel(kind="w", structure="full", size=shr.size, matrix=shr.dense())
+    bdshr = cross_temporal_cov("oct-bdshr", medium, residuals)
+    for W in (full, bdshr):  # a full W; a 42%-dense K W K'
         assert project(y, W, medium.kernel).diagnostics["factorization"] == "cholesky"
+    # N = 39 residual cycles below the size 1036: diagonal plus rank 39
+    assert shr.structure == "low-rank"
+    assert project(y, shr, medium.kernel).diagnostics["factorization"] == "woodbury"
     small = grouped_structure(32, 4, 4, 1)  # rank 131, 8% dense
     y, residuals = seeded_inputs(small)
     W = cross_temporal_cov("oct-ols", small, residuals)
@@ -442,7 +454,96 @@ def test_indefinite_diagonal_w_raises_on_sparse_path(large, j):
 
 
 def test_empty_kernel_takes_dense_path(large):
-    xts, y, _ = large
-    res = project(y, identity_w(xts.size), sp.csr_matrix((0, xts.size)))
-    assert res.diagnostics["factorization"] == "cholesky"
-    np.testing.assert_array_equal(res.y_tilde, y)
+    xts, y, residuals = large
+    for W in (identity_w(xts.size), cross_temporal_cov("oct-shr", xts, residuals)):
+        res = project(y, W, sp.csr_matrix((0, xts.size)))
+        assert res.diagnostics["factorization"] == "cholesky"
+        np.testing.assert_array_equal(res.y_tilde, y)
+
+
+# ---------------------------------------------------------------------------
+# Diagonal-plus-low-rank W: the Woodbury path
+
+
+def correlated_residuals(rng, p, N):
+    """Residual rows sharing one factor, so that shrinkage stops short of
+    the diagonal (independent rows with N << p often shrink all the way)."""
+    return rng.uniform(0.5, 2.0, (p, 1)) * rng.standard_normal(N) + 0.2 * (
+        rng.standard_normal((p, N))
+    )
+
+
+LOW_RANK_MENUS = {
+    "oct": lambda xts, E: (
+        cross_temporal_cov("oct-shr", xts, ResidualTableau(E, xts.n, xts.ts)),
+        xts.kernel,
+        xts.struct_perm @ xts.struct_summing,
+    ),
+    "cs": lambda xts, E: (
+        cross_sectional_cov("cs-shr", xts.cs, E), xts.cs.kernel, xts.cs.summing_matrix
+    ),
+    "t": lambda xts, E: (
+        temporal_cov("t-shr", xts.ts, E, h=xts.h),
+        xts.temporal_kernel,
+        xts.temporal_summing,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "menu, h", [("oct", 1), ("oct", 2), ("cs", 1), ("t", 1), ("t", 2)]
+)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_woodbury_agrees_with_dense_kkt_and_structural(menu, h, seed):
+    rng = np.random.default_rng(seed)
+    xts = random_structure(rng, n_max=6, m_choices=(2, 4), h_choices=(h,))
+    p = {"oct": xts.n * xts.ts.cycle_len, "cs": xts.n, "t": xts.ts.cycle_len}[menu]
+    E = correlated_residuals(rng, p, int(rng.integers(min(3, p - 1), p)))
+    W, K, S = LOW_RANK_MENUS[menu](xts, E)
+    assume(W.structure == "low-rank")  # not lam = 1, rare with these residuals
+    y = rng.normal(size=W.size)
+    res = project(y, W, K)
+    assert res.diagnostics["factorization"] == "woodbury"
+    Wd = W.dense()
+    full = CovarianceModel(kind="w", structure="full", size=W.size, matrix=Wd)
+    expected = kkt_oracle(y, Wd, sp.csr_matrix(K).toarray())
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    for other in (
+        project(y, full, K).y_tilde,
+        expected,
+        project_structural(y, W, S).y_tilde,
+        projector(K, W) @ y,  # the cs- and t- wrappers' form
+    ):
+        assert np.max(np.abs(res.y_tilde - other)) / scale <= 1e-10
+
+
+@pytest.mark.parametrize("m", [4, 12])  # rank 131: Cholesky K D K'; rank 652: sparse LU
+def test_near_singular_low_rank_diagonal_raises_from_pivot_gate(m):
+    xts = grouped_structure(32, 4, m, 1)
+    rng = np.random.default_rng(5)
+    d = np.full(xts.size, 1e-20)
+    d[:10] = 1.0
+    W = CovarianceModel(
+        kind="w", structure="low-rank", size=xts.size, diag_values=d,
+        matrix=rng.standard_normal((xts.size, 5)),
+    )
+    with pytest.raises(SingularSystem, match="not numerically positive definite"):
+        project(rng.normal(size=xts.size), W, xts.kernel)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_oct_shr_builds_no_dense_w(h):
+    xts = grouped_structure(32, 4, 12, h)  # size 1036 h, 39 residual cycles
+    y, residuals = seeded_inputs(xts)
+    project(y, cross_temporal_cov("oct-shr", xts, residuals), xts.kernel)  # warm caches
+    tracemalloc.start()
+    try:
+        W = cross_temporal_cov("oct-shr", xts, residuals)
+        res = project(y, W, xts.kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.structure == "low-rank"
+    assert res.diagnostics["factorization"] == "woodbury"
+    assert peak < 8 * xts.size**2  # one dense size x size array
