@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ctrec import build_cross_sectional, build_temporal, generate_coherent
+from ctrec import (
+    ResidualTableau,
+    build_cross_sectional,
+    build_temporal,
+    generate_coherent,
+)
 from ctrec.cli import main
 from ctrec.evaluation import avgrel_table, error_cube
 from ctrec.io import (
@@ -405,3 +410,135 @@ def test_cli_unparsable_input_exits_2_naming_the_key(tmp_path, toy_file, case, k
     )
     assert result.exit_code == 2, result.output
     assert key in result.output
+
+
+# ---------------------------------------------------------------------------
+# Long-format readers: one exact message per single-fault file
+
+
+def _long_files(tmp_path, toy_file):
+    """A valid value file (one cycle) and residual file (two origin columns)."""
+    cs, ts = read_hierarchy(toy_file)
+    rng = np.random.default_rng(7)
+    write_values(tmp_path / "values.csv", rng.normal(size=(3, 7)), cs, ts)
+    resid = ResidualTableau(rng.normal(size=(21, 2)), cs.n, ts)
+    write_residuals(tmp_path / "residuals.csv", resid, cs)
+    return cs, ts
+
+
+def _set(row, column, text):
+    def edit(lines):
+        header = lines[0].split(",")
+        cells = lines[row].split(",")
+        cells[header.index(column)] = text
+        return lines[:row] + [",".join(cells)] + lines[row + 1 :]
+
+    return edit
+
+
+def _drop_column(name):
+    def edit(lines):
+        j = lines[0].split(",").index(name)
+        return [",".join(c for i, c in enumerate(line.split(",")) if i != j)
+                for line in lines]
+
+    return edit
+
+
+_FAULTS = {
+    "duplicate key": lambda lines: lines + [lines[1]],
+    "missing key": lambda lines: lines[:5] + lines[6:],
+    "unknown series": _set(1, "series", "Q"),
+    "unknown level": _set(1, "level_k", "3"),
+    "index out of range": _set(1, "index_within_level", "9"),
+    "origin_column 0": _set(2, "origin_column", "0"),
+    "level_k not a number": _set(1, "level_k", "x"),
+    "index not a number": _set(1, "index_within_level", "1.0"),
+    "origin_column not a number": _set(1, "origin_column", "0x1"),
+    "value not a number": _set(1, "value", "abc"),
+    "short row": lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0]] + lines[2:],
+    "missing header column": _drop_column("value"),
+    "header only": lambda lines: lines[:1],
+    "field limit": _set(1, "value", "1" * 200000),
+    "bad row after a blank line": lambda lines: (
+        lines[:1] + [""] + _set(1, "level_k", "x")(lines)[1:]
+    ),
+}
+
+_VALUE_COLUMNS = "['index_within_level', 'level_k', 'series', 'value']"
+_RESIDUAL_COLUMNS = (
+    "['index_within_level', 'level_k', 'origin_column', 'series', 'value']"
+)
+
+
+@pytest.mark.parametrize(
+    "reader, fault, message",
+    [
+        ("values", "duplicate key", "duplicate key ('X', 4, 1)"),
+        ("values", "missing key", "missing key (X, 1, 2)"),
+        ("values", "unknown series", "unknown series 'Q'"),
+        ("values", "unknown level",
+         "level blocks [1, 2, 3, 4] do not cover the factor set [1, 2, 4]"),
+        ("values", "index out of range", "index 9 out of range 1..1 at (X, 4)"),
+        ("values", "level_k not a number", "line 2: level_k 'x' is not a number"),
+        ("values", "index not a number",
+         "line 2: index_within_level '1.0' is not a number"),
+        ("values", "value not a number", "line 2: value 'abc' is not a number"),
+        ("values", "short row", "line 2: value None is not a number"),
+        ("values", "missing header column", f"expected columns {_VALUE_COLUMNS}"),
+        ("values", "header only", "no data rows"),
+        ("values", "field limit", "line 2: field larger than field limit (131072)"),
+        ("values", "bad row after a blank line",
+         "line 3: level_k 'x' is not a number"),
+        ("residuals", "duplicate key", "duplicate key ('X', 4, 1, 1)"),
+        ("residuals", "missing key", "missing key (X, 2, 2, 1)"),
+        ("residuals", "unknown series", "unknown series 'Q'"),
+        ("residuals", "unknown level", "bad level/index (X, 3, 1)"),
+        ("residuals", "index out of range", "bad level/index (X, 4, 9)"),
+        ("residuals", "origin_column 0", "line 3: origin_column '0' is below 1"),
+        ("residuals", "level_k not a number", "line 2: level_k 'x' is not a number"),
+        ("residuals", "index not a number",
+         "line 2: index_within_level '1.0' is not a number"),
+        ("residuals", "origin_column not a number",
+         "line 2: origin_column '0x1' is not a number"),
+        ("residuals", "value not a number", "line 2: value 'abc' is not a number"),
+        ("residuals", "short row", "line 2: value None is not a number"),
+        ("residuals", "missing header column",
+         f"expected columns {_RESIDUAL_COLUMNS}"),
+        ("residuals", "header only", "no data rows"),
+        ("residuals", "field limit",
+         "line 2: field larger than field limit (131072)"),
+        ("residuals", "bad row after a blank line",
+         "line 3: level_k 'x' is not a number"),
+    ],
+)
+def test_long_format_fault_messages(tmp_path, toy_file, reader, fault, message):
+    cs, ts = _long_files(tmp_path, toy_file)
+    lines = (tmp_path / f"{reader}.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(_FAULTS[fault](lines)) + "\n")
+    read = read_values if reader == "values" else read_residuals
+    with pytest.raises(FormatError) as info:
+        read(bad, cs, ts)
+    assert str(info.value) == f"{bad}: {message}"
+
+
+@pytest.mark.parametrize("reader", ["values", "residuals"])
+def test_long_format_layout_is_free(tmp_path, toy_file, reader):
+    """Blank lines, a reordered header and an extra column are accepted."""
+    cs, ts = _long_files(tmp_path, toy_file)
+    path = tmp_path / f"{reader}.csv"
+    read = read_values if reader == "values" else read_residuals
+    want = read(path, cs, ts)
+    want = want[0] if reader == "values" else want.values
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    order = list(reversed(range(len(rows[0]))))
+    edited = [",".join([rows[0][j] for j in order] + ["note"])]
+    for i, cells in enumerate(rows[1:][::-1]):
+        edited += ["", ",".join([cells[j] for j in order] + [f"n{i}"])]
+    edited.append("")
+    bad = tmp_path / "free.csv"
+    bad.write_text("\n".join(edited) + "\n\n")
+    got = read(bad, cs, ts)
+    got = got[0] if reader == "values" else got.values
+    np.testing.assert_array_equal(got, want)
