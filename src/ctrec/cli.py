@@ -321,13 +321,7 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
     header, rows = avgrel_table(cube, measure)
     click.echo(format_report(header, rows))
     if out_path:
-        import csv as _csv
-
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow(row[:2] + [format(v, ".17g") for v in row[2:]])
+        fio.write_table(out_path, header, rows)
         click.echo(f"wrote {out_path}")
 
 

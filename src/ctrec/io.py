@@ -23,15 +23,27 @@ weights along paths (bottoms are the nodes that never appear as parent)::
 
 Values travel in long-format CSV with columns
 ``series,level_k,index_within_level,value`` (residual files add an
-``origin_column`` before the value).  Keys define the position, row order
-is free, and every key must appear exactly once.  Floats are printed with
-17 significant digits so write/read round-trips are bit-identical.
+``origin_column`` before the value).  Keys define the position; row and
+column order are free, other columns are ignored, blank lines are
+skipped, and every key must appear exactly once.  Floats are printed
+with 17 significant digits so write/read round-trips are bit-identical.
+
+The reader is columnar: the file is parsed once by ``csv.reader``, each
+numeric column is converted whole by numpy (by the rules of Python's
+``int`` and ``float``), and the keys map to one linear index into the
+output, which also finds repeated, missing, unknown and out-of-range
+keys.  Only a file that fails a conversion or check is read again row
+by row, so that its :class:`FormatError` names the file, line, column
+or key as the first bad row gives it.  The writers join each file into
+one string, byte for byte what ``csv.writer`` writes.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+from functools import partial
+from io import StringIO
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +60,7 @@ __all__ = [
     "write_values",
     "read_residuals",
     "write_residuals",
+    "write_table",
     "read_config",
 ]
 
@@ -91,10 +104,6 @@ def _csv_rows(path, required: set):
         # The DictReader's own count lags one line behind on a failed read.
         line = reader.reader.line_num
         raise FormatError(f"{path}: line {line}: {exc}") from None
-
-
-_VALUE_FIELDS = (("level_k", int), ("index_within_level", int), ("value", float))
-_RESIDUAL_FIELDS = _VALUE_FIELDS[:2] + (("origin_column", int), ("value", float))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +236,26 @@ def write_hierarchy(path, cs: CrossSectionalStructure, ts: TemporalStructure):
 # Long-format value files
 
 
+def _record(cells) -> str:
+    """One CSV record as ``csv.writer`` quotes it, without the line end."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
+
+
+def _write_lines(path, lines: list) -> None:
+    """Write CSV records with ``csv.writer``'s line end, in one join."""
+    Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+
+
+def write_table(path, header: list, rows: list) -> None:
+    """Write an evaluation table: two label cells, then numbers."""
+    _write_lines(
+        path,
+        [_record(header)] + [_record(row[:2] + [_fmt(v) for v in row[2:]]) for row in rows],
+    )
+
+
 def write_values(path, values, cs: CrossSectionalStructure, ts: TemporalStructure):
     """Write a level-blocked value matrix (forecasts or actuals)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
@@ -235,14 +264,131 @@ def write_values(path, values, cs: CrossSectionalStructure, ts: TemporalStructur
             "value matrix must be n series by a whole number of cycles"
         )
     cycles = values.shape[1] // ts.cycle_len
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["series", "level_k", "index_within_level", "value"])
-        for i, label in enumerate(cs.labels):
-            for k in ts.factors:
-                slc = ts.level_slice(k, cycles)
-                for pos, v in enumerate(values[i, slc], start=1):
-                    w.writerow([label, k, pos, _fmt(v)])
+    lines = ["series,level_k,index_within_level,value"]
+    for label, row in zip(cs.labels, values.tolist()):
+        for k in ts.factors:
+            prefix = _record([label, k])
+            block = row[ts.level_slice(k, cycles)]
+            lines += [f"{prefix},{pos},{v:.17g}" for pos, v in enumerate(block, start=1)]
+    _write_lines(path, lines)
+
+
+def _int(text) -> int:
+    """``int(text)`` within the int64 range of the columnar reader."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is out of the int64 range")
+    return value
+
+
+def _entries(path, int_fields: tuple) -> dict:
+    """The row-by-row reader, the slow path: ``{(series, *ints): value}``
+    in file order.  Raises the :class:`FormatError` of the first row that
+    does not parse, has an ``origin_column`` below 1 or repeats a key."""
+    fields = [(name, _int) for name in int_fields] + [("value", float)]
+    entries = {}
+    for line, row in _csv_rows(path, {"series", "value", *int_fields}):
+        try:
+            key = (row["series"], *(_int(row[name]) for name in int_fields))
+            value = float(row["value"])
+        except (TypeError, ValueError):
+            raise _parse_error(path, line, row, fields) from None
+        if "origin_column" in int_fields and key[-1] < 1:
+            raise FormatError(
+                f"{path}: line {line}: origin_column {row['origin_column']!r} "
+                "is below 1"
+            )
+        if key in entries:
+            raise FormatError(f"{path}: duplicate key {key}")
+        entries[key] = value
+    return entries
+
+
+def _read_long(path, int_fields: tuple):
+    """The columns of a long-format CSV: ``(series, ints, values)``, the
+    series labels as a list, one int64 row per name in ``int_fields`` and
+    the float values, in file order.
+
+    Each column is converted whole by numpy, which parses text by the
+    rules of Python's ``int`` and ``float``.  When that fails (or the CSV
+    is malformed, or a row is short), :func:`_entries` reads the file row
+    by row to raise the error of the first bad row.
+    """
+    names = ("series", *int_fields, "value")
+    header, rows = [], None
+    try:
+        reader = csv.reader(_read_text(path).splitlines())
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    except csv.Error:
+        pass
+    col = {name: j for j, name in enumerate(header)}
+    if rows and col.keys() >= set(names):
+        try:
+            series, *ints, value = ([row[col[name]] for row in rows] for name in names)
+            return (series, np.array(ints, dtype=np.int64),
+                    np.array(value, dtype=float))
+        except (IndexError, ValueError, OverflowError):  # a short or bad row
+            pass
+    entries = _entries(path, int_fields)
+    keys = list(entries)
+    ints = np.array([key[1:] for key in keys], dtype=np.int64).reshape(-1, len(int_fields))
+    return [key[0] for key in keys], ints.T, np.array(list(entries.values()), dtype=float)
+
+
+def _fault(path, int_fields: tuple, message: str) -> FormatError:
+    """The error of a file whose columns fail a bulk check.  A bad row
+    that the row loop finds (a parse error, a repeated key, an
+    ``origin_column`` below 1) comes first, as it did in file order."""
+    _entries(path, int_fields)
+    return FormatError(f"{path}: {message}")
+
+
+def _series_index(cs: CrossSectionalStructure, series: list) -> np.ndarray:
+    """Row of each label in ``cs``, -1 for an unknown one."""
+    lookup = {label: i for i, label in enumerate(cs.labels)}
+    return np.fromiter(
+        map(lookup.get, series, repeat(-1)), dtype=np.int64, count=len(series)
+    )
+
+
+def _level_tables(ts: TemporalStructure, level: np.ndarray, cycles: int = 1):
+    """Per entry of ``level``: ``M_k`` and the first column of level ``k``
+    in the level-blocked layout of ``cycles`` cycles; both are 0 where
+    ``level`` is not an aggregation order."""
+    M = np.zeros(ts.m + 1, dtype=np.int64)
+    start = np.zeros(ts.m + 1, dtype=np.int64)
+    for k in ts.factors:
+        M[k] = ts.M_k[k]
+        start[k] = ts.level_slice(k, cycles).start
+    k = np.where((level >= 0) & (level <= ts.m), level, 0)
+    return M[k], start[k]
+
+
+def _level_key(ts: TemporalStructure, col: int, cycles: int = 1) -> tuple:
+    """``(k, index)`` of column ``col`` in the level-blocked layout."""
+    for k in ts.factors:
+        slc = ts.level_slice(k, cycles)
+        if col < slc.stop:
+            return k, col - slc.start + 1
+    raise IndexError(col)
+
+
+def _coverage(index: np.ndarray) -> tuple[bool, int]:
+    """Whether the non-negative ``index`` repeats a value and, if it does
+    not, the smallest non-negative integer that it lacks.  No array larger
+    than ``index`` is made, however large its values."""
+    index = np.sort(index)
+    gaps = np.flatnonzero(index != np.arange(index.size))
+    return bool((index[1:] == index[:-1]).any()), int(gaps[0]) if gaps.size else index.size
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
+
+
+_VALUE_INTS = ("level_k", "index_within_level")
+_RESIDUAL_INTS = ("level_k", "index_within_level", "origin_column")
 
 
 def read_values(
@@ -253,125 +399,116 @@ def read_values(
     Every ``(series, level, index)`` key must appear exactly once and the
     level blocks must cover whole cycles consistently.
     """
-    entries = {}
-    required = {"series", "level_k", "index_within_level", "value"}
-    for line, row in _csv_rows(path, required):
-        try:
-            key = (row["series"], int(row["level_k"]), int(row["index_within_level"]))
-            value = float(row["value"])
-        except (TypeError, ValueError):
-            raise _parse_error(path, line, row, _VALUE_FIELDS) from None
-        if key in entries:
-            raise FormatError(f"{path}: duplicate key {key}")
-        entries[key] = value
-    if not entries:
-        raise FormatError(f"{path}: no data rows")
-    label_set = set(cs.labels)
-    seen_levels = {k for (_, k, _) in entries}
+    series, (level, pos), value = _read_long(path, _VALUE_INTS)
+    fault = partial(_fault, path, _VALUE_INTS)
+    if not value.size:
+        raise fault("no data rows")
+    seen_levels = set(np.unique(level).tolist())
     if seen_levels != set(ts.factors):
-        raise FormatError(
-            f"{path}: level blocks {sorted(seen_levels)} do not cover the "
+        raise fault(
+            f"level blocks {sorted(seen_levels)} do not cover the "
             f"factor set {sorted(ts.factors)}"
         )
-    top_count = sum(1 for (_, k, _) in entries if k == ts.m)
+    top_count = int(np.count_nonzero(level == ts.m))
     cycles, rem = divmod(top_count, cs.n)
     if rem or cycles < 1:
-        raise FormatError(f"{path}: level {ts.m} has {top_count} entries, "
-                          f"not a multiple of {cs.n} series")
-    values = np.empty((cs.n, cycles * ts.cycle_len))
-    for (series, k, pos), v in entries.items():
-        if series not in label_set:
-            raise FormatError(f"{path}: unknown series {series!r}")
-        width = cycles * ts.M_k[k]
-        if not (1 <= pos <= width):
-            raise FormatError(
-                f"{path}: index {pos} out of range 1..{width} at "
-                f"({series}, {k})"
-            )
-    if len(entries) != cs.n * cycles * ts.cycle_len:
-        for label in cs.labels:
-            for k in ts.factors:
-                for pos in range(1, cycles * ts.M_k[k] + 1):
-                    if (label, k, pos) not in entries:
-                        raise FormatError(
-                            f"{path}: missing key ({label}, {k}, {pos})"
-                        )
-    for i, label in enumerate(cs.labels):
-        for k in ts.factors:
-            slc = ts.level_slice(k, cycles)
-            for pos in range(cycles * ts.M_k[k]):
-                values[i, slc.start + pos] = entries[(label, k, pos + 1)]
-    if not np.all(np.isfinite(values)):
-        key = next(key for key, v in entries.items() if not math.isfinite(v))
-        raise FormatError(f"{path}: non-finite value at {key}")
-    return values, cycles
+        raise fault(f"level {ts.m} has {top_count} entries, "
+                    f"not a multiple of {cs.n} series")
+    row = _series_index(cs, series)
+    M, start = _level_tables(ts, level, cycles)
+    bad = (row < 0) | (pos < 1) | (pos > cycles * M)
+    if bad.any():
+        r = _first(bad)
+        if row[r] < 0:
+            raise fault(f"unknown series {series[r]!r}")
+        raise fault(
+            f"index {pos[r]} out of range 1..{cycles * M[r]} at "
+            f"({series[r]}, {level[r]})"
+        )
+    width = cycles * ts.cycle_len
+    index = row * width + start + pos - 1
+    repeated, missing = _coverage(index)
+    if repeated:
+        raise fault("duplicate key")  # which one, _entries names
+    if missing < cs.n * width:
+        i, col = divmod(missing, width)
+        raise fault("missing key ({}, {}, {})".format(
+            cs.labels[i], *_level_key(ts, col, cycles)))
+    finite = np.isfinite(value)
+    if not finite.all():
+        r = _first(~finite)
+        raise fault(f"non-finite value at {(series[r], int(level[r]), int(pos[r]))}")
+    values = np.empty(cs.n * width)
+    values[index] = value
+    return values.reshape(cs.n, width), cycles
 
 
 def write_residuals(path, residuals: ResidualTableau, cs: CrossSectionalStructure):
     ts = residuals.ts
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["series", "level_k", "index_within_level", "origin_column", "value"])
-        for i, label in enumerate(cs.labels):
-            block = residuals.series_block(i)
-            for k in ts.factors:
-                slc = ts.level_slice(k)
-                for l in range(ts.M_k[k]):
-                    for tau in range(residuals.n_cycles):
-                        w.writerow(
-                            [label, k, l + 1, tau + 1, _fmt(block[slc.start + l, tau])]
-                        )
+    if residuals.n != cs.n:
+        raise DimensionMismatch(f"residual tableau has {residuals.n} series, "
+                                f"the hierarchy {cs.n}")
+    taus = range(1, residuals.n_cycles + 1)
+    rows = iter(residuals.values.tolist())
+    lines = ["series,level_k,index_within_level,origin_column,value"]
+    for label in cs.labels:
+        for k in ts.factors:
+            prefix = _record([label, k])
+            for l in range(1, ts.M_k[k] + 1):
+                lines += [f"{prefix},{l},{tau},{v:.17g}" for tau, v in zip(taus, next(rows))]
+    _write_lines(path, lines)
 
 
 def read_residuals(
     path, cs: CrossSectionalStructure, ts: TemporalStructure
 ) -> ResidualTableau:
-    entries = {}
-    n_cols = 0
-    required = {"series", "level_k", "index_within_level", "origin_column", "value"}
-    for line, row in _csv_rows(path, required):
-        try:
-            key = (
-                row["series"],
-                int(row["level_k"]),
-                int(row["index_within_level"]),
-                int(row["origin_column"]),
-            )
-            value = float(row["value"])
-        except (TypeError, ValueError):
-            raise _parse_error(path, line, row, _RESIDUAL_FIELDS) from None
-        if key[3] < 1:
-            raise FormatError(
-                f"{path}: line {line}: origin_column {row['origin_column']!r} "
-                "is below 1"
-            )
-        if key in entries:
-            raise FormatError(f"{path}: duplicate key {key}")
-        entries[key] = value
-        n_cols = max(n_cols, key[3])
-    if not entries:
-        raise FormatError(f"{path}: no data rows")
+    """Read a long-format residual file.
+
+    Every ``(series, level, index, origin_column)`` key must appear
+    exactly once; the origin columns run from 1 to their largest value.
+    """
+    series, (level, pos, origin), value = _read_long(path, _RESIDUAL_INTS)
+    fault = partial(_fault, path, _RESIDUAL_INTS)
+    if not value.size:
+        raise fault("no data rows")
+    if origin.min() < 1:
+        raise fault("origin_column below 1")
+    n_cols = int(origin.max())
     cl = ts.cycle_len
-    values = np.empty((cs.n * cl, n_cols))
-    label_idx = {label: i for i, label in enumerate(cs.labels)}
-    expected = cs.n * cl * n_cols
-    if len(entries) != expected:
-        for label in cs.labels:
-            for k in ts.factors:
-                for l in range(1, ts.M_k[k] + 1):
-                    for tau in range(1, n_cols + 1):
-                        if (label, k, l, tau) not in entries:
-                            raise FormatError(
-                                f"{path}: missing key ({label}, {k}, {l}, {tau})"
-                            )
-    for (series, k, l, tau), v in entries.items():
-        if series not in label_idx:
-            raise FormatError(f"{path}: unknown series {series!r}")
-        if k not in ts.M_k or not (1 <= l <= ts.M_k[k]):
-            raise FormatError(f"{path}: bad level/index ({series}, {k}, {l})")
-        row = label_idx[series] * cl + ts.level_slice(k).start + l - 1
-        values[row, tau - 1] = v
-    return ResidualTableau(values, cs.n, ts)
+    row = _series_index(cs, series)
+    M, start = _level_tables(ts, level)
+    valid = (row >= 0) & (pos >= 1) & (pos <= M)
+    position = row * cl + start + pos - 1
+    if n_cols > value.size:
+        # More origin columns than rows: keys are missing from the first
+        # position on, and the linear index below could overflow.
+        present = set(origin[valid & (position == 0)].tolist())
+        tau = next(t for t in range(1, n_cols + 1) if t not in present)
+        raise fault("missing key ({}, {}, {}, {})".format(
+            cs.labels[0], *_level_key(ts, 0), tau))
+    index = (position * n_cols + origin - 1)[valid]
+    total = cs.n * cl * n_cols
+    repeated, missing = _coverage(index)
+    if repeated:
+        raise fault("duplicate key")  # which one, _entries names
+    if value.size != total and missing < total:
+        r, tau = divmod(missing, n_cols)
+        i, within = divmod(r, cl)
+        raise fault("missing key ({}, {}, {}, {})".format(
+            cs.labels[i], *_level_key(ts, within), tau + 1))
+    if not valid.all():
+        r = _first(~valid)
+        if row[r] < 0:
+            raise fault(f"unknown series {series[r]!r}")
+        raise fault(f"bad level/index ({series[r]}, {level[r]}, {pos[r]})")
+    finite = np.isfinite(value)
+    if not finite.all():
+        r = _first(~finite)
+        key = (series[r], int(level[r]), int(pos[r]), int(origin[r]))
+        raise fault(f"non-finite value at {key}")
+    values = np.empty(total)
+    values[index] = value
+    return ResidualTableau(values.reshape(cs.n * cl, n_cols), cs.n, ts)
 
 
 # ---------------------------------------------------------------------------

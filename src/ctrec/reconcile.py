@@ -171,10 +171,11 @@ def _norm1_estimate(apply, r: int) -> float:
     return float(max(est, 2.0 * np.abs(apply(alt)).sum() / (3.0 * r)))
 
 
-def _cholesky(A, context: str) -> _Factor:
-    """Symmetrize and Cholesky-factor the dense matrix ``A``.
+def _cholesky(A, context: str):
+    """Symmetrize, Cholesky-factor and gate the dense matrix ``A``.
 
-    The condition estimate is LAPACK's ``dpocon`` on the factor.
+    Returns ``(solve, condition)``: ``condition()`` is LAPACK's ``dpocon``
+    estimate on the factor, computed only when called.
     """
     A = 0.5 * (A + A.T)
     try:
@@ -184,21 +185,25 @@ def _cholesky(A, context: str) -> _Factor:
             f"{context}: normal-equations matrix could not be factorized"
         ) from exc
     _check_pivots(np.diag(cho[0]) ** 2, context)
-    cond_est = 1.0
-    if A.size:
+
+    def condition() -> float:
+        if not A.size:
+            return 1.0
         rcond, _ = scipy.linalg.lapack.dpocon(
             cho[0], np.abs(A).sum(axis=0).max(), uplo="L"
         )
-        cond_est = 1.0 / rcond
-    return _factored("cholesky", partial(scipy.linalg.cho_solve, cho), cond_est)
+        return 1.0 / rcond
+
+    return partial(scipy.linalg.cho_solve, cho), condition
 
 
-def _sparse_lu(G, context: str) -> _Factor:
+def _sparse_lu(G, context: str):
     """Symmetrize and factor the sparse matrix ``G`` by SuperLU with
     diagonal pivots only (``G = P L U P'``), gated on the pivots
     ``diag(U)``.
 
-    The condition estimate is ``||G||_1`` times :func:`_norm1_estimate`.
+    Returns ``(solve, condition)``: ``condition()`` is ``||G||_1`` times
+    :func:`_norm1_estimate`, computed only when called.
     """
     G = (0.5 * (G + G.T)).tocsc()
     try:
@@ -217,18 +222,20 @@ def _sparse_lu(G, context: str) -> _Factor:
             f"{context}: normal-equations matrix needed off-diagonal pivots"
         )
     _check_pivots(lu.U.diagonal(), context)
-    cond_est = spla.norm(G, 1) * _norm1_estimate(lu.solve, G.shape[0])
-    return _factored("sparse-lu", lu.solve, float(cond_est))
+    return lu.solve, lambda: float(spla.norm(G, 1) * _norm1_estimate(lu.solve, G.shape[0]))
 
 
-def _factor(G, context: str) -> _Factor:
+def _factor(G, context: str):
     """Factor ``G`` by sparse LU when it has at least ``_SPARSE_MIN_RANK``
     rows and at most ``_SPARSE_MAX_FILL`` of its entries are nonzero, and
-    by dense Cholesky otherwise (a dense or small ``G``, an empty one)."""
+    by dense Cholesky otherwise (a dense or small ``G``, an empty one).
+
+    Returns ``(factorization, solve, condition)``, as :func:`_cholesky`.
+    """
     r = G.shape[0]
     if sp.issparse(G) and r >= _SPARSE_MIN_RANK and G.nnz <= _SPARSE_MAX_FILL * r * r:
-        return _sparse_lu(G, context)
-    return _cholesky(_as_dense(G), context)
+        return ("sparse-lu", *_sparse_lu(G, context))
+    return ("cholesky", *_cholesky(_as_dense(G), context))
 
 
 def _normal_factor(kernel, W: CovarianceModel, context: str) -> _Factor:
@@ -240,15 +247,17 @@ def _normal_factor(kernel, W: CovarianceModel, context: str) -> _Factor:
     (KU)' G0^{-1} KU`` by :func:`_cholesky`, and ``G = G0 + KU (KU)'`` is
     solved by the Woodbury identity without being formed.  Its condition
     estimate is :func:`_norm1_estimate` over those solves times the same
-    estimate over products with ``G``.
+    estimate over products with ``G``; the estimates of ``G0`` and of the
+    capacitance matrix are not computed.
     """
     r = kernel.shape[0]
     if W.structure != "low-rank" or r == 0:
-        return _factor(kernel @ W.apply(kernel.T), context)
+        factorization, solve, condition = _factor(kernel @ W.apply(kernel.T), context)
+        return _factored(factorization, solve, condition())
     G0 = kernel @ (sp.diags(W.diag_values) @ kernel.T)
     KU = np.asarray(kernel @ W.matrix.U)
     solve = _woodbury(
-        _factor(G0, context).solve, KU, lambda C: _cholesky(C, context).solve
+        _factor(G0, context)[1], KU, lambda C: _cholesky(C, context)[0]
     )
     norm = _norm1_estimate(lambda b: G0 @ b + KU @ (KU.T @ b), r)
     return _factored("woodbury", solve, norm * _norm1_estimate(solve, r))
@@ -298,7 +307,8 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
     WinvS = W.solve(S)
-    factor = _cholesky(S.T @ WinvS, "project_structural")
+    solve, condition = _cholesky(S.T @ WinvS, "project_structural")
+    factor = _factored("cholesky", solve, condition())
     diagnostics = factor.diagnostics
     beta = factor.solve(WinvS.T @ y)
     y_tilde = S @ beta

@@ -1,6 +1,12 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrec import (
     ResidualTableau,
@@ -18,9 +24,11 @@ from ctrec.io import (
     read_values,
     write_hierarchy,
     write_residuals,
+    write_table,
     write_values,
 )
 from ctrec.synthgen import naive_base_forecasts
+from tests.conftest import random_hierarchy
 
 TOY_SPEC = """m = 4
 [matrix]
@@ -222,8 +230,6 @@ def test_cli_reconcile_exit_codes(tmp_path, toy_file):
     assert result.exit_code == 2
     # 3: sample covariance without enough residual columns
     small = tmp_path / "small.csv"
-    import csv
-
     with open(small, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["series", "level_k", "index_within_level", "origin_column", "value"])
@@ -375,6 +381,7 @@ def _corrupt_first_row(path, column, text):
         ("hierarchy m", "m = 'four'"),
         ("values level_k", "level_k 'x'"),
         ("values non-finite", "non-finite value"),
+        ("residuals non-finite", "non-finite value"),
         ("residuals value", "value 'abc'"),
         ("residuals origin_column", "origin_column '0'"),
         ("values field limit", "line 2: field larger than field limit"),
@@ -394,6 +401,8 @@ def test_cli_unparsable_input_exits_2_naming_the_key(tmp_path, toy_file, case, k
         fc = _corrupt_first_row(fc, "level_k", "x")
     elif case == "values non-finite":
         fc = _corrupt_first_row(fc, "value", "nan")
+    elif case == "residuals non-finite":
+        res = _corrupt_first_row(res, "value", "nan")
     elif case == "residuals value":
         res = _corrupt_first_row(res, "value", "abc")
     elif case == "residuals origin_column":
@@ -460,6 +469,7 @@ _FAULTS = {
     "missing header column": _drop_column("value"),
     "header only": lambda lines: lines[:1],
     "field limit": _set(1, "value", "1" * 200000),
+    "non-finite": _set(2, "value", "-inf"),
     "bad row after a blank line": lambda lines: (
         lines[:1] + [""] + _set(1, "level_k", "x")(lines)[1:]
     ),
@@ -490,6 +500,7 @@ _RESIDUAL_COLUMNS = (
         ("values", "field limit", "line 2: field larger than field limit (131072)"),
         ("values", "bad row after a blank line",
          "line 3: level_k 'x' is not a number"),
+        ("values", "non-finite", "non-finite value at ('X', 2, 1)"),
         ("residuals", "duplicate key", "duplicate key ('X', 4, 1, 1)"),
         ("residuals", "missing key", "missing key (X, 2, 2, 1)"),
         ("residuals", "unknown series", "unknown series 'Q'"),
@@ -510,6 +521,7 @@ _RESIDUAL_COLUMNS = (
          "line 2: field larger than field limit (131072)"),
         ("residuals", "bad row after a blank line",
          "line 3: level_k 'x' is not a number"),
+        ("residuals", "non-finite", "non-finite value at ('X', 4, 1, 2)"),
     ],
 )
 def test_long_format_fault_messages(tmp_path, toy_file, reader, fault, message):
@@ -542,3 +554,102 @@ def test_long_format_layout_is_free(tmp_path, toy_file, reader):
     got = read(bad, cs, ts)
     got = got[0] if reader == "values" else got.values
     np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Writers: csv.writer oracles and a write / shuffle / read round trip
+
+
+def _oracle_values(path, values, cs, ts):
+    """The row-by-row ``csv.writer`` form of a value file."""
+    cycles = values.shape[1] // ts.cycle_len
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["series", "level_k", "index_within_level", "value"])
+        for i, label in enumerate(cs.labels):
+            for k in ts.factors:
+                slc = ts.level_slice(k, cycles)
+                for pos, v in enumerate(values[i, slc], start=1):
+                    w.writerow([label, k, pos, format(float(v), ".17g")])
+
+
+def _oracle_residuals(path, residuals, cs):
+    """The row-by-row ``csv.writer`` form of a residual file."""
+    ts = residuals.ts
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["series", "level_k", "index_within_level", "origin_column", "value"])
+        for i, label in enumerate(cs.labels):
+            block = residuals.series_block(i)
+            for k in ts.factors:
+                slc = ts.level_slice(k)
+                for l in range(ts.M_k[k]):
+                    for tau in range(residuals.n_cycles):
+                        v = format(float(block[slc.start + l, tau]), ".17g")
+                        w.writerow([label, k, l + 1, tau + 1, v])
+
+
+def _awkward_floats(rng, shape):
+    """Floats over the whole exponent range, with signed zeros and
+    subnormals among them."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 1.0])
+    pick = rng.random(shape) < 0.1
+    x[pick] = rng.choice(special, int(pick.sum()))
+    return x
+
+
+def _shuffled(path, rng):
+    """Copy of a CSV file with its data rows in random order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [lines[j] for j in 1 + rng.permutation(len(lines) - 1)]
+    out = path.with_name("shuffled-" + path.name)
+    out.write_text("\n".join(lines[:1] + rows) + "\n", encoding="utf-8")
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([2, 4, 12]),
+    h=st.sampled_from([1, 2]),
+    quoted=st.booleans(),
+)
+def test_long_format_round_trip(seed, m, h, quoted):
+    rng = np.random.default_rng(seed)
+    cs = random_hierarchy(rng)
+    if quoted:  # labels that csv must quote, or that look like numbers
+        cs = build_cross_sectional(
+            cs.agg_matrix, [f'{j}, "é" {j}' if j % 2 else f" {j}" for j in range(cs.n)]
+        )
+    ts = build_temporal(m)
+    values = _awkward_floats(rng, (cs.n, h * ts.cycle_len))
+    resid = ResidualTableau(
+        _awkward_floats(rng, (cs.n * ts.cycle_len, int(rng.integers(1, 5)))), cs.n, ts
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_values(d / "v.csv", values, cs, ts)
+        _oracle_values(d / "v-oracle.csv", values, cs, ts)
+        assert (d / "v.csv").read_bytes() == (d / "v-oracle.csv").read_bytes()
+        write_residuals(d / "r.csv", resid, cs)
+        _oracle_residuals(d / "r-oracle.csv", resid, cs)
+        assert (d / "r.csv").read_bytes() == (d / "r-oracle.csv").read_bytes()
+
+        back, cycles = read_values(_shuffled(d / "v.csv", rng), cs, ts)
+        assert cycles == h
+        assert back.tobytes() == values.tobytes()
+        back = read_residuals(_shuffled(d / "r.csv", rng), cs, ts)
+        assert back.values.tobytes() == resid.values.tobytes()
+
+
+def test_table_writer_matches_csv_writer(tmp_path):
+    header = ["group", "procedure", "k1_h1", "all"]
+    rows = [["upper", "oct, wlsv", 0.1, -0.0], ["bottom", 'say "hi"', 1e-310, 2.5]]
+    write_table(tmp_path / "t.csv", header, rows)
+    with open(tmp_path / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row[:2] + [format(v, ".17g") for v in row[2:]])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
