@@ -371,7 +371,14 @@ def _level_key(ts: TemporalStructure, col: int, cycles: int = 1) -> tuple:
         slc = ts.level_slice(k, cycles)
         if col < slc.stop:
             return k, col - slc.start + 1
-    raise IndexError(col)
+
+
+def _check_finite(fault, series: list, ints: np.ndarray, value: np.ndarray):
+    """Raise ``fault`` naming the key of the first non-finite value."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise fault(f"non-finite value at {(series[r], *ints[:, r].tolist())}")
 
 
 def _coverage(index: np.ndarray) -> tuple[bool, int]:
@@ -381,10 +388,6 @@ def _coverage(index: np.ndarray) -> tuple[bool, int]:
     index = np.sort(index)
     gaps = np.flatnonzero(index != np.arange(index.size))
     return bool((index[1:] == index[:-1]).any()), int(gaps[0]) if gaps.size else index.size
-
-
-def _first(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
 
 
 _VALUE_INTS = ("level_k", "index_within_level")
@@ -399,7 +402,8 @@ def read_values(
     Every ``(series, level, index)`` key must appear exactly once and the
     level blocks must cover whole cycles consistently.
     """
-    series, (level, pos), value = _read_long(path, _VALUE_INTS)
+    series, ints, value = _read_long(path, _VALUE_INTS)
+    level, pos = ints
     fault = partial(_fault, path, _VALUE_INTS)
     if not value.size:
         raise fault("no data rows")
@@ -418,7 +422,7 @@ def read_values(
     M, start = _level_tables(ts, level, cycles)
     bad = (row < 0) | (pos < 1) | (pos > cycles * M)
     if bad.any():
-        r = _first(bad)
+        r = np.argmax(bad)
         if row[r] < 0:
             raise fault(f"unknown series {series[r]!r}")
         raise fault(
@@ -434,10 +438,7 @@ def read_values(
         i, col = divmod(missing, width)
         raise fault("missing key ({}, {}, {})".format(
             cs.labels[i], *_level_key(ts, col, cycles)))
-    finite = np.isfinite(value)
-    if not finite.all():
-        r = _first(~finite)
-        raise fault(f"non-finite value at {(series[r], int(level[r]), int(pos[r]))}")
+    _check_finite(fault, series, ints, value)
     values = np.empty(cs.n * width)
     values[index] = value
     return values.reshape(cs.n, width), cycles
@@ -467,7 +468,8 @@ def read_residuals(
     Every ``(series, level, index, origin_column)`` key must appear
     exactly once; the origin columns run from 1 to their largest value.
     """
-    series, (level, pos, origin), value = _read_long(path, _RESIDUAL_INTS)
+    series, ints, value = _read_long(path, _RESIDUAL_INTS)
+    level, pos, origin = ints
     fault = partial(_fault, path, _RESIDUAL_INTS)
     if not value.size:
         raise fault("no data rows")
@@ -497,15 +499,11 @@ def read_residuals(
         raise fault("missing key ({}, {}, {}, {})".format(
             cs.labels[i], *_level_key(ts, within), tau + 1))
     if not valid.all():
-        r = _first(~valid)
+        r = np.argmin(valid)
         if row[r] < 0:
             raise fault(f"unknown series {series[r]!r}")
         raise fault(f"bad level/index ({series[r]}, {level[r]}, {pos[r]})")
-    finite = np.isfinite(value)
-    if not finite.all():
-        r = _first(~finite)
-        key = (series[r], int(level[r]), int(pos[r]), int(origin[r]))
-        raise fault(f"non-finite value at {key}")
+    _check_finite(fault, series, ints, value)
     values = np.empty(total)
     values[index] = value
     return ResidualTableau(values.reshape(cs.n * cl, n_cols), cs.n, ts)
