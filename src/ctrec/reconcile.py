@@ -121,7 +121,9 @@ class _Factor:
     diagnostics: dict
 
 
-def _factored(factorization: str, solve, cond_est: float) -> _Factor:
+def _factored(factorization: str, solve, condition) -> _Factor:
+    """The :class:`_Factor` of a factorizer's ``solve`` and ``condition()``."""
+    cond_est = condition()
     diagnostics = {"factorization": factorization, "condition_estimate": cond_est}
     if cond_est > _COND_WARN:
         diagnostics["warning"] = (
@@ -252,15 +254,14 @@ def _normal_factor(kernel, W: CovarianceModel, context: str) -> _Factor:
     """
     r = kernel.shape[0]
     if W.structure != "low-rank" or r == 0:
-        factorization, solve, condition = _factor(kernel @ W.apply(kernel.T), context)
-        return _factored(factorization, solve, condition())
+        return _factored(*_factor(kernel @ W.apply(kernel.T), context))
     G0 = kernel @ (sp.diags(W.diag_values) @ kernel.T)
     KU = np.asarray(kernel @ W.matrix.U)
     solve = _woodbury(
         _factor(G0, context)[1], KU, lambda C: _cholesky(C, context)[0]
     )
     norm = _norm1_estimate(lambda b: G0 @ b + KU @ (KU.T @ b), r)
-    return _factored("woodbury", solve, norm * _norm1_estimate(solve, r))
+    return _factored("woodbury", solve, lambda: norm * _norm1_estimate(solve, r))
 
 
 def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
@@ -307,8 +308,7 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
     WinvS = W.solve(S)
-    solve, condition = _cholesky(S.T @ WinvS, "project_structural")
-    factor = _factored("cholesky", solve, condition())
+    factor = _factored("cholesky", *_cholesky(S.T @ WinvS, "project_structural"))
     diagnostics = factor.diagnostics
     beta = factor.solve(WinvS.T @ y)
     y_tilde = S @ beta
