@@ -157,31 +157,6 @@ class CrossTemporalStructure:
         return ForecastTableau(np.asarray(values, dtype=float), self, provenance)
 
 
-def _hf_cross_sectional_rows(
-    cs: CrossSectionalStructure, ts: TemporalStructure, h: int
-) -> sp.csr_matrix:
-    """Cross-sectional constraints at the ``h*m`` highest-frequency points.
-
-    Rows are ordered time point first, then upper series, matching the
-    elimination recipe applied to the time-major vectorization.
-    """
-    n, n_a = cs.n, cs.n_a
-    q = h * ts.cycle_len
-    hf_offset = h * ts.k_star
-    U = cs.kernel
-    rows, cols, vals = [], [], []
-    for t in range(h * ts.m):
-        for j in range(n_a):
-            r = t * n_a + j
-            for s in np.flatnonzero(U[j]):
-                rows.append(r)
-                cols.append(s * q + hf_offset + t)
-                vals.append(U[j, s])
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(h * ts.m * n_a, n * q)
-    )
-
-
 def _struct_perm(cs: CrossSectionalStructure, ts: TemporalStructure, h: int):
     """Permutation taking the structural ordering to series-major order."""
     n_a, n_b = cs.n_a, cs.n_b
@@ -215,8 +190,13 @@ def build_cross_temporal(
     Z = build_full_temporal_kernel(ts, h)
     temporal_rows = sp.kron(sp.identity(n), Z, format="csr")
 
+    # Cross-sectional rows at the h*m highest-frequency points, ordered time
+    # point first, then upper series, as the elimination recipe applied to
+    # the time-major vectorization orders them.
+    hf = h * ts.m
+    cs_rows = sp.kron(cs.kernel, sp.eye(hf, q, k=h * ts.k_star), format="csr")
     kernel = sp.vstack(
-        [_hf_cross_sectional_rows(cs, ts, h), temporal_rows], format="csr"
+        [cs_rows[commutation_indices(hf, cs.n_a)], temporal_rows], format="csr"
     )
 
     P = _perm_matrix(commutation_indices(n, q))

@@ -28,20 +28,22 @@ column order are free, other columns are ignored, blank lines are
 skipped, and every key must appear exactly once.  Floats are printed
 with 17 significant digits so write/read round-trips are bit-identical.
 
-The reader is columnar: the file is parsed once by ``csv.reader``, each
-numeric column is converted whole by numpy (by the rules of Python's
-``int`` and ``float``), and the keys map to one linear index into the
-output, which also finds repeated, missing, unknown and out-of-range
-keys.  Only a file that fails a conversion or check is read again row
-by row, so that its :class:`FormatError` names the file, line, column
-or key as the first bad row gives it.  The writers join each file into
-one string, byte for byte what ``csv.writer`` writes.
+One columnar reader serves value and residual files.  It reads a file
+once and tokenizes it once with ``csv.reader``, checking the header
+first.  numpy converts each numeric column whole (by the rules of
+Python's ``int`` and ``float``), and the keys map to one linear index
+into the output, which also finds repeated, missing, unknown and
+out-of-range keys.  When a conversion or check fails, the lines in memory
+are walked row by row, and the :class:`FormatError` names the line,
+column or key of the first bad row; only a file without one gets the
+message of the failed check.  Files are UTF-8, with or without a
+byte-order mark.  The writers join each file into one string, byte for
+byte what ``csv.writer`` writes.
 """
 
 from __future__ import annotations
 
 import csv
-from functools import partial
 from io import StringIO
 from itertools import repeat
 from pathlib import Path
@@ -75,35 +77,9 @@ class FormatError(InvalidInput):
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _parse_error(path, line: int, row: dict, fields) -> FormatError:
-    """Error naming the first of the numeric ``fields`` (name, converter)
-    of a CSV row that does not parse."""
-    for name, convert in fields:
-        try:
-            convert(row[name])
-        except (TypeError, ValueError):
-            break
-    return FormatError(f"{path}: line {line}: {name} {row[name]!r} is not a number")
-
-
-def _csv_rows(path, required: set):
-    """``(line, row)`` for every data row of a long-format CSV that has the
-    ``required`` columns; a malformed line is a :class:`FormatError`."""
-    reader = csv.DictReader(_read_text(path).splitlines())
-    try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        # The DictReader's own count lags one line behind on a failed read.
-        line = reader.reader.line_num
-        raise FormatError(f"{path}: line {line}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,67 +257,62 @@ def _int(text) -> int:
     return value
 
 
-def _entries(path, int_fields: tuple) -> dict:
-    """The row-by-row reader, the slow path: ``{(series, *ints): value}``
-    in file order.  Raises the :class:`FormatError` of the first row that
-    does not parse, has an ``origin_column`` below 1 or repeats a key."""
-    fields = [(name, _int) for name in int_fields] + [("value", float)]
-    entries = {}
-    for line, row in _csv_rows(path, {"series", "value", *int_fields}):
-        try:
-            key = (row["series"], *(_int(row[name]) for name in int_fields))
-            value = float(row["value"])
-        except (TypeError, ValueError):
-            raise _parse_error(path, line, row, fields) from None
-        if "origin_column" in int_fields and key[-1] < 1:
-            raise FormatError(
-                f"{path}: line {line}: origin_column {row['origin_column']!r} "
-                "is below 1"
-            )
-        if key in entries:
-            raise FormatError(f"{path}: duplicate key {key}")
-        entries[key] = value
-    return entries
+def _row_fault(path, lines: list, int_fields: tuple) -> FormatError | None:
+    """The :class:`FormatError` of the first data row of a long-format CSV,
+    in file order, that is malformed, short or does not parse, has an
+    ``origin_column`` below 1 or repeats a key; ``None`` if none does."""
+    reader = csv.reader(lines)
+    keys = set()
+    try:
+        header = next(reader)
+        for row in filter(None, reader):
+            cells = dict(zip(header, row))
+            line = f"{path}: line {reader.line_num}:"
+            key = [cells.get("series")]
+            for name, parse in [*zip(int_fields, repeat(_int)), ("value", float)]:
+                try:
+                    key.append(parse(cells.get(name)))
+                except (TypeError, ValueError):
+                    return FormatError(f"{line} {name} {cells.get(name)!r} is not a number")
+            if key[0] is None:
+                return FormatError(f"{line} series is missing")
+            key = tuple(key[:-1])
+            if "origin_column" in int_fields and key[-1] < 1:
+                return FormatError(
+                    f"{line} origin_column {cells['origin_column']!r} is below 1"
+                )
+            if key in keys:
+                return FormatError(f"{path}: duplicate key {key}")
+            keys.add(key)
+    except csv.Error as exc:
+        return FormatError(f"{path}: line {reader.line_num}: {exc}")
+    return None
 
 
 def _read_long(path, int_fields: tuple):
-    """The columns of a long-format CSV: ``(series, ints, values)``, the
-    series labels as a list, one int64 row per name in ``int_fields`` and
-    the float values, in file order.
-
-    Each column is converted whole by numpy, which parses text by the
-    rules of Python's ``int`` and ``float``.  When that fails (or the CSV
-    is malformed, or a row is short), :func:`_entries` reads the file row
-    by row to raise the error of the first bad row.
+    """The columns of a long-format CSV in file order, ``(series, ints,
+    values, fault)``: the labels as a list, one int64 row per name in
+    ``int_fields``, the float values, and ``fault(message)``, the error of
+    a file whose columns fail a check.  A file that does not convert, or
+    that fails a check, gets the error of its first bad row
+    (:func:`_row_fault`) if it has one.
     """
     names = ("series", *int_fields, "value")
-    header, rows = [], None
+    lines = _read_text(path).splitlines()
+
+    def fault(message: str) -> FormatError:
+        return _row_fault(path, lines, int_fields) or FormatError(f"{path}: {message}")
+
+    reader = csv.reader(lines)
     try:
-        reader = csv.reader(_read_text(path).splitlines())
-        header = next(reader, [])
+        col = {name: j for j, name in enumerate(next(reader, []))}
+        if not col.keys() >= set(names):
+            raise FormatError(f"{path}: expected columns {sorted(names)}")
         rows = [row for row in reader if row]
-    except csv.Error:
-        pass
-    col = {name: j for j, name in enumerate(header)}
-    if rows and col.keys() >= set(names):
-        try:
-            series, *ints, value = ([row[col[name]] for row in rows] for name in names)
-            return (series, np.array(ints, dtype=np.int64),
-                    np.array(value, dtype=float))
-        except (IndexError, ValueError, OverflowError):  # a short or bad row
-            pass
-    entries = _entries(path, int_fields)
-    keys = list(entries)
-    ints = np.array([key[1:] for key in keys], dtype=np.int64).reshape(-1, len(int_fields))
-    return [key[0] for key in keys], ints.T, np.array(list(entries.values()), dtype=float)
-
-
-def _fault(path, int_fields: tuple, message: str) -> FormatError:
-    """The error of a file whose columns fail a bulk check.  A bad row
-    that the row loop finds (a parse error, a repeated key, an
-    ``origin_column`` below 1) comes first, as it did in file order."""
-    _entries(path, int_fields)
-    return FormatError(f"{path}: {message}")
+        series, *ints, value = ([row[col[name]] for row in rows] for name in names)
+        return series, np.array(ints, dtype=np.int64), np.array(value, dtype=float), fault
+    except (csv.Error, IndexError, ValueError, OverflowError):  # a bad row
+        raise _row_fault(path, lines, int_fields) from None
 
 
 def _series_index(cs: CrossSectionalStructure, series: list) -> np.ndarray:
@@ -402,9 +373,8 @@ def read_values(
     Every ``(series, level, index)`` key must appear exactly once and the
     level blocks must cover whole cycles consistently.
     """
-    series, ints, value = _read_long(path, _VALUE_INTS)
+    series, ints, value, fault = _read_long(path, _VALUE_INTS)
     level, pos = ints
-    fault = partial(_fault, path, _VALUE_INTS)
     if not value.size:
         raise fault("no data rows")
     seen_levels = set(np.unique(level).tolist())
@@ -433,7 +403,7 @@ def read_values(
     index = row * width + start + pos - 1
     repeated, missing = _coverage(index)
     if repeated:
-        raise fault("duplicate key")  # which one, _entries names
+        raise fault("duplicate key")  # which one, _row_fault names
     if missing < cs.n * width:
         i, col = divmod(missing, width)
         raise fault("missing key ({}, {}, {})".format(
@@ -468,9 +438,8 @@ def read_residuals(
     Every ``(series, level, index, origin_column)`` key must appear
     exactly once; the origin columns run from 1 to their largest value.
     """
-    series, ints, value = _read_long(path, _RESIDUAL_INTS)
+    series, ints, value, fault = _read_long(path, _RESIDUAL_INTS)
     level, pos, origin = ints
-    fault = partial(_fault, path, _RESIDUAL_INTS)
     if not value.size:
         raise fault("no data rows")
     if origin.min() < 1:
@@ -492,7 +461,7 @@ def read_residuals(
     total = cs.n * cl * n_cols
     repeated, missing = _coverage(index)
     if repeated:
-        raise fault("duplicate key")  # which one, _entries names
+        raise fault("duplicate key")  # which one, _row_fault names
     if value.size != total and missing < total:
         r, tau = divmod(missing, n_cols)
         i, within = divmod(r, cl)

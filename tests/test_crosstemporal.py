@@ -19,6 +19,7 @@ from ctrec import (
 from ctrec.covariance import CovarianceModel
 from ctrec.crosstemporal import numerical_rank
 from ctrec.reconcile import project
+from tests.conftest import random_hierarchy
 
 # 2x3 numerical example: the permutation between the two vectorizations.
 COMMUTATION_6 = np.array(
@@ -318,3 +319,30 @@ def test_kernel_full_row_rank_by_construction(C, ts, h):
     xts = build_cross_temporal(build_cross_sectional(C), ts, h)
     assert xts.kernel.shape[0] == xts.rank
     assert numerical_rank(xts.kernel) == xts.rank
+
+
+def _hf_cross_sectional_rows(cs, ts, h):
+    """Oracle: the cross-sectional kernel rows at the ``h*m`` highest-
+    frequency points, entry by entry, time point first, then upper series."""
+    q = h * ts.cycle_len
+    rows, cols, vals = [], [], []
+    for t in range(h * ts.m):
+        for j in range(cs.n_a):
+            for s in np.flatnonzero(cs.kernel[j]):
+                rows.append(t * cs.n_a + j)
+                cols.append(s * q + h * ts.k_star + t)
+                vals.append(cs.kernel[j, s])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(h * ts.m * cs.n_a, cs.n * q))
+
+
+@pytest.mark.parametrize("m", [1, 4, 12])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_kernel_hf_rows_match_the_entrywise_oracle(m, h):
+    rng = np.random.default_rng(10 * m + h)
+    C = random_hierarchy(rng).agg_matrix
+    cs = build_cross_sectional(C * rng.uniform(0.5, 2.0, C.shape))
+    ts = build_temporal(m)
+    want = _hf_cross_sectional_rows(cs, ts, h)
+    got = build_cross_temporal(cs, ts, h).kernel[: want.shape[0]]
+    assert got.nnz == want.nnz
+    np.testing.assert_array_equal(got.toarray(), want.toarray())

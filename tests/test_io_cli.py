@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrec.io
 from ctrec import (
     ResidualTableau,
     build_cross_sectional,
@@ -454,6 +455,14 @@ def _drop_column(name):
     return edit
 
 
+def _series_last_then_short(lines):
+    """Move the series column last, then drop that cell from row 1."""
+    rows = [line.split(",") for line in lines]
+    rows = [cells[1:] + cells[:1] for cells in rows]
+    rows[1] = rows[1][:-1]
+    return [",".join(cells) for cells in rows]
+
+
 _FAULTS = {
     "duplicate key": lambda lines: lines + [lines[1]],
     "missing key": lambda lines: lines[:5] + lines[6:],
@@ -473,6 +482,17 @@ _FAULTS = {
     "bad row after a blank line": lambda lines: (
         lines[:1] + [""] + _set(1, "level_k", "x")(lines)[1:]
     ),
+    "level_k beyond int64": _set(1, "level_k", "9223372036854775808"),
+    "origin_column 0 before a bad value": lambda lines: (
+        _set(3, "value", "abc")(_set(1, "origin_column", "0")(lines))
+    ),
+    "duplicate key before a bad level_k": lambda lines: (
+        lines[:2] + [lines[1]] + _set(2, "level_k", "x")(lines)[2:]
+    ),
+    "missing header column and a long field": lambda lines: (
+        _drop_column("value")(_set(2, "level_k", "1" * 200000)(lines))
+    ),
+    "short row without series": _series_last_then_short,
 }
 
 _VALUE_COLUMNS = "['index_within_level', 'level_k', 'series', 'value']"
@@ -501,6 +521,13 @@ _RESIDUAL_COLUMNS = (
         ("values", "bad row after a blank line",
          "line 3: level_k 'x' is not a number"),
         ("values", "non-finite", "non-finite value at ('X', 2, 1)"),
+        ("values", "level_k beyond int64",
+         "line 2: level_k '9223372036854775808' is not a number"),
+        ("values", "duplicate key before a bad level_k",
+         "duplicate key ('X', 4, 1)"),
+        ("values", "missing header column and a long field",
+         f"expected columns {_VALUE_COLUMNS}"),
+        ("values", "short row without series", "line 2: series is missing"),
         ("residuals", "duplicate key", "duplicate key ('X', 4, 1, 1)"),
         ("residuals", "missing key", "missing key (X, 2, 2, 1)"),
         ("residuals", "unknown series", "unknown series 'Q'"),
@@ -522,17 +549,56 @@ _RESIDUAL_COLUMNS = (
         ("residuals", "bad row after a blank line",
          "line 3: level_k 'x' is not a number"),
         ("residuals", "non-finite", "non-finite value at ('X', 4, 1, 2)"),
+        ("residuals", "level_k beyond int64",
+         "line 2: level_k '9223372036854775808' is not a number"),
+        ("residuals", "origin_column 0 before a bad value",
+         "line 2: origin_column '0' is below 1"),
+        ("residuals", "duplicate key before a bad level_k",
+         "duplicate key ('X', 4, 1, 1)"),
+        ("residuals", "missing header column and a long field",
+         f"expected columns {_RESIDUAL_COLUMNS}"),
+        ("residuals", "short row without series", "line 2: series is missing"),
     ],
 )
-def test_long_format_fault_messages(tmp_path, toy_file, reader, fault, message):
+def test_long_format_fault_messages(
+    tmp_path, toy_file, monkeypatch, reader, fault, message
+):
     cs, ts = _long_files(tmp_path, toy_file)
     lines = (tmp_path / f"{reader}.csv").read_text().splitlines()
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(_FAULTS[fault](lines)) + "\n")
     read = read_values if reader == "values" else read_residuals
+    reads = []
+    read_text = ctrec.io._read_text
+    monkeypatch.setattr(
+        ctrec.io, "_read_text", lambda path: reads.append(path) or read_text(path)
+    )
     with pytest.raises(FormatError) as info:
         read(bad, cs, ts)
     assert str(info.value) == f"{bad}: {message}"
+    assert reads == [bad]  # the file is read from disk once
+
+
+@pytest.mark.parametrize("name", ["values.csv", "residuals.csv", "spec.txt"])
+def test_byte_order_mark_is_accepted(tmp_path, toy_file, name):
+    """Spreadsheet programs save CSV text with a UTF-8 byte-order mark."""
+    cs, ts = _long_files(tmp_path, toy_file)
+    write_hierarchy(tmp_path / "spec.txt", cs, ts)
+    plain = tmp_path / name
+    marked = tmp_path / f"bom-{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    if name == "values.csv":
+        got, want = read_values(marked, cs, ts), read_values(plain, cs, ts)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+    elif name == "residuals.csv":
+        got, want = read_residuals(marked, cs, ts), read_residuals(plain, cs, ts)
+        np.testing.assert_array_equal(got.values, want.values)
+    else:
+        (got_cs, got_ts), (want_cs, want_ts) = read_hierarchy(marked), read_hierarchy(plain)
+        assert got_cs.labels == want_cs.labels
+        np.testing.assert_array_equal(got_cs.agg_matrix, want_cs.agg_matrix)
+        assert got_ts.factors == want_ts.factors
 
 
 @pytest.mark.parametrize("reader", ["values", "residuals"])
