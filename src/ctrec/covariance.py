@@ -134,20 +134,13 @@ class ResidualTableau:
 
     def level_matrix(self, k: int) -> np.ndarray:
         """All series at level ``k``: ``n x (N M_k)``, columns in time order."""
-        cl = self.ts.cycle_len
         slc = self.ts.level_slice(k)
-        blocks = [
-            self.values[i * cl + slc.start : i * cl + slc.stop].T.ravel()
-            for i in range(self.n)
-        ]
-        return np.array(blocks)
+        by_series = self.values.reshape(self.n, self.ts.cycle_len, -1)[:, slc]
+        return by_series.transpose(0, 2, 1).reshape(self.n, -1)
 
     def level_slice_matrix(self, k: int, l: int) -> np.ndarray:
         """All series at level ``k``, within-cycle position ``l``: ``n x N``."""
-        cl = self.ts.cycle_len
-        off = self.ts.level_slice(k).start
-        idx = [i * cl + off + l for i in range(self.n)]
-        return self.values[idx]
+        return self.values[self.ts.level_slice(k).start + l :: self.ts.cycle_len]
 
     def series_level(self, i: int, k: int) -> np.ndarray:
         """Level ``k`` residuals of series ``i``: ``N x M_k`` (cycle by row)."""

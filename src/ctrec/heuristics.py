@@ -72,14 +72,11 @@ class HeuristicConfig:
 
 
 def _averaged_cs_projector(
-    projs: dict, xts: CrossTemporalStructure, average: str
+    projs: np.ndarray, xts: CrossTemporalStructure, average: str
 ) -> np.ndarray:
-    ts = xts.ts
-    if average == "weighted":
-        # Each level's projector acts on M_k columns per cycle; weight by that.
-        total = sum(ts.M_k[k] for k in ts.factors)
-        return sum(ts.M_k[k] * projs[k] for k in ts.factors) / total
-    return sum(projs[k] for k in ts.factors) / ts.p
+    # Weighted: each level's projector acts on M_k columns per cycle.
+    M_k = [xts.ts.M_k[k] for k in xts.ts.factors] if average == "weighted" else None
+    return np.average(projs, axis=0, weights=M_k)
 
 
 def ka_two_step(
@@ -109,7 +106,7 @@ def ka_two_step(
         step1 = _apply_cross_sectional(tableau.values, cs_projs, xts)
         # Every series' projector is used exactly once, so the weighted
         # average coincides with the plain one in this order.
-        M_bar = sum(t_projs) / xts.n
+        M_bar = t_projs.mean(axis=0)
         final = step1 @ M_bar.T
 
     out = tableau.with_values(final, provenance=f"reconciled:ka-{config.order}")
@@ -146,28 +143,23 @@ def iterative(
     scale = 1.0 + float(np.max(np.abs(tableau.values), initial=0.0))
     threshold = config.tolerance * scale
     vals = np.array(tableau.values)
+    # Pass i is temporal (0) or cross-sectional (1); coherence_report()[i]
+    # is the discrepancy it leaves in the other dimension.
+    passes = (
+        lambda v: _apply_temporal(v, t_projs),
+        lambda v: _apply_cross_sectional(v, cs_projs, xts),
+    )
+    order = (0, 1) if config.order == "tcs" else (1, 0)
     trace: list[tuple[float, float]] = []
-    converged = False
     for _ in range(config.max_iterations):
-        if config.order == "tcs":
-            vals = _apply_temporal(vals, t_projs)
-            d_cs = coherence_report(vals, xts)[0]
-            vals = _apply_cross_sectional(vals, cs_projs, xts)
-            d_te = coherence_report(vals, xts)[1]
-            trace.append((d_cs, d_te))
-            if d_te < threshold:
-                converged = True
-                break
-        else:
-            vals = _apply_cross_sectional(vals, cs_projs, xts)
-            d_te = coherence_report(vals, xts)[1]
-            vals = _apply_temporal(vals, t_projs)
-            d_cs = coherence_report(vals, xts)[0]
-            trace.append((d_cs, d_te))
-            if d_cs < threshold:
-                converged = True
-                break
-    if not converged:
+        d = [0.0, 0.0]
+        for i in order:
+            vals = passes[i](vals)
+            d[i] = coherence_report(vals, xts)[i]
+        trace.append(tuple(d))
+        if d[order[1]] < threshold:
+            break
+    else:
         raise NonConvergence(
             f"no convergence after {config.max_iterations} iterations "
             f"(threshold {threshold:.3e})",

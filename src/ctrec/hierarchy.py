@@ -66,7 +66,8 @@ class CrossSectionalStructure:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only copy, so the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 

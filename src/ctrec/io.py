@@ -11,8 +11,11 @@ explicit aggregation matrix::
     A,1,1,0,0,0
     B,0,0,1,1,1
 
-or a parent-child edge list compiled to the matrix by accumulating
-weights along paths (bottoms are the nodes that never appear as parent)::
+The matrix block is CSV, so a label that holds a comma or a quote is
+quoted as ``csv.writer`` quotes it; cells are stripped of spaces.  The
+other form is a parent-child edge list, compiled to the matrix by
+accumulating weights along paths (bottoms are the nodes that never
+appear as parent)::
 
     m = 4
     [edges]
@@ -129,7 +132,7 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
     m = None
     factors = None
     section = None
-    matrix_rows: list[list[str]] = []
+    matrix_lines: list[str] = []
     edge_rows: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -157,7 +160,7 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
                     f"{path}: line {lineno}: {key} = {value!r}: expected integers"
                 ) from None
         elif section == "matrix":
-            matrix_rows.append([c.strip() for c in line.split(",")])
+            matrix_lines.append(line)
         else:
             parts = [c.strip() for c in line.split(",")]
             if parts[0].lower() == "node":
@@ -175,16 +178,15 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
     if m is None:
         raise FormatError(f"{path}: hierarchy spec is missing the 'm =' line")
     ts = build_temporal(m, factors)
-    if matrix_rows:
-        header = matrix_rows[0]
-        bottoms = header[1:]
-        uppers = [r[0] for r in matrix_rows[1:]]
+    if matrix_lines:
+        try:
+            (_, *bottoms), *rows = [[c.strip() for c in r] for r in csv.reader(matrix_lines)]
+            C = np.array([[float(v) for v in r[1:]] for r in rows])
+        except (csv.Error, ValueError) as exc:
+            raise FormatError(f"{path}: matrix block: {exc}") from exc
+        uppers = [r[0] for r in rows]
         if not uppers:
             raise FormatError(f"{path}: matrix block has no aggregate rows")
-        try:
-            C = np.array([[float(v) for v in r[1:]] for r in matrix_rows[1:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}: matrix block: {exc}") from exc
         if C.shape[1] != len(bottoms):
             raise FormatError(f"{path}: matrix rows do not match the header width")
         cs = build_cross_sectional(C, uppers + bottoms)
@@ -202,9 +204,9 @@ def write_hierarchy(path, cs: CrossSectionalStructure, ts: TemporalStructure):
     if ts.factors != tuple(k for k in range(ts.m, 0, -1) if ts.m % k == 0):
         lines.append("factors = " + ",".join(str(k) for k in ts.factors))
     lines.append("[matrix]")
-    lines.append("," + ",".join(cs.bottom_labels))
+    lines.append(_record(["", *cs.bottom_labels]))
     for j, up in enumerate(cs.upper_labels):
-        lines.append(up + "," + ",".join(_fmt(v) for v in cs.agg_matrix[j]))
+        lines.append(_record([up, *map(_fmt, cs.agg_matrix[j])]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -24,8 +24,11 @@ generalized least-squares problem on the bottom coordinates and
 re-aggregates.  :func:`reconciled_covariance` gives the covariance of
 the reconciliation error on demand.
 
-Wrappers apply the projection per time point (cross-sectional), per
-series (temporal) or once globally (cross-temporal).
+The cross-temporal wrapper projects once globally.  The cross-sectional
+(per level) and temporal (per series) wrappers and the heuristics apply
+materialized projectors, built by :func:`_projectors` as one stack: one
+batched dense Cholesky of every ``K W K'``, the same pivot gate on each
+slice, and no condition estimate.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .covariance import (
     temporal_cov,
 )
 from .crosstemporal import CrossTemporalStructure
-from .errors import DimensionMismatch, InvalidEntry, InvalidInput, SingularSystem
+from .errors import DimensionMismatch, InvalidEntry, SingularSystem
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
 
@@ -135,12 +138,13 @@ def _factored(factorization: str, solve, condition) -> _Factor:
 def _check_pivots(pivots: np.ndarray, context: str) -> None:
     """The SPD gate: every pivot of a symmetric factorization without
     off-diagonal pivoting must be positive, and above ``r eps`` times the
-    largest one (the rank tolerance of ``numpy.linalg.matrix_rank``).
+    largest one (the rank tolerance of ``numpy.linalg.matrix_rank``), each
+    row of a stack against its own.
 
     The signs of such pivots are the inertia of the matrix; a pivot at
     the rank tolerance is roundoff from a singular matrix, of either sign.
     """
-    tol = pivots.size * np.finfo(float).eps * pivots.max(initial=0.0)
+    tol = pivots.shape[-1] * np.finfo(float).eps * pivots.max(-1, keepdims=True, initial=0.0)
     if not np.all(pivots > tol):
         raise SingularSystem(
             f"{context}: normal-equations matrix is not numerically positive definite"
@@ -321,10 +325,29 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
     )
 
 
+def _projectors(kernel, models) -> np.ndarray:
+    """The ``(len(models), s, s)`` stack of dense projectors ``I - W K' (K W
+    K')^{-1} K`` over one ``r x s`` kernel: one batched Cholesky ``K W K' =
+    L L'``, each slice gated against its own largest pivot, and ``I - (V
+    W)' V`` with ``V = L^{-1} K``.  No condition estimate is computed."""
+    K = _as_dense(kernel)
+    KW = K @ np.stack([model.dense() for model in models])
+    G = KW @ K.T
+    try:
+        L = np.linalg.cholesky(0.5 * (G + np.swapaxes(G, -1, -2)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            "projector: normal-equations matrix could not be factorized"
+        ) from exc
+    _check_pivots(np.diagonal(L, axis1=-2, axis2=-1) ** 2, "projector")
+    B = np.concatenate([np.broadcast_to(K, KW.shape), KW], axis=-1)
+    V, VW = np.split(np.linalg.solve(L, B), 2, axis=-1)  # L^{-1} K, L^{-1} K W
+    return np.eye(K.shape[1]) - np.swapaxes(VW, -1, -2) @ V
+
+
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
     """Materialize the dense projection matrix fixing the kernel's null space."""
-    factor = _normal_factor(kernel, W, "projector")
-    return np.eye(kernel.shape[1]) - W.apply(kernel.T @ factor.solve(_as_dense(kernel)))
+    return _projectors(kernel, [W])[0]
 
 
 def reconciled_covariance(W: CovarianceModel, kernel) -> np.ndarray:
@@ -390,22 +413,19 @@ def _per_level_projectors(
     xts: CrossTemporalStructure,
     kind: str,
     residuals: ResidualTableau | None,
-) -> dict:
-    out = {}
-    for k in xts.ts.factors:
-        E = residuals.level_matrix(k) if residuals is not None else None
-        W = cross_sectional_cov(kind, xts.cs, E)
-        out[k] = projector(xts.cs.kernel, W)
-    return out
+) -> np.ndarray:
+    """The stack of each level's cross-sectional projector, in ``ts.factors`` order."""
+    E = [None if residuals is None else residuals.level_matrix(k) for k in xts.ts.factors]
+    return _projectors(xts.cs.kernel, [cross_sectional_cov(kind, xts.cs, Ek) for Ek in E])
 
 
 def _apply_cross_sectional(
-    vals: np.ndarray, projs: dict, xts: CrossTemporalStructure
+    vals: np.ndarray, projs: np.ndarray, xts: CrossTemporalStructure
 ) -> np.ndarray:
     out = np.empty_like(vals)
-    for k in xts.ts.factors:
+    for k, M in zip(xts.ts.factors, projs):
         slc = xts.ts.level_slice(k, xts.h)
-        out[:, slc] = projs[k] @ vals[:, slc]
+        out[:, slc] = M @ vals[:, slc]
     return out
 
 
@@ -429,25 +449,15 @@ def _per_series_temporal_projectors(
     xts: CrossTemporalStructure,
     kind: str,
     residuals: ResidualTableau | None,
-) -> list:
-    Z = xts.temporal_kernel
-    if kind in ("t-ols", "t-struc"):
-        M = projector(Z, temporal_cov(kind, xts.ts, h=xts.h))
-        return [M] * xts.n
-    if residuals is None:
-        raise InvalidInput(f"{kind} needs residuals")
-    out = []
-    for i in range(xts.n):
-        W = temporal_cov(kind, xts.ts, residuals.series_block(i), h=xts.h)
-        out.append(projector(Z, W))
-    return out
+) -> np.ndarray:
+    """The ``(n, w, w)`` stack of each series' temporal projector."""
+    E = [None if residuals is None else residuals.series_block(i) for i in range(xts.n)]
+    models = [temporal_cov(kind, xts.ts, Ei, h=xts.h) for Ei in E]
+    return _projectors(xts.temporal_kernel, models)
 
 
-def _apply_temporal(vals: np.ndarray, projs: list) -> np.ndarray:
-    out = np.empty_like(vals)
-    for i, M in enumerate(projs):
-        out[i] = M @ vals[i]
-    return out
+def _apply_temporal(vals: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    return (projs @ vals[:, :, None])[:, :, 0]
 
 
 def reconcile_temporal(

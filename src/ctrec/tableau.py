@@ -32,7 +32,8 @@ class ForecastTableau:
     provenance: str = "base"
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        # A copy, so that freezing it leaves the caller's array writeable.
+        vals = np.array(self.values, dtype=float, order="C")
         st = self.structure
         if vals.shape != (st.n, st.width):
             raise DimensionMismatch(

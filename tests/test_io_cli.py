@@ -63,18 +63,36 @@ def test_hierarchy_matrix_and_edges_agree(tmp_path, toy_file):
 
 
 def test_hierarchy_round_trip(tmp_path):
-    cs = build_cross_sectional(
-        [[1, 1, 1], [1, 1, 0]], ["T", "A", "x", "y", "z"]
+    for labels in (
+        ["T", "A", "x", "y", "z"],
+        ["T", "a, b", "x", "y", "z"],
+        ["T", '"A" 1', "a, b", '"x" y', "z"],
+    ):
+        cs = build_cross_sectional([[1, 1, 1], [1, 1, 0]], labels)
+        ts = build_temporal(12, factors=[12, 3, 1])
+        path = tmp_path / "h.txt"
+        write_hierarchy(path, cs, ts)
+        cs2, ts2 = read_hierarchy(path)
+        assert cs2.labels == cs.labels
+        np.testing.assert_array_equal(cs2.agg_matrix, cs.agg_matrix)
+        assert ts2.factors == ts.factors
+        write_hierarchy(tmp_path / "h2.txt", cs2, ts2)
+        assert (tmp_path / "h.txt").read_text() == (tmp_path / "h2.txt").read_text()
+
+
+def test_hierarchy_writer_bytes_for_plain_labels(tmp_path):
+    cs = build_cross_sectional([[1, 1, 1], [1, 0.5, 0]], ["T", "A", "x", "y", "z"])
+    write_hierarchy(tmp_path / "h.txt", cs, build_temporal(12, factors=[12, 3, 1]))
+    assert (tmp_path / "h.txt").read_bytes() == (
+        b"m = 12\nfactors = 12,3,1\n[matrix]\n,x,y,z\nT,1,1,1\nA,1,0.5,0\n"
     )
-    ts = build_temporal(12, factors=[12, 3, 1])
+
+
+def test_hierarchy_matrix_field_over_csv_limit_is_a_format_error(tmp_path):
     path = tmp_path / "h.txt"
-    write_hierarchy(path, cs, ts)
-    cs2, ts2 = read_hierarchy(path)
-    assert cs2.labels == cs.labels
-    np.testing.assert_array_equal(cs2.agg_matrix, cs.agg_matrix)
-    assert ts2.factors == ts.factors
-    write_hierarchy(tmp_path / "h2.txt", cs2, ts2)
-    assert (tmp_path / "h.txt").read_text() == (tmp_path / "h2.txt").read_text()
+    path.write_text("m = 2\n[matrix]\n,a,b\n" + "T" * 200000 + ",1,1\n")
+    with pytest.raises(FormatError, match="matrix block: field larger than field limit"):
+        read_hierarchy(path)
 
 
 def test_nested_edge_list(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctrec import (
+    CS_KINDS,
+    T_KINDS,
     CovarianceModel,
     HeuristicConfig,
     InvalidEntry,
@@ -33,7 +35,7 @@ from ctrec import (
     reconciled_covariance,
     temporal_cov,
 )
-from ctrec.reconcile import projector
+from ctrec.reconcile import _projectors, projector
 from tests.conftest import random_residuals, random_structure
 
 
@@ -547,3 +549,88 @@ def test_oct_shr_builds_no_dense_w(h):
     assert W.structure == "low-rank"
     assert res.diagnostics["factorization"] == "woodbury"
     assert peak < 8 * xts.size**2  # one dense size x size array
+
+
+# ---------------------------------------------------------------------------
+# Stacked single-dimension projectors
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("kind", T_KINDS)
+def test_temporal_rows_match_kkt_oracle_with_their_own_w(kind, h):
+    xts = grouped_structure(4, 2, 6, h)
+    rng = np.random.default_rng(50 + h)
+    res = random_residuals(rng, xts)
+    tab = xts.tableau(rng.normal(loc=10.0, size=(xts.n, xts.width)))
+    out = reconcile_temporal(tab, kind, res).values
+    Z = xts.temporal_kernel.toarray()
+    scale = np.max(np.abs(tab.values))
+    for i in range(xts.n):  # the per-model loop, as the oracle
+        W = temporal_cov(kind, xts.ts, res.series_block(i), h=h).dense()
+        expected = kkt_oracle(tab.values[i], W, Z)
+        np.testing.assert_allclose(out[i], expected, rtol=1e-10, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("kind", CS_KINDS)
+def test_cross_sectional_levels_match_kkt_oracle_with_their_own_w(kind, h):
+    xts = grouped_structure(4, 2, 6, h)
+    rng = np.random.default_rng(60 + h)
+    res = random_residuals(rng, xts)
+    tab = xts.tableau(rng.normal(loc=10.0, size=(xts.n, xts.width)))
+    out = reconcile_cross_sectional_tableau(tab, kind, res).values
+    scale = np.max(np.abs(tab.values))
+    for k in xts.ts.factors:  # the per-model loop, as the oracle
+        W = cross_sectional_cov(kind, xts.cs, res.level_matrix(k)).dense()
+        for j in range(*xts.ts.level_slice(k, h).indices(xts.width)):
+            expected = kkt_oracle(tab.values[:, j], W, xts.cs.kernel)
+            np.testing.assert_allclose(
+                out[:, j], expected, rtol=1e-10, atol=1e-10 * scale
+            )
+
+
+def _diagonal_models(*diags):
+    return [
+        CovarianceModel(kind="w", structure="diagonal", size=d.size, diag_values=d)
+        for d in diags
+    ]
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        # K W K' rounds to an exactly singular matrix: LAPACK rejects it.
+        (1e-20, "could not be factorized|not numerically positive definite"),
+        # Positive pivots of about 2e-14 against a tolerance of 4e-14.
+        (1e-14, "not numerically positive definite"),
+    ],
+)
+def test_stacked_projectors_gate_each_slice(delta, message):
+    ts = build_temporal(12)  # k* = 16 > m: rank K W K' <= 12 without the uppers
+    Z = build_cross_temporal(build_cross_sectional([[1, 1]]), ts, 1).temporal_kernel
+    healthy = np.random.default_rng(70).uniform(0.5, 2.0, ts.cycle_len)
+    bad = np.ones(ts.cycle_len)
+    bad[: ts.k_star] = delta
+    models = _diagonal_models(healthy, bad, healthy)
+    with pytest.raises(SingularSystem, match=message):
+        _projectors(Z, models)
+
+
+def test_stacked_projectors_scale_each_tolerance():
+    ts = build_temporal(12)
+    Z = build_cross_temporal(build_cross_sectional([[1, 1]]), ts, 1).temporal_kernel
+    healthy = np.random.default_rng(71).uniform(0.5, 2.0, ts.cycle_len)
+    projs = _projectors(Z, _diagonal_models(1e12 * healthy, 1e-6 * healthy))
+    single = projector(Z, _diagonal_models(healthy)[0])
+    for P in projs:  # W and c W give the same projector
+        np.testing.assert_allclose(P, single, rtol=1e-10, atol=1e-12)
+
+
+def test_tableaux_and_structures_leave_caller_arrays_writeable(toy):
+    Y = np.random.default_rng(72).normal(size=(toy.n, toy.width))
+    toy.tableau(Y)
+    reconcile_cross_temporal(Y, toy, "oct-ols")
+    ka_two_step(Y, toy, HeuristicConfig("t-ols", "cs-ols"))
+    C = np.array([[1.0, 1.0]])
+    build_cross_sectional(C)
+    assert Y.flags.writeable and C.flags.writeable
