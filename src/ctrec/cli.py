@@ -68,22 +68,34 @@ def _load(hierarchy, h):
     return cs, ts, build_cross_temporal(cs, ts, h)
 
 
-def _config_number(cfg: dict, key: str, default, convert):
-    value = cfg.get(key, default)
-    try:
-        return convert(value)
-    except ValueError:
-        raise InvalidInput(f"config value {key} = {value!r} is not a number") from None
-
-
 def _apply_config(config_path, overrides: dict) -> dict:
     """Config file values fill in options the command line left at None."""
-    if not config_path:
-        return {k: v for k, v in overrides.items() if v is not None}
-    cfg = fio.read_config(config_path)
-    merged = dict(cfg)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+    cfg = fio.read_config(config_path) if config_path else {}
+    return {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
+
+
+# Config key -> (HeuristicConfig field, conversion of a config file string).
+_HEURISTIC_KEYS = {
+    "temporal": ("temporal_kind", str),
+    "cross_sectional": ("cross_sectional_kind", str),
+    "order": ("order", str),
+    "delta": ("tolerance", float),
+    "max_iter": ("max_iterations", int),
+}
+
+
+def _heuristic_settings(cfg: dict) -> dict:
+    """The :class:`HeuristicConfig` fields set in ``cfg``, converted."""
+    settings = {}
+    for key, (name, convert) in _HEURISTIC_KEYS.items():
+        if key in cfg:
+            try:
+                settings[name] = convert(cfg[key])
+            except ValueError:
+                raise InvalidInput(
+                    f"config value {key} = {cfg[key]!r} is not a number"
+                ) from None
+    return settings
 
 
 @click.group()
@@ -133,7 +145,8 @@ def _reconcile_one(method, vals, h, cs, ts, xts, residuals):
 
 
 @main.command()
-@click.option("--method", required=True, help="bu, cs-<kind>, t-<kind> or oct-<kind>.")
+@click.option("--method", help="bu, cs-<kind>, t-<kind> or oct-<kind>; required "
+              "unless --config sets method.")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--residuals", "residuals_path", type=click.Path(exists=True))
 @click.option("--hierarchy", required=True, type=click.Path(exists=True))
@@ -142,8 +155,9 @@ def _reconcile_one(method, vals, h, cs, ts, xts, residuals):
 @_guard
 def reconcile(method, in_path, residuals_path, hierarchy, out_path, config_path):
     """Reconcile one forecast file (or every file in a directory)."""
-    cfg = _apply_config(config_path, {"method": method})
-    method = cfg.get("method", method)
+    method = _apply_config(config_path, {"method": method}).get("method")
+    if method is None:
+        raise click.UsageError("Missing option '--method' (or 'method =' in --config).")
     known = ("bu",) + CS_KINDS + T_KINDS + OCT_KINDS
     if method not in known:
         raise InvalidInput(f"unknown method {method!r}")
@@ -194,15 +208,14 @@ def reconcile(method, in_path, residuals_path, hierarchy, out_path, config_path)
 
 
 @main.command()
-@click.option("--temporal", "temporal_kind", default="t-wlsv", show_default=True)
-@click.option(
-    "--cross-sectional", "cs_kind", default="cs-shr", show_default=True
-)
-@click.option("--order", type=click.Choice(["tcs", "cst"]), default="tcs",
-              show_default=True)
+@click.option("--temporal", "temporal_kind", show_default=HeuristicConfig.temporal_kind)
+@click.option("--cross-sectional", "cs_kind",
+              show_default=HeuristicConfig.cross_sectional_kind)
+@click.option("--order", type=click.Choice(["tcs", "cst"]),
+              show_default=HeuristicConfig.order)
 @click.option("--iterative", "use_iterative", is_flag=True)
-@click.option("--delta", default=1e-6, show_default=True)
-@click.option("--max-iter", default=100, show_default=True)
+@click.option("--delta", type=float, show_default=str(HeuristicConfig.tolerance))
+@click.option("--max-iter", type=int, show_default=str(HeuristicConfig.max_iterations))
 @click.option("--weighted-average", is_flag=True)
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--residuals", "residuals_path", type=click.Path(exists=True))
@@ -225,16 +238,12 @@ def heuristic(
     config_path,
 ):
     """Two-step or iterative heuristic reconciliation."""
-    cfg = _apply_config(config_path, {})
-    temporal_kind = cfg.get("temporal", temporal_kind)
-    cs_kind = cfg.get("cross_sectional", cs_kind)
+    cfg = _apply_config(config_path, {
+        "temporal": temporal_kind, "cross_sectional": cs_kind, "order": order,
+        "delta": delta, "max_iter": max_iter,
+    })
     config = HeuristicConfig(
-        temporal_kind=temporal_kind,
-        cross_sectional_kind=cs_kind,
-        order=order,
-        average="weighted" if weighted_average else "plain",
-        tolerance=_config_number(cfg, "delta", delta, float),
-        max_iterations=_config_number(cfg, "max_iter", max_iter, int),
+        average="weighted" if weighted_average else "plain", **_heuristic_settings(cfg)
     )
     cs, ts = fio.read_hierarchy(hierarchy)
     vals, h = fio.read_values(in_path, cs, ts)
@@ -258,7 +267,7 @@ def heuristic(
             )
             dist = float(np.linalg.norm(results[o].adjustment))
             click.echo(f"L2 distance to base, order {o}: {dist:.6g}")
-        result = results[order]
+        result = results[config.order]
     after = coherence_report(result.tableau.values, xts)
     fio.write_values(out_path, result.tableau.values, cs, ts)
     click.echo(f"d_cs {before[0]:.6g} -> {after[0]:.6g}, "

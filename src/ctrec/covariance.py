@@ -20,17 +20,19 @@ One estimator, :func:`_estimate`, serves all three menus but the Markov
 family, and every residual input is read as a :class:`ResidualTableau`.
 Every model is built once per cycle (series-major) and extended to ``h``
 forecast cycles by :func:`_extend`.
+
+A model multiplies (``apply``) and densifies (``dense``) but does not
+solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
+:mod:`ctrec.reconcile`.  :func:`_spd_factor` is only the estimators' gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .crosstemporal import CrossTemporalStructure, commutation_matrix
 from .errors import (
@@ -163,6 +165,9 @@ class CovarianceModel:
     ``matrix`` is given as the tall factor ``U`` and held with the diagonal
     in one object whose ``np.asarray`` is the dense ``W``, built only on
     that access.  Arrays are copied, so the caller's stay writeable.
+
+    A model has no solve: ``reconcile._normal_factor`` over the identity
+    kernel factors ``W`` by the same rule and pivot gate as ``K W K'``.
     """
 
     kind: str
@@ -200,31 +205,6 @@ class CovarianceModel:
             d = self.diag_values[:, None] if M.ndim == 2 else self.diag_values
             return d * M + U @ (U.T @ M)
         return self.matrix @ M
-
-    def solve(self, M):
-        """Return ``W^{-1} @ M``."""
-        if self.structure == "identity":
-            return M
-        if self.structure == "diagonal":
-            M = np.asarray(M, dtype=float)
-            return M / (self.diag_values[:, None] if M.ndim == 2 else self.diag_values)
-        M = np.asarray(M.todense() if sp.issparse(M) else M, dtype=float)
-        return self._solver(M)
-
-    @cached_property
-    def _solver(self):
-        if self.structure == "low-rank":
-            d = self.diag_values
-            return _woodbury(
-                lambda b: b / (d[:, None] if b.ndim == 2 else d),
-                self.matrix.U,
-                lambda C: partial(scipy.linalg.cho_solve, _spd_factor(C, self.kind)),
-            )
-        if sp.issparse(self.matrix):
-            lu = spla.splu(sp.csc_matrix(self.matrix))
-            return lu.solve
-        cho = _spd_factor(self.matrix, self.kind)
-        return lambda b: scipy.linalg.cho_solve(cho, b)
 
     def dense(self) -> np.ndarray:
         if self.structure == "identity":
@@ -277,23 +257,6 @@ class _LowRank:
         W = self.U @ self.U.T
         W[np.diag_indices_from(W)] += self.d
         return W if dtype is None else W.astype(dtype, copy=False)
-
-
-def _woodbury(solve, V, factor):
-    """Solver of ``A + V V'`` from a solver of ``A``, by the Woodbury identity.
-
-    ``(A + V V')^{-1} = A^{-1} - A^{-1} V C^{-1} V' A^{-1}`` with the
-    capacitance matrix ``C = I + V' A^{-1} V``; ``factor(C)`` returns a
-    solver of ``C``.  Only ``A^{-1} V`` and ``C`` are stored.
-    """
-    AiV = solve(V)
-    solve_c = factor(np.eye(V.shape[1]) + V.T @ AiV)
-
-    def solve_sum(b):
-        y = solve(b)
-        return y - AiV @ solve_c(V.T @ y)
-
-    return solve_sum
 
 
 def _spd_factor(A: np.ndarray, label: str):

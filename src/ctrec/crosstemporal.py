@@ -11,6 +11,8 @@ The coherent subspace also has a structural description: every node is a
 fixed linear combination of the highest-frequency bottom values, through
 the summing matrix of the reordered vector (uppers and aggregated bottoms
 first, raw bottoms last) and a permutation back to series-major order.
+No solve reads that description; :class:`CrossTemporalStructure` builds
+its matrices, and the commutation matrix, on first use.
 """
 
 from __future__ import annotations
@@ -81,37 +83,32 @@ def numerical_rank(A, rtol: float = 1e-9) -> int:
 class CrossTemporalStructure:
     """Constraint system for ``n`` series over ``h`` forecast cycles.
 
+    The fields are what every solve reads; the other matrices are derived
+    on first use and cached.
+
     Attributes
     ----------
     cs, ts : component structures.
     h : int
         Forecast cycles covered by one tableau.
+    temporal_kernel : sparse matrix
+        Per-series temporal kernel over ``h`` cycles.
     kernel : sparse matrix
         Full-row-rank kernel: highest-frequency cross-sectional rows plus
         all temporal rows.  The row rank is full by construction: the
         cross-sectional rows have identity pivots on the upper series'
         highest-frequency columns, the temporal rows on every series'
         aggregated columns, and the two column sets are disjoint.
-    commutation : sparse permutation
-        Maps the time-major vectorization to the series-major one.
-    struct_perm : sparse permutation
-        Maps the structural ordering (uppers and aggregated bottoms first)
-        to series-major order.
-    struct_summing : sparse matrix
-        Summing matrix of the structural ordering, shape
-        ``(n h (k*+m), n_b m h)``.
-    struct_agg : sparse matrix
-        Top block of ``struct_summing`` above the bottom identity.
+
+    Derived on first use: ``kernel_redundant``, ``temporal_summing``,
+    ``commutation``, ``struct_perm``, ``struct_summing`` and ``struct_agg``.
     """
 
     cs: CrossSectionalStructure
     ts: TemporalStructure
     h: int
+    temporal_kernel: sp.csr_matrix
     kernel: sp.csr_matrix
-    commutation: sp.csr_matrix
-    struct_perm: sp.csr_matrix
-    struct_summing: sp.csr_matrix
-    struct_agg: sp.csr_matrix
 
     @property
     def n(self) -> int:
@@ -133,11 +130,6 @@ class CrossTemporalStructure:
         return self.h * (self.cs.n_a * self.ts.m + self.n * self.ts.k_star)
 
     @cached_property
-    def temporal_kernel(self) -> sp.csr_matrix:
-        """Per-series temporal kernel over ``h`` cycles."""
-        return build_full_temporal_kernel(self.ts, self.h)
-
-    @cached_property
     def kernel_redundant(self) -> sp.csr_matrix:
         """Stacked cross-sectional and temporal constraints (redundant rows)."""
         return sp.vstack(
@@ -153,25 +145,41 @@ class CrossTemporalStructure:
         """Per-series temporal summing matrix over ``h`` cycles."""
         return full_summing(self.ts, self.h)
 
+    @cached_property
+    def commutation(self) -> sp.csr_matrix:
+        """Permutation from the time-major vectorization to the series-major one."""
+        return _perm_matrix(commutation_indices(self.n, self.width))
+
+    @cached_property
+    def struct_perm(self) -> sp.csr_matrix:
+        """Permutation from the structural ordering (uppers, then the
+        bottoms' aggregated values, then their raw values) to series-major
+        order."""
+        lf = self.h * self.ts.k_star
+        idx = np.arange(self.size).reshape(self.n, self.width)
+        bottoms = idx[self.cs.n_a :]
+        order = np.concatenate(
+            [idx[: self.cs.n_a].ravel(), bottoms[:, :lf].ravel(), bottoms[:, lf:].ravel()]
+        )
+        perm = np.empty_like(order)
+        perm[order] = np.arange(order.size)
+        return _perm_matrix(perm)
+
+    @cached_property
+    def struct_summing(self) -> sp.csr_matrix:
+        """Summing matrix of the structural ordering, shape
+        ``(n h (k*+m), n_b m h)``."""
+        S = sp.kron(self.cs.summing_matrix, self.temporal_summing, format="csr")
+        return sp.csr_matrix(self.struct_perm.T @ S)
+
+    @cached_property
+    def struct_agg(self) -> sp.csr_matrix:
+        """Top block of ``struct_summing`` above the bottom identity."""
+        n_a_star = self.cs.n_a * self.width + self.cs.n_b * self.h * self.ts.k_star
+        return sp.csr_matrix(self.struct_summing[:n_a_star])
+
     def tableau(self, values, provenance: str = "base") -> ForecastTableau:
         return ForecastTableau(np.asarray(values, dtype=float), self, provenance)
-
-
-def _struct_perm(cs: CrossSectionalStructure, ts: TemporalStructure, h: int):
-    """Permutation taking the structural ordering to series-major order."""
-    n_a, n_b = cs.n_a, cs.n_b
-    q = h * ts.cycle_len
-    lf = h * ts.k_star
-    hf = h * ts.m
-    perm = np.empty(cs.n * q, dtype=np.intp)
-    for i in range(n_a):
-        perm[i * q : (i + 1) * q] = np.arange(i * q, (i + 1) * q)
-    base = n_a * q
-    for ib in range(n_b):
-        dst = (n_a + ib) * q
-        perm[dst : dst + lf] = base + ib * lf + np.arange(lf)
-        perm[dst + lf : dst + q] = base + n_b * lf + ib * hf + np.arange(hf)
-    return _perm_matrix(perm)
 
 
 def build_cross_temporal(
@@ -185,38 +193,21 @@ def build_cross_temporal(
     """
     if h < 1:
         raise InvalidInput(f"forecast cycles must be >= 1, got {h}")
-    n = cs.n
     q = h * ts.cycle_len
     Z = build_full_temporal_kernel(ts, h)
-    temporal_rows = sp.kron(sp.identity(n), Z, format="csr")
-
     # Cross-sectional rows at the h*m highest-frequency points, ordered time
     # point first, then upper series, as the elimination recipe applied to
     # the time-major vectorization orders them.
     hf = h * ts.m
     cs_rows = sp.kron(cs.kernel, sp.eye(hf, q, k=h * ts.k_star), format="csr")
     kernel = sp.vstack(
-        [cs_rows[commutation_indices(hf, cs.n_a)], temporal_rows], format="csr"
+        [
+            cs_rows[commutation_indices(hf, cs.n_a)],
+            sp.kron(sp.identity(cs.n), Z, format="csr"),
+        ],
+        format="csr",
     )
-
-    P = _perm_matrix(commutation_indices(n, q))
-    Q = _struct_perm(cs, ts, h)
-    summing = sp.csr_matrix(
-        Q.T @ sp.kron(cs.summing_matrix, full_summing(ts, h), format="csr")
-    )
-    n_a_star = cs.n_a * q + cs.n_b * h * ts.k_star
-    struct_agg = sp.csr_matrix(summing[:n_a_star])
-
-    return CrossTemporalStructure(
-        cs=cs,
-        ts=ts,
-        h=h,
-        kernel=kernel,
-        commutation=P,
-        struct_perm=Q,
-        struct_summing=summing,
-        struct_agg=struct_agg,
-    )
+    return CrossTemporalStructure(cs=cs, ts=ts, h=h, temporal_kernel=Z, kernel=kernel)
 
 
 def validate_raw_kernel(kernel, size: int | None = None) -> sp.csr_matrix:

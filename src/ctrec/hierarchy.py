@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEntry
+from .errors import DimensionMismatch, InvalidEntry, InvalidInput
 
 __all__ = [
     "CrossSectionalStructure",
@@ -92,6 +92,8 @@ def build_cross_sectional(
         If ``C`` is empty or ``labels`` has the wrong length or duplicates.
     InvalidEntry
         If ``C`` contains NaN or infinities.
+    InvalidInput
+        If a label contains a line break, which no hierarchy file can hold.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.size == 0 or C.ndim != 2:
@@ -108,6 +110,9 @@ def build_cross_sectional(
         )
     if len(set(labels)) != len(labels):
         raise DimensionMismatch("labels contain duplicates")
+    for label in labels:
+        if "\n" in label or "\r" in label:
+            raise InvalidInput(f"label {label!r} contains a line break")
 
     summing = np.vstack([C, np.eye(n_b)])
     kernel = np.hstack([np.eye(n_a), -C])

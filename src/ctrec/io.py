@@ -206,7 +206,9 @@ def write_hierarchy(path, cs: CrossSectionalStructure, ts: TemporalStructure):
     lines.append("[matrix]")
     lines.append(_record(["", *cs.bottom_labels]))
     for j, up in enumerate(cs.upper_labels):
-        lines.append(_record([up, *map(_fmt, cs.agg_matrix[j])]))
+        # Quoted, a row of an upper label starting with '#' is not a comment.
+        quoting = csv.QUOTE_ALL if up.lstrip().startswith("#") else csv.QUOTE_MINIMAL
+        lines.append(_record([up, *map(_fmt, cs.agg_matrix[j])], quoting))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -214,10 +216,10 @@ def write_hierarchy(path, cs: CrossSectionalStructure, ts: TemporalStructure):
 # Long-format value files
 
 
-def _record(cells) -> str:
+def _record(cells, quoting=csv.QUOTE_MINIMAL) -> str:
     """One CSV record as ``csv.writer`` quotes it, without the line end."""
     buf = StringIO()
-    csv.writer(buf, lineterminator="").writerow(cells)
+    csv.writer(buf, lineterminator="", quoting=quoting).writerow(cells)
     return buf.getvalue()
 
 

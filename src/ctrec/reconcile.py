@@ -18,11 +18,12 @@ shrinkage kinds with fewer residual cycles than values) takes a third
 path, ``woodbury``: ``G0 = K D K'`` is factored by that rule, and ``G =
 G0 + (K U)(K U)'`` is solved through the Cholesky factor of the small
 capacitance matrix without being formed.  Every factor passes one
-positive-definiteness gate on its pivots, and every path reports a
-1-norm condition estimate.  The equivalent structural form solves the
-generalized least-squares problem on the bottom coordinates and
-re-aggregates.  :func:`reconciled_covariance` gives the covariance of
-the reconciliation error on demand.
+positive-definiteness gate on its pivots, and every path has a 1-norm
+condition estimate, which only :func:`project` computes.  The equivalent
+structural form solves the generalized least-squares problem on the
+bottom coordinates and re-aggregates; it factors ``W`` by the same core,
+as ``K W K'`` over the identity kernel.  :func:`reconciled_covariance`
+gives the covariance of the reconciliation error on demand.
 
 The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
@@ -33,7 +34,6 @@ slice, and no condition estimate.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -45,7 +45,6 @@ import scipy.sparse.linalg as spla
 from .covariance import (
     CovarianceModel,
     ResidualTableau,
-    _woodbury,
     cross_sectional_cov,
     cross_temporal_cov,
     temporal_cov,
@@ -110,29 +109,6 @@ class ReconciliationResult:
 
 def _as_dense(A) -> np.ndarray:
     return np.asarray(A.todense() if sp.issparse(A) else A, dtype=float)
-
-
-@dataclass(frozen=True)
-class _Factor:
-    """A factorization of a symmetric positive-definite matrix ``A``.
-
-    ``solve(b)`` returns ``A^{-1} b``; ``diagnostics`` name the
-    factorization and carry a 1-norm condition estimate of ``A``.
-    """
-
-    solve: Callable[[np.ndarray], np.ndarray]
-    diagnostics: dict
-
-
-def _factored(factorization: str, solve, condition) -> _Factor:
-    """The :class:`_Factor` of a factorizer's ``solve`` and ``condition()``."""
-    cond_est = condition()
-    diagnostics = {"factorization": factorization, "condition_estimate": cond_est}
-    if cond_est > _COND_WARN:
-        diagnostics["warning"] = (
-            f"ill-conditioned system (condition estimate {cond_est:.3e})"
-        )
-    return _Factor(solve, diagnostics)
 
 
 def _check_pivots(pivots: np.ndarray, context: str) -> None:
@@ -244,8 +220,25 @@ def _factor(G, context: str):
     return ("cholesky", *_cholesky(_as_dense(G), context))
 
 
-def _normal_factor(kernel, W: CovarianceModel, context: str) -> _Factor:
-    """Factor ``G = K W K'``.
+def _woodbury(solve, V, factor):
+    """Solver of ``A + V V'`` from a solver of ``A``, by the Woodbury identity.
+
+    ``(A + V V')^{-1} = A^{-1} - A^{-1} V C^{-1} V' A^{-1}`` with the
+    capacitance matrix ``C = I + V' A^{-1} V``; ``factor(C)`` returns a
+    solver of ``C``.  Only ``A^{-1} V`` and ``C`` are stored.
+    """
+    AiV = solve(V)
+    solve_c = factor(np.eye(V.shape[1]) + V.T @ AiV)
+
+    def solve_sum(b):
+        y = solve(b)
+        return y - AiV @ solve_c(V.T @ y)
+
+    return solve_sum
+
+
+def _normal_factor(kernel, W: CovarianceModel, context: str):
+    """Factor ``G = K W K'``; over ``K = I`` this factors ``W`` itself.
 
     ``G`` is assembled and factored by :func:`_factor`, except for a
     low-rank ``W = D + U U'`` over a non-empty kernel.  Then ``G0 = K D
@@ -253,19 +246,24 @@ def _normal_factor(kernel, W: CovarianceModel, context: str) -> _Factor:
     (KU)' G0^{-1} KU`` by :func:`_cholesky`, and ``G = G0 + KU (KU)'`` is
     solved by the Woodbury identity without being formed.  Its condition
     estimate is :func:`_norm1_estimate` over those solves times the same
-    estimate over products with ``G``; the estimates of ``G0`` and of the
-    capacitance matrix are not computed.
+    estimate over products with ``G``.
+
+    Returns ``(factorization, solve, condition)``, as :func:`_factor`.
     """
     r = kernel.shape[0]
     if W.structure != "low-rank" or r == 0:
-        return _factored(*_factor(kernel @ W.apply(kernel.T), context))
+        return _factor(kernel @ W.apply(kernel.T), context)
     G0 = kernel @ (sp.diags(W.diag_values) @ kernel.T)
     KU = np.asarray(kernel @ W.matrix.U)
     solve = _woodbury(
         _factor(G0, context)[1], KU, lambda C: _cholesky(C, context)[0]
     )
-    norm = _norm1_estimate(lambda b: G0 @ b + KU @ (KU.T @ b), r)
-    return _factored("woodbury", solve, lambda: norm * _norm1_estimate(solve, r))
+
+    def condition() -> float:
+        norm = _norm1_estimate(lambda b: G0 @ b + KU @ (KU.T @ b), r)
+        return norm * _norm1_estimate(solve, r)
+
+    return "woodbury", solve, condition
 
 
 def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
@@ -283,9 +281,14 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     if not np.all(np.isfinite(y)):
         raise InvalidEntry("forecast vector contains NaN or infinite entries")
     d0 = np.asarray(K @ y).ravel()
-    factor = _normal_factor(K, W, "project")
-    diagnostics = factor.diagnostics
-    adjustment = np.asarray(W.apply(K.T @ factor.solve(d0))).ravel()
+    factorization, solve, condition = _normal_factor(K, W, "project")
+    cond_est = condition()
+    diagnostics = {"factorization": factorization, "condition_estimate": cond_est}
+    if cond_est > _COND_WARN:
+        diagnostics["warning"] = (
+            f"ill-conditioned system (condition estimate {cond_est:.3e})"
+        )
+    adjustment = np.asarray(W.apply(K.T @ solve(d0))).ravel()
     y_tilde = y - adjustment
     diagnostics["constraint_residual"] = float(
         np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)
@@ -303,7 +306,10 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 
     Solves for ``beta`` minimizing the W-weighted distance of
     ``summing @ beta`` to ``y_hat`` and returns the re-aggregated vector;
-    equivalent to :func:`project` with the matching kernel.
+    equivalent to :func:`project` with the matching kernel.  ``W`` is
+    factored by :func:`_normal_factor` over the identity kernel, so it
+    passes the same factorization rule and pivot gate as ``K W K'``.
+    ``diagnostics`` hold ``beta`` only.
     """
     y = np.asarray(y_hat, dtype=float).ravel()
     S = _as_dense(summing)
@@ -311,17 +317,14 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
         raise DimensionMismatch(
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
-    WinvS = W.solve(S)
-    factor = _factored("cholesky", *_cholesky(S.T @ WinvS, "project_structural"))
-    diagnostics = factor.diagnostics
-    beta = factor.solve(WinvS.T @ y)
+    WinvS = _normal_factor(sp.identity(W.size), W, "project_structural")[1](S)
+    beta = _cholesky(S.T @ WinvS, "project_structural")[0](WinvS.T @ y)
     y_tilde = S @ beta
-    diagnostics["beta"] = beta
     return ReconciliationResult(
         y_tilde=y_tilde,
         adjustment=y - y_tilde,
         coherency_errors_before=np.zeros(0),
-        diagnostics=diagnostics,
+        diagnostics={"beta": beta},
     )
 
 
@@ -363,9 +366,9 @@ def reconciled_covariance(W: CovarianceModel, kernel) -> np.ndarray:
         raise DimensionMismatch(
             f"kernel has {kernel.shape[1]} columns, covariance has size {W.size}"
         )
-    factor = _normal_factor(kernel, W, "reconciled_covariance")
+    solve = _normal_factor(kernel, W, "reconciled_covariance")[1]
     WKt = _as_dense(W.apply(kernel.T))
-    return W.dense() - WKt @ factor.solve(WKt.T)
+    return W.dense() - WKt @ solve(WKt.T)
 
 
 def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:

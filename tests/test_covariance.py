@@ -23,6 +23,7 @@ from ctrec import (
     temporal_cov,
 )
 from ctrec.covariance import _lift_to_pd, _shrink_intensity
+from ctrec.reconcile import _normal_factor
 from tests.conftest import random_residuals
 
 
@@ -539,9 +540,10 @@ def test_low_rank_model_matches_its_dense_form(h):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     M = rng.standard_normal((W.size, 3))
+    solve = _normal_factor(sp.identity(W.size), W, "W")[1]
     for B in (M, M[:, 0]):
         assert_close(W.apply(B), Wd @ B)
-        assert_close(W.solve(B), np.linalg.solve(Wd, B))
+        assert_close(solve(B), np.linalg.solve(Wd, B))
     assert_close(W.apply(sp.csr_matrix(M)), Wd @ M)
     W.require_spd()
 

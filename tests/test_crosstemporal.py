@@ -5,8 +5,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrec.crosstemporal
 from ctrec import (
     DimensionMismatch,
+    HeuristicConfig,
     SingularSystem,
     bottom_up,
     build_cross_sectional,
@@ -14,12 +16,16 @@ from ctrec import (
     build_temporal,
     coherence_report,
     commutation_matrix,
+    iterative,
+    ka_two_step,
+    reconcile_cross_temporal,
     validate_raw_kernel,
 )
 from ctrec.covariance import CovarianceModel
 from ctrec.crosstemporal import numerical_rank
 from ctrec.reconcile import project
-from tests.conftest import random_hierarchy
+from ctrec.temporal import full_summing
+from tests.conftest import random_hierarchy, random_residuals
 
 # 2x3 numerical example: the permutation between the two vectorizations.
 COMMUTATION_6 = np.array(
@@ -346,3 +352,76 @@ def test_kernel_hf_rows_match_the_entrywise_oracle(m, h):
     got = build_cross_temporal(cs, ts, h).kernel[: want.shape[0]]
     assert got.nnz == want.nnz
     np.testing.assert_array_equal(got.toarray(), want.toarray())
+
+
+# ---------------------------------------------------------------------------
+# Structural matrices, built on first use
+
+
+LAZY = ("commutation", "struct_perm", "struct_summing", "struct_agg")
+
+
+def struct_perm_oracle(cs, ts, h):
+    """The per-bottom loop that built ``struct_perm`` eagerly."""
+    q, lf, hf = h * ts.cycle_len, h * ts.k_star, h * ts.m
+    perm = np.empty(cs.n * q, dtype=np.intp)
+    for i in range(cs.n_a):
+        perm[i * q : (i + 1) * q] = np.arange(i * q, (i + 1) * q)
+    base = cs.n_a * q
+    for ib in range(cs.n_b):
+        dst = (cs.n_a + ib) * q
+        perm[dst : dst + lf] = base + ib * lf + np.arange(lf)
+        perm[dst + lf : dst + q] = base + cs.n_b * lf + ib * hf + np.arange(hf)
+    return sp.csr_matrix((np.ones(perm.size), (np.arange(perm.size), perm)))
+
+
+def eager_structural_matrices(cs, ts, h):
+    """The four matrices as ``build_cross_temporal`` built them eagerly."""
+    q = h * ts.cycle_len
+    Q = struct_perm_oracle(cs, ts, h)
+    summing = sp.csr_matrix(
+        Q.T @ sp.kron(cs.summing_matrix, full_summing(ts, h), format="csr")
+    )
+    return {
+        "commutation": commutation_matrix(cs.n, q),
+        "struct_perm": Q,
+        "struct_summing": summing,
+        "struct_agg": sp.csr_matrix(summing[: cs.n_a * q + cs.n_b * h * ts.k_star]),
+    }
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_structural_matrices_equal_the_eager_construction(seed, h):
+    rng = np.random.default_rng(seed)
+    ts = build_temporal(int(rng.choice([1, 2, 3, 4, 6, 12])))
+    cs = random_hierarchy(rng, 8)
+    xts = build_cross_temporal(cs, ts, h)
+    for name, want in eager_structural_matrices(cs, ts, h).items():
+        got = getattr(xts, name)
+        assert (got.format, got.shape) == ("csr", want.shape), name
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+def test_solves_build_no_structural_matrix(monkeypatch):
+    built = []
+    real = ctrec.crosstemporal.build_full_temporal_kernel
+
+    def counted(ts, h):
+        built.append(h)
+        return real(ts, h)
+
+    monkeypatch.setattr(ctrec.crosstemporal, "build_full_temporal_kernel", counted)
+    rng = np.random.default_rng(3)
+    cs = build_cross_sectional([[1, 1, 1], [1, 1, 0]])
+    xts = build_cross_temporal(cs, build_temporal(4), 2)
+    residuals = random_residuals(rng, xts)
+    Y = rng.normal(size=(xts.n, xts.width))
+    config = HeuristicConfig()
+    reconcile_cross_temporal(Y, xts, "oct-wlsv", residuals)
+    ka_two_step(Y, xts, config, residuals)
+    iterative(Y, xts, config, residuals)
+    coherence_report(Y, xts)
+    assert built == [2]
+    assert not set(LAZY) & set(vars(xts))

@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import ctrec.io
 from ctrec import (
+    InvalidInput,
     ResidualTableau,
     build_cross_sectional,
     build_temporal,
@@ -63,12 +65,14 @@ def test_hierarchy_matrix_and_edges_agree(tmp_path, toy_file):
 
 
 def test_hierarchy_round_trip(tmp_path):
-    for labels in (
-        ["T", "A", "x", "y", "z"],
-        ["T", "a, b", "x", "y", "z"],
-        ["T", '"A" 1', "a, b", '"x" y', "z"],
+    two_by_three = [[1, 1, 1], [1, 1, 0]]
+    for C, labels in (
+        (two_by_three, ["T", "A", "x", "y", "z"]),
+        (two_by_three, ["T", "a, b", "x", "y", "z"]),
+        (two_by_three, ["T", '"A" 1', "a, b", '"x" y', "z"]),
+        ([[1, 1]], ["#T", "a", "b"]),  # not read back as a comment line
     ):
-        cs = build_cross_sectional([[1, 1, 1], [1, 1, 0]], labels)
+        cs = build_cross_sectional(C, labels)
         ts = build_temporal(12, factors=[12, 3, 1])
         path = tmp_path / "h.txt"
         write_hierarchy(path, cs, ts)
@@ -78,6 +82,13 @@ def test_hierarchy_round_trip(tmp_path):
         assert ts2.factors == ts.factors
         write_hierarchy(tmp_path / "h2.txt", cs2, ts2)
         assert (tmp_path / "h.txt").read_text() == (tmp_path / "h2.txt").read_text()
+
+
+@pytest.mark.parametrize("labels", [["T", "a\nb", "c"], ["T\r", "a", "b"]])
+def test_labels_with_line_breaks_are_rejected(labels):
+    bad = next(label for label in labels if "\n" in label or "\r" in label)
+    with pytest.raises(InvalidInput, match=re.escape(repr(bad))):
+        build_cross_sectional([[1, 1]], labels)
 
 
 def test_hierarchy_writer_bytes_for_plain_labels(tmp_path):
@@ -303,6 +314,86 @@ def test_cli_config_file(tmp_path, toy_file):
          "--config", str(cfg)],
     )
     assert result.exit_code == 0, result.output
+
+
+def _cli_output(tmp_path, toy_file, args, config=None):
+    """Exit code and written file of one run over the toy forecasts."""
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        args = args + ["--config", str(tmp_path / "cfg.txt")]
+    result = CliRunner().invoke(
+        main,
+        args + ["--in", str(tmp_path / "fc.csv"), "--residuals", str(tmp_path / "res.csv"),
+                "--hierarchy", str(toy_file), "--out", str(out)],
+    )
+    return result.exit_code, out.read_bytes() if out.exists() else result.output
+
+
+@pytest.mark.parametrize(
+    "flags, config, same_as",
+    [
+        (["--method", "oct-ols"], "method = bu\n", ["--method", "oct-ols"]),
+        ([], "method = oct-ols\n", ["--method", "oct-ols"]),
+        (["--method", "bu"], "method = t-struc\n", ["--method", "bu"]),
+        ([], "method = t-struc\n", ["--method", "t-struc"]),
+    ],
+)
+def test_cli_reconcile_flag_beats_config_which_fills_method(
+    tmp_path, toy_file, flags, config, same_as
+):
+    _write_forecasts(tmp_path, toy_file)
+    code, got = _cli_output(tmp_path, toy_file, ["reconcile", *flags], config)
+    assert code == 0, got
+    assert got == _cli_output(tmp_path, toy_file, ["reconcile", *same_as])[1]
+
+
+@pytest.mark.parametrize("config", [None, "max_iter = 3\n"])
+def test_cli_reconcile_without_a_method_exits_2(tmp_path, toy_file, config):
+    _write_forecasts(tmp_path, toy_file)
+    code, output = _cli_output(tmp_path, toy_file, ["reconcile"], config)
+    assert code == 2
+    assert "--method" in output
+
+
+@pytest.mark.parametrize(
+    "flags, config, same_as",
+    [
+        (["--temporal", "t-ols"], "temporal = t-struc\n", ["--temporal", "t-ols"]),
+        ([], "temporal = t-struc\n", ["--temporal", "t-struc"]),
+        (["--cross-sectional", "cs-ols"], "cross_sectional = cs-wls\n",
+         ["--cross-sectional", "cs-ols"]),
+        ([], "cross_sectional = cs-wls\n", ["--cross-sectional", "cs-wls"]),
+        (["--order", "cst"], "order = tcs\n", ["--order", "cst"]),
+        ([], "order = cst\n", ["--order", "cst"]),
+    ],
+)
+def test_cli_heuristic_flag_beats_config_which_fills_kinds(
+    tmp_path, toy_file, flags, config, same_as
+):
+    _write_forecasts(tmp_path, toy_file)
+    code, got = _cli_output(tmp_path, toy_file, ["heuristic", *flags], config)
+    assert code == 0, got
+    assert got == _cli_output(tmp_path, toy_file, ["heuristic", *same_as])[1]
+    assert got != _cli_output(tmp_path, toy_file, ["heuristic"])[1]
+
+
+@pytest.mark.parametrize(
+    "flags, config, code",
+    [
+        (["--max-iter", "1", "--delta", "1e-300"], "max_iter = 100\ndelta = 1e-3\n", 4),
+        ([], "max_iter = 1\ndelta = 1e-300\n", 4),
+        (["--max-iter", "100", "--delta", "1e-3"], "max_iter = 1\ndelta = 1e-300\n", 0),
+    ],
+)
+def test_cli_heuristic_flag_beats_config_which_fills_stop_rule(
+    tmp_path, toy_file, flags, config, code
+):
+    _write_forecasts(tmp_path, toy_file)
+    with CliRunner().isolated_filesystem():  # the trace of exit 4 lands here
+        got = _cli_output(tmp_path, toy_file, ["heuristic", "--iterative", *flags], config)
+    assert got[0] == code, got[1]
 
 
 def test_cli_synth_reconcile_evaluate_pipeline(tmp_path, toy_file):

@@ -455,6 +455,54 @@ def test_indefinite_diagonal_w_raises_on_sparse_path(large, j):
         project(np.ones(xts.size), W, xts.kernel)
 
 
+def w_of_each_structure(rng, size):
+    """One positive-definite W of each of the five structures."""
+    d = rng.uniform(0.5, 2.0, size)
+    blocks = [
+        B @ B.T + np.eye(len(B))
+        for B in np.array_split(rng.normal(size=(size, 3)), -(-size // 3))
+    ]
+    U = rng.normal(size=(size, 2))
+    A = rng.normal(size=(size, size))
+    return [
+        identity_w(size),
+        CovarianceModel(kind="w", structure="diagonal", size=size, diag_values=d),
+        CovarianceModel(
+            kind="w", structure="block-diagonal", size=size, matrix=sp.block_diag(blocks)
+        ),
+        CovarianceModel(kind="w", structure="low-rank", size=size, diag_values=d, matrix=U),
+        CovarianceModel(
+            kind="w", structure="full", size=size, matrix=A @ A.T + size * np.eye(size)
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 2, 4, 1), (8, 2, 4, 2), (32, 4, 12, 1)]  # size 49, 154, 1036
+)
+def test_structural_form_matches_projection_for_every_structure(shape):
+    xts = grouped_structure(*shape)
+    rng = np.random.default_rng(xts.size)
+    y = rng.normal(size=xts.size)
+    S = xts.struct_perm @ xts.struct_summing
+    for W in w_of_each_structure(rng, xts.size):
+        via_kernel = project(y, W, xts.kernel).y_tilde
+        gap = relative_gap(project_structural(y, W, S).y_tilde, via_kernel)
+        assert gap <= 1e-10, W.structure
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 4, 1), (32, 4, 12, 1)])  # Cholesky; sparse LU
+def test_structural_form_rejects_an_indefinite_block_diagonal_w(shape):
+    xts = grouped_structure(*shape)
+    d = np.ones(xts.size)
+    d[3] = -1.0
+    W = CovarianceModel(
+        kind="w", structure="block-diagonal", size=xts.size, matrix=sp.diags(d)
+    )
+    with pytest.raises(SingularSystem, match="project_structural"):
+        project_structural(np.ones(xts.size), W, xts.struct_perm @ xts.struct_summing)
+
+
 def test_empty_kernel_takes_dense_path(large):
     xts, y, residuals = large
     for W in (identity_w(xts.size), cross_temporal_cov("oct-shr", xts, residuals)):
