@@ -12,14 +12,14 @@ Three menus are provided, one per reconciliation dimension:
   for the series-major vectorization;
 * cross-sectional (``cs-``): per time point, ``n x n``; the ``oct-`` menu
   over one temporal level (``cs-wls`` is its ``wlsh``);
-* temporal (``t-``): per series, ``h(k*+m)`` square; apart from its Markov
-  family (``t-strar1``, ``t-sar1``, ``t-har1``), the ``oct-`` menu over
-  one series.
+* temporal (``t-``): per series, ``h(k*+m)`` square; the ``oct-`` menu over
+  one series, plus the Markov family (``t-strar1``, ``t-sar1``, ``t-har1``):
+  AR(1) correlation blocks scaled by the ``struc``, ``wlsv`` or ``wlsh`` diagonal.
 
-One estimator, :func:`_estimate`, serves all three menus but the Markov
-family, and every residual input is read as a :class:`ResidualTableau`.
-Every model is built once per cycle (series-major) and extended to ``h``
-forecast cycles by :func:`_extend`.
+One estimator, :func:`_estimate`, serves all three menus.  It reads every
+residual input as a :class:`ResidualTableau`, level by level through
+:func:`_levels`, builds each model once per cycle (series-major), extended
+to ``h`` forecast cycles, and assembles block-diagonal ones in one place.
 
 A model multiplies (``apply``) and densifies (``dense``) but does not
 solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .crosstemporal import CrossTemporalStructure, commutation_matrix
+from .crosstemporal import CrossTemporalStructure
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -120,8 +120,7 @@ class ResidualTableau:
             )
         if vals.shape[1] < 1:
             raise InvalidInput("residual tableau needs at least one cycle")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidEntry("residual tableau contains NaN or infinite entries")
+        _finite(vals, "residual tableau")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -264,9 +263,7 @@ def _spd_factor(A: np.ndarray, label: str):
     try:
         return scipy.linalg.cho_factor(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            f"{label}: matrix is not positive definite"
-        ) from exc
+        raise SingularCovariance(f"{label}: matrix is not positive definite") from exc
 
 
 def _identity(kind: str, size: int) -> CovarianceModel:
@@ -275,25 +272,41 @@ def _identity(kind: str, size: int) -> CovarianceModel:
 
 def _diagonal(kind: str, d: np.ndarray, **kw) -> CovarianceModel:
     d = np.asarray(d, dtype=float)
-    model = CovarianceModel(
-        kind=kind, structure="diagonal", size=d.size, diag_values=d, **kw
-    )
+    model = CovarianceModel(kind, "diagonal", d.size, diag_values=d, **kw)
     model.require_spd()
     return model
 
 
 def _full(kind: str, A: np.ndarray, **kw) -> CovarianceModel:
     """Dense model of a matrix that already passed the SPD gate."""
-    A = np.asarray(A, dtype=float)
     A = 0.5 * (A + A.T)
-    return CovarianceModel(kind=kind, structure="full", size=A.shape[0], matrix=A, **kw)
+    return CovarianceModel(kind, "full", A.shape[0], matrix=A, **kw)
 
 
-def _block_diagonal(kind: str, A, **kw) -> CovarianceModel:
-    A = sp.csr_matrix(A)
-    return CovarianceModel(
-        kind=kind, structure="block-diagonal", size=A.shape[0], matrix=A, **kw
-    )
+def _finite(A, what: str) -> np.ndarray:
+    """``A`` as a float array, or :class:`InvalidEntry` on NaN or infinity."""
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise InvalidEntry(f"{what} contains NaN or infinite entries")
+    return A
+
+
+def _block_diagonal(kind: str, pairs, ts: TemporalStructure, h: int, n: int, **kw):
+    """Block-diagonal CSR model of ``n`` series over ``h`` cycles from
+    ``(rows, blocks)`` pairs: ``blocks`` (``b x s x s``, or broadcast to it)
+    sit on the rows and columns ``rows`` (``b x s``) of one cycle's
+    series-major layout, in every cycle.  Zeros are not stored."""
+    pos = _cycle_positions(ts, h, n)
+    coo = []
+    for rows, blocks in pairs:
+        R = pos[:, rows]  # (h, b, s)
+        shape = R.shape + R.shape[-1:]
+        coo.append([np.broadcast_to(x, shape).ravel()
+                    for x in (blocks, R[..., :, None], R[..., None, :])])
+    data, r, c = map(np.concatenate, zip(*coo))
+    A = sp.csr_matrix((data, (r, c)), shape=(pos.size, pos.size))
+    A.eliminate_zeros()
+    return CovarianceModel(kind, "block-diagonal", pos.size, matrix=A, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +314,28 @@ def _block_diagonal(kind: str, A, **kw) -> CovarianceModel:
 
 
 def sample_mse(E: np.ndarray) -> np.ndarray:
-    """Uncentered second-moment matrix ``E E' / N`` of residual rows."""
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    return (E @ E.T) / E.shape[1]
+    """Uncentered second-moment matrix ``E E' / N`` of residual rows ``E``
+    (``p x N``, or a stack of them); NaN or infinity raises InvalidEntry."""
+    E = _finite(np.atleast_2d(E), "residual matrix")
+    return (E @ np.swapaxes(E, -1, -2)) / E.shape[-1]
 
 
 def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """Ridge-lift borderline sample matrices; reject truly indefinite ones.
 
-    A smallest eigenvalue within ``-_RIDGE * trace`` of zero is treated as
+    ``A`` is one matrix or a stack.  A stack takes one batched Cholesky
+    attempt, and only when that fails is each matrix gated on its own.  A
+    smallest eigenvalue within ``-_RIDGE * trace`` of zero is treated as
     small-sample noise and lifted; anything below that aborts.  The
     eigenvalue is only computed when a Cholesky attempt fails.
     """
-    A = 0.5 * (A + A.T)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    if A.ndim > 2:
+        try:
+            np.linalg.cholesky(A)
+            return A
+        except np.linalg.LinAlgError:
+            return np.stack([_lift_to_pd(a, label) for a in A])
     try:
         _spd_factor(A, label)
         return A
@@ -346,34 +368,32 @@ def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
 
 def shrink(
     sample: np.ndarray,
-    target: np.ndarray | None = None,
     residuals: np.ndarray | None = None,
     lam: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Shrink a sample moment matrix toward its diagonal.
 
-    Returns ``lam * target + (1 - lam) * sample`` together with the
-    intensity used.  When ``lam`` is not supplied it is estimated from the
-    residuals by :func:`_shrink_intensity`.
+    Returns ``lam * diag(sample) + (1 - lam) * sample``, with the sample's
+    diagonal kept bit for bit, and the intensity used.  Without ``lam`` the
+    intensity is estimated from ``residuals``, the sample's ``p x N``
+    residual rows, by :func:`_shrink_intensity`.  NaN or infinite entries
+    in ``sample`` or ``residuals`` raise :class:`InvalidEntry`.
     """
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
+    sample = _finite(np.atleast_2d(sample), "sample matrix")
     d = np.diag(sample)
     if np.any(d == 0):
         raise DegenerateSample("sample matrix has a zero diagonal entry")
-    diagonal_target = target is None
-    if diagonal_target:
-        target = np.diag(d)
+    if residuals is not None:
+        residuals = _finite(np.atleast_2d(residuals), "residual matrix")
     if lam is None:
         if residuals is None:
             raise InvalidInput("shrink needs residuals unless lam is given")
-        E = np.atleast_2d(np.asarray(residuals, dtype=float))
-        if E.shape[0] != sample.shape[0]:
+        if residuals.shape[0] != sample.shape[0]:
             raise DimensionMismatch("residual rows do not match the sample matrix")
-        lam = _shrink_intensity(E, d, sample)
+        lam = _shrink_intensity(residuals, d, sample)
     lam = float(min(1.0, max(0.0, lam)))
-    combined = lam * target + (1.0 - lam) * sample
-    if diagonal_target:
-        np.fill_diagonal(combined, d)  # keep the diagonal bit-exact
+    combined = lam * np.diag(d) + (1.0 - lam) * sample
+    np.fill_diagonal(combined, d)  # keep the diagonal bit-exact
     return combined, lam
 
 
@@ -428,36 +448,33 @@ def _per_level(ts: TemporalStructure, values) -> np.ndarray:
     return np.repeat(values, [ts.M_k[k] for k in ts.factors])
 
 
-def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
-    """Extend a per-cycle model to ``h`` independent forecast cycles.
-
-    ``A`` is a diagonal (1-D), a square matrix, or a tall factor ``U`` of
-    ``U U'``, over ``n`` series, series-major, each series in the
-    within-cycle layout.  Returns the series-major, level-blocked form of
-    ``I_h (x) A``: a scattered diagonal, a sparse matrix, or a dense factor
-    with its rows scattered and one column block per cycle.  For ``h = 1``
-    this is ``A`` itself.
-    """
-    if h == 1:
-        return A
+def _cycle_positions(ts: TemporalStructure, h: int, n: int) -> np.ndarray:
+    """``(h, n (k*+m))``: where value ``v`` of one cycle's series-major
+    layout sits, in cycle ``c``, in the level-blocked layout of ``h`` cycles."""
     cl = ts.cycle_len
     start = _per_level(ts, [ts.level_slice(k).start for k in ts.factors])
     M = _per_level(ts, [ts.M_k[k] for k in ts.factors])
     # Value u of cycle c sits at u + (h-1) start(u) + c M(u) of its series.
     pos = np.arange(cl) + (h - 1) * start + np.arange(h)[:, None] * M
-    # Index (c, i, u) of I_h (x) A -> series i, position pos[c, u].
-    perm = (pos[:, None, :] + h * cl * np.arange(n)[:, None]).ravel()
+    return (pos[:, None, :] + h * cl * np.arange(n)[:, None]).reshape(h, -1)
+
+
+def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
+    """Extend a diagonal (1-D) or a tall factor ``U`` of ``U U'`` over ``n``
+    series, series-major, each in the within-cycle layout, to ``h`` cycles:
+    the series-major, level-blocked form of ``I_h (x) A``, with a factor's
+    rows scattered and one column block per cycle; for ``h = 1``, ``A`` itself."""
+    if h == 1:
+        return A
+    pos = _cycle_positions(ts, h, n)
     if np.ndim(A) == 1:
-        out = np.empty(perm.size)
-        out[perm] = np.tile(A, h)
+        out = np.empty(pos.size)
+        out[pos] = A
         return out
-    if A.shape[0] != A.shape[1]:
-        q = A.shape[1]
-        out = np.zeros((perm.size, h * q))
-        out[perm.reshape(h, -1, 1), np.arange(h * q).reshape(h, 1, q)] = A
-        return out
-    K = sp.kron(sp.identity(h), A, format="coo")
-    return sp.coo_matrix((K.data, (perm[K.row], perm[K.col])), shape=K.shape)
+    q = A.shape[1]
+    out = np.zeros((pos.size, h * q))
+    out[pos[:, :, None], np.arange(h * q).reshape(h, 1, q)] = A
+    return out
 
 
 def _residual_tableau(kind: str, residuals, n: int, ts: TemporalStructure):
@@ -476,14 +493,28 @@ def _residual_tableau(kind: str, residuals, n: int, ts: TemporalStructure):
     return residuals
 
 
-def _level_mse(res: ResidualTableau) -> np.ndarray:
-    """Mean squared residual of every series at every level, spread over
-    the series' within-cycle positions."""
+def _levels(res: ResidualTableau):
+    """Yield ``(k, rows, E)`` per level ``k``: the ``n x M_k`` series-major
+    positions of the level in one cycle, and their ``n x M_k x N`` residuals."""
     ts = res.ts
-    return np.concatenate([
-        _per_level(ts, [np.mean(Ei[ts.level_slice(k)] ** 2) for k in ts.factors])
-        for Ei in map(res.series_block, range(res.n))
-    ])
+    V = res.values.reshape(res.n, ts.cycle_len, -1)
+    first = ts.cycle_len * np.arange(res.n)[:, None]
+    for k in ts.factors:
+        slc = ts.level_slice(k)
+        yield k, first + np.arange(slc.start, slc.stop), V[:, slc]
+
+
+def _lag1_autocorr(X: np.ndarray) -> np.ndarray:
+    """Uncentered lag-1 autocorrelation of every row of ``X``, kept inside
+    the open unit interval."""
+    num = (X[:, None, :-1] @ X[:, 1:, None])[:, 0, 0]
+    den = (X[:, None] @ X[:, :, None])[:, 0, 0]
+    rho = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+    return np.clip(rho, -1.0 + 1e-8, 1.0 - 1e-8)
+
+
+# The Markov families scale AR(1) correlation blocks by these diagonals.
+_MARKOV_SCALE = {"strar1": "struc", "sar1": "wlsv", "har1": "wlsh"}
 
 
 def _estimate(
@@ -498,17 +529,20 @@ def _estimate(
     n, cl = len(d_series), ts.cycle_len
     if family == "ols":
         return _identity(kind, n * cl * h)
-    if family == "struc":
+    res = None if family == "struc" else _residual_tableau(kind, residuals, n, ts)
+    scale = _MARKOV_SCALE.get(family, family)
+    if scale == "struc":
         d = np.kron(d_series, _per_level(ts, ts.factors))
+    elif scale == "wlsh":
+        d = np.mean(res.values * res.values, axis=1)
+    elif scale == "wlsv":  # each series' mean square at each level
+        d = np.empty(n * cl)
+        for _, rows, E in _levels(res):
+            d[rows] = np.mean(E**2, axis=(1, 2))[:, None]
+    if family in ("struc", "wlsh", "wlsv"):
         return _diagonal(kind, _extend(d, ts, h, n))
 
-    res = _residual_tableau(kind, residuals, n, ts)
     E, N = res.values, res.n_cycles  # E: n(k*+m) x N, series-major
-    if family == "wlsh":
-        return _diagonal(kind, _extend(np.mean(E * E, axis=1), ts, h, n))
-    if family == "wlsv":
-        return _diagonal(kind, _extend(_level_mse(res), ts, h, n))
-
     if family in ("shr", "sam"):
         if family == "sam":
             # Named as the menu counts rows: cs- per series, t- per position.
@@ -528,41 +562,39 @@ def _estimate(
                     matrix=_extend(np.sqrt((1.0 - lam) / N) * E, ts, h, n), lam=lam,
                 )
         A, lam = _sample_estimate(kind, E, shrunk=family == "shr")
+        if h == 1:
+            return _full(kind, A, lam=lam)
         # Copies of one PD cycle block stay PD after extension.
-        ext = _extend(A, ts, h, n)
-        if sp.issparse(ext):
-            return _block_diagonal(kind, ext, lam=lam)
-        return _full(kind, ext, lam=lam)
+        return _block_diagonal(kind, [(np.arange(n * cl)[None], A)], ts, h, n, lam=lam)
 
-    if family in ("bdsam", "bdshr", "bdsam-l"):
+    # One pass per level; each family's blocks cover that level's positions.
+    if family == "acov":
+        _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
+    elif family.startswith("bd"):
         _require(N > n, kind, "N > n", f"got N={N}, n={n}")
-        # One n x n block per within-cycle position, time-major.
-        blocks, lams = [], []
-        for k in ts.factors:
-            if family == "bdsam-l":
-                blocks += [
-                    _sample_estimate(kind, res.level_slice_matrix(k, l), False)[0]
-                    for l in range(ts.M_k[k])
-                ]
-            else:
-                B, lam = _sample_estimate(
-                    kind, res.level_matrix(k), shrunk=family == "bdshr"
-                )
-                blocks += [B] * ts.M_k[k]
-                lams.append(lam)
-        P = commutation_matrix(n, cl)  # time-major -> series-major
-        A = P @ sp.block_diag(blocks, format="csr") @ P.T
-        lam = float(np.mean(lams)) if family == "bdshr" else None
-        return _block_diagonal(kind, _extend(A, ts, h, n), lam=lam)
-
-    # acov: per-series level-wise autocovariance blocks.
-    _require(N > ts.m, kind, "N > m", f"got N={N}, m={ts.m}")
-    blocks = [
-        _lift_to_pd(sample_mse(Ei[ts.level_slice(k)]), kind)
-        for Ei in map(res.series_block, range(n))
-        for k in ts.factors
-    ]
-    return _block_diagonal(kind, _extend(sp.block_diag(blocks), ts, h, n))
+    elif np.any(d <= 0):
+        raise SingularCovariance(f"{kind}: zero variance on a node")
+    pairs, lams, rho = [], [], {}
+    for k, rows, E in _levels(res):
+        if family == "acov":  # per series, over its level-k positions
+            pairs.append((rows, _lift_to_pd(sample_mse(E), kind)))
+        elif family == "bdsam-l":  # per position, over the series
+            pairs.append((rows.T, _lift_to_pd(sample_mse(E.transpose(1, 0, 2)), kind)))
+        elif family in ("bdsam", "bdshr"):  # per level, at each of its positions
+            B, lam = _sample_estimate(kind, res.level_matrix(k), family == "bdshr")
+            pairs.append((rows.T, B))
+            lams.append(lam)
+        else:  # Markov: per series, AR(1) correlations scaled by sqrt(d)
+            rho[k] = _lag1_autocorr(res.level_matrix(k))
+            lag = np.abs(rows[0] - rows[0][:, None])
+            r = np.sqrt(d[rows])
+            # With |rho| < 1 the blocks are PD; the diagonal scaling keeps them so.
+            pairs.append((rows, r[:, :, None] * rho[k][:, None, None] ** lag * r[:, None, :]))
+    return _block_diagonal(
+        kind, pairs, ts, h, n, lam=float(np.mean(lams)) if family == "bdshr" else None,
+        # The Markov kinds are temporal kinds: one series.
+        rho={k: float(rho[k][0]) for k in ts.factors[1:]} if rho else None,
+    )
 
 
 def cross_temporal_cov(
@@ -601,22 +633,6 @@ def cross_sectional_cov(
     return _estimate(kind, family, _ONE_LEVEL, 1, d_series, residuals)
 
 
-def _lag1_autocorr(x: np.ndarray) -> float:
-    """Uncentered lag-1 autocorrelation, kept inside the open unit interval."""
-    x = np.asarray(x, dtype=float).ravel()
-    denom = float(np.dot(x, x))
-    if denom == 0 or x.size < 2:
-        return 0.0
-    rho = float(np.dot(x[:-1], x[1:]) / denom)
-    cap = 1.0 - 1e-8
-    return min(cap, max(-cap, rho))
-
-
-def _ar1_toeplitz(rho: float, size: int) -> np.ndarray:
-    idx = np.arange(size)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
-
-
 def temporal_cov(
     kind: str,
     ts: TemporalStructure,
@@ -632,28 +648,4 @@ def temporal_cov(
     """
     if kind not in T_KINDS:
         raise InvalidInput(f"unknown temporal covariance kind {kind!r}")
-    if kind not in ("t-strar1", "t-sar1", "t-har1"):
-        return _estimate(kind, kind[2:], ts, h, [1.0], residuals)
-
-    # Markov family: scaled AR(1) correlation blocks per level.
-    res = _residual_tableau(kind, residuals, 1, ts)
-    E = res.values
-    rho = {
-        k: _lag1_autocorr(E[ts.level_slice(k)].T.ravel())
-        for k in ts.factors[1:]
-    }
-    if kind == "t-strar1":
-        d = _per_level(ts, ts.factors)
-    elif kind == "t-sar1":
-        d = _level_mse(res)
-    else:  # t-har1
-        d = np.mean(E * E, axis=1)
-    if np.any(d <= 0):
-        raise SingularCovariance(f"{kind}: zero variance on a node")
-    gamma = sp.block_diag(
-        [np.ones((1, 1))] + [_ar1_toeplitz(rho[k], ts.M_k[k]) for k in ts.factors[1:]]
-    )
-    # AR(1) correlation blocks with |rho| < 1 are PD; the diagonal scaling
-    # preserves that.
-    root = sp.diags(np.sqrt(d))
-    return _block_diagonal(kind, _extend(root @ gamma @ root, ts, h), rho=rho)
+    return _estimate(kind, kind[2:], ts, h, [1.0], residuals)

@@ -67,8 +67,9 @@ class HeuristicConfig:
             )
         if not (isinstance(self.tolerance, (int, float)) and math.isfinite(self.tolerance) and self.tolerance > 0):
             raise InvalidInput("tolerance must be a finite positive number")
-        if self.max_iterations < 1:
-            raise InvalidInput("max_iterations must be at least 1")
+        it = self.max_iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+            raise InvalidInput(f"max_iterations must be an integer of at least 1, got {it!r}")
 
 
 def _averaged_cs_projector(

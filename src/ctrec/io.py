@@ -486,15 +486,21 @@ def read_residuals(
 # Config files
 
 
+_CONFIG_KEYS = ("method", "temporal", "cross_sectional", "order", "delta", "max_iter")
+
+
 def read_config(path) -> dict:
-    """Parse a ``key = value`` config file mirroring the CLI flags."""
+    """Parse a ``key = value`` config file of the CLI flags in ``_CONFIG_KEYS``."""
     out = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"config line {lineno}: expected key = value")
+            raise FormatError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,12 +12,14 @@ from ctrec import (
     OCT_KINDS,
     T_KINDS,
     DegenerateSample,
+    InvalidEntry,
     OrderingMismatch,
     ResidualTableau,
     SingularCovariance,
     build_cross_sectional,
     build_cross_temporal,
     build_temporal,
+    commutation_matrix,
     cross_sectional_cov,
     cross_temporal_cov,
     sample_mse,
@@ -24,7 +28,7 @@ from ctrec import (
 )
 from ctrec.covariance import _lift_to_pd, _shrink_intensity
 from ctrec.reconcile import _normal_factor
-from tests.conftest import random_residuals
+from tests.conftest import random_hierarchy, random_residuals
 
 
 def shrink_lambda_oracle(E):
@@ -81,6 +85,24 @@ def test_shrink_two_by_two_hand_case():
 def test_shrink_degenerate():
     with pytest.raises(DegenerateSample):
         shrink(np.diag([1.0, 0.0]), lam=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moment_estimators_reject_non_finite_entries(bad):
+    E = np.array([[1.0, -0.5, 0.25], [0.5, 2.0, -1.0]])
+    S = sample_mse(E)
+    E_bad, S_bad = E.copy(), S.copy()
+    E_bad[1, 2] = bad
+    S_bad[0, 1] = S_bad[1, 0] = bad
+    with pytest.raises(InvalidEntry, match="residual matrix"):
+        sample_mse(E_bad)
+    with pytest.raises(InvalidEntry, match="sample matrix"):
+        shrink(S_bad, lam=0.5)
+    with pytest.raises(InvalidEntry, match="sample matrix"):
+        shrink([[1.0, bad], [bad, 2.0]], residuals=E)
+    for lam in (None, 0.5):
+        with pytest.raises(InvalidEntry, match="residual matrix"):
+            shrink(S, residuals=E_bad, lam=lam)
 
 
 def test_cs_menu_basics():
@@ -455,6 +477,22 @@ def test_ridge_lift_and_indefinite_rejection():
         _lift_to_pd(np.diag([1.0, -1.0]), "test")
 
 
+def test_stacked_lift_treats_each_slice_as_the_single_matrix_lift():
+    good = np.array([[2.0, 0.5], [0.5, 1.0]])
+    # min eigenvalue -1e-12, within the ridge tolerance of 2e-8
+    borderline = np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]])
+    alone = _lift_to_pd(borderline, "test")
+    assert not np.array_equal(alone, borderline)  # the lift did act
+    out = _lift_to_pd(np.stack([good, borderline, good]), "test")
+    np.testing.assert_array_equal(out, np.stack([good, alone, good]))
+    np.testing.assert_array_equal(_lift_to_pd(np.stack([good, good]), "test"), [good, good])
+    indefinite = np.diag([1.0, -1.0])
+    with pytest.raises(SingularCovariance) as single:
+        _lift_to_pd(indefinite, "test")
+    with pytest.raises(SingularCovariance, match=re.escape(str(single.value))):
+        _lift_to_pd(np.stack([good, borderline, indefinite]), "test")
+
+
 def test_residual_tableau_views(toy):
     ts = toy.ts
     cl = ts.cycle_len
@@ -566,3 +604,103 @@ def test_shrinkage_edges_keep_the_dense_and_diagonal_forms(toy):
     W = cross_temporal_cov("oct-shr", toy, E)
     assert W.structure == "full"
     np.testing.assert_array_equal(W.dense(), shrink(sample_mse(E), residuals=E)[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions: one Python pass per series and level, sp.block_diag,
+# the commutation-conjugated time-major bd* form and the sparse Markov product
+
+
+def level_mse_oracle(E, ts, n):
+    """Looped mean square of every series at every level, spread over the
+    series' within-cycle positions."""
+    cl, widths = ts.cycle_len, [ts.M_k[k] for k in ts.factors]
+    return np.concatenate([
+        np.repeat([np.mean(E[i * cl : (i + 1) * cl][ts.level_slice(k)] ** 2)
+                   for k in ts.factors], widths)
+        for i in range(n)
+    ])
+
+
+def lag1_oracle(x):
+    denom = float(np.dot(x, x))
+    if denom == 0:
+        return 0.0
+    cap = 1.0 - 1e-8
+    return min(cap, max(-cap, float(np.dot(x[:-1], x[1:]) / denom)))
+
+
+def menu_oracle(kind, family, ts, d_series, E):
+    """One cycle of ``family`` for ``n = len(d_series)`` series, built as
+    the estimators did before the per-level passes: ``(dense, lam, rho)``."""
+    n, cl = len(d_series), ts.cycle_len
+    widths = [ts.M_k[k] for k in ts.factors]
+    struc = np.kron(d_series, np.repeat(ts.factors, widths)).astype(float)
+    if family == "ols":
+        return np.eye(n * cl), None, None
+    if family == "struc":
+        return np.diag(struc), None, None
+    res = ResidualTableau(E, n, ts)
+    wlsh, wlsv = np.mean(E * E, axis=1), level_mse_oracle(E, ts, n)
+    if family in ("wlsh", "wlsv"):
+        return np.diag(wlsh if family == "wlsh" else wlsv), None, None
+    if family == "sam":
+        return _lift_to_pd(sample_mse(E), kind), None, None
+    if family == "shr":
+        return (*shrink(sample_mse(E), residuals=E), None)
+    if family == "acov":
+        blocks = [_lift_to_pd(sample_mse(res.series_block(i)[ts.level_slice(k)]), kind)
+                  for i in range(n) for k in ts.factors]
+        return sp.block_diag(blocks).toarray(), None, None
+    if family.startswith("bd"):
+        blocks, lams = [], []  # time-major: one n x n block per position
+        for k in ts.factors:
+            if family == "bdsam-l":
+                blocks += [_lift_to_pd(sample_mse(res.level_slice_matrix(k, l)), kind)
+                           for l in range(ts.M_k[k])]
+                continue
+            Ek = res.level_matrix(k)
+            if family == "bdshr":
+                B, lam = shrink(sample_mse(Ek), residuals=Ek)
+                lams.append(lam)
+            else:
+                B = _lift_to_pd(sample_mse(Ek), kind)
+            blocks += [B] * ts.M_k[k]
+        P = commutation_matrix(n, cl)
+        A = P @ sp.block_diag(blocks, format="csr") @ P.T
+        return A.toarray(), float(np.mean(lams)) if lams else None, None
+    d = {"strar1": struc, "sar1": wlsv, "har1": wlsh}[family]
+    rho = {k: lag1_oracle(E[ts.level_slice(k)].T.ravel()) for k in ts.factors[1:]}
+    gamma = sp.block_diag([np.ones((1, 1))] + [
+        rho[k] ** np.abs(np.subtract.outer(np.arange(ts.M_k[k]), np.arange(ts.M_k[k])))
+        for k in ts.factors[1:]
+    ])
+    root = sp.diags(np.sqrt(d))
+    return (root @ gamma @ root).toarray(), None, rho
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
+def test_every_menu_matches_its_reference_construction(m, h):
+    rng = np.random.default_rng(100 * m + h)
+    cs, ts = random_hierarchy(rng, n_max=6), build_temporal(m)
+    xts = build_cross_temporal(cs, ts, h)
+    res = random_residuals(rng, xts, n_cycles=xts.n * ts.cycle_len + 3)
+    E, d_series = res.values, cs.summing_matrix @ np.ones(cs.n_b)
+    one_level = build_temporal(1)
+    cases = [(cross_temporal_cov(kind, xts, res), kind[4:], ts, h, d_series, E)
+             for kind in OCT_KINDS]
+    cases += [(temporal_cov(kind, ts, res.series_block(i), h=h), kind[2:], ts, h,
+               [1.0], res.series_block(i))
+              for kind in T_KINDS for i in range(xts.n)]
+    cases += [(cross_sectional_cov(kind, cs, res.level_matrix(k)),
+               "wlsh" if kind == "cs-wls" else kind[3:], one_level, 1, d_series,
+               res.level_matrix(k))
+              for kind in CS_KINDS for k in ts.factors]
+    for W, family, ts_, h_, d_, E_ in cases:
+        A, lam, rho = menu_oracle(W.kind, family, ts_, d_, E_)
+        want = extension_oracle(A, ts_, h_, len(d_))
+        got = W.dense()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), W.kind
+        assert W.lam == pytest.approx(lam, rel=1e-15, abs=0), W.kind
+        assert W.rho == (None if rho is None else pytest.approx(rho, rel=1e-15, abs=0))

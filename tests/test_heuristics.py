@@ -41,6 +41,13 @@ def test_config_validation():
         HeuristicConfig(cross_sectional_kind="cs-nope")
 
 
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True, "3"])
+def test_config_rejects_a_max_iterations_that_is_not_an_integer(bad):
+    with pytest.raises(InvalidInput, match="max_iterations must be an integer"):
+        HeuristicConfig(max_iterations=bad)
+    assert HeuristicConfig(max_iterations=np.int64(3)).max_iterations == 3
+
+
 def test_coherent_input_is_fixed_point(toy):
     rng = np.random.default_rng(0)
     tab = bottom_up(rng.normal(size=(2, 4)), toy)

@@ -316,6 +316,21 @@ def test_cli_config_file(tmp_path, toy_file):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("command", [["heuristic"], ["reconcile", "--method", "bu"]])
+@pytest.mark.parametrize(
+    "line, message",
+    [("temporl = t-ols", "unknown key 'temporl'"), ("temporal t-ols", "expected key = value")],
+)
+def test_cli_bad_config_line_exits_2_naming_file_and_line(
+    tmp_path, toy_file, command, line, message
+):
+    _write_forecasts(tmp_path, toy_file)
+    config = f"# the third line is bad\norder = tcs\n{line}\n"
+    code, output = _cli_output(tmp_path, toy_file, command, config)
+    assert code == 2, output
+    assert f"{tmp_path / 'cfg.txt'}: line 3: {message}" in output
+
+
 def _cli_output(tmp_path, toy_file, args, config=None):
     """Exit code and written file of one run over the toy forecasts."""
     out = tmp_path / "out.csv"
