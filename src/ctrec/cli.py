@@ -70,7 +70,7 @@ def _load(hierarchy, h):
 
 def _apply_config(config_path, overrides: dict) -> dict:
     """Config file values fill in options the command line left at None."""
-    cfg = fio.read_config(config_path) if config_path else {}
+    cfg = fio.read_config(config_path, _CONFIG_KEYS) if config_path else {}
     return {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
 
 
@@ -82,6 +82,8 @@ _HEURISTIC_KEYS = {
     "delta": ("tolerance", float),
     "max_iter": ("max_iterations", int),
 }
+# The keys a config file may set: one file may serve both commands.
+_CONFIG_KEYS = ("method", *_HEURISTIC_KEYS)
 
 
 def _heuristic_settings(cfg: dict) -> dict:

@@ -263,7 +263,9 @@ def _spd_factor(A: np.ndarray, label: str):
     try:
         return scipy.linalg.cho_factor(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"{label}: matrix is not positive definite") from exc
+        raise SingularCovariance(
+            f"{label}: matrix is not positive definite"
+        ) from exc
 
 
 def _identity(kind: str, size: int) -> CovarianceModel:
@@ -272,15 +274,18 @@ def _identity(kind: str, size: int) -> CovarianceModel:
 
 def _diagonal(kind: str, d: np.ndarray, **kw) -> CovarianceModel:
     d = np.asarray(d, dtype=float)
-    model = CovarianceModel(kind, "diagonal", d.size, diag_values=d, **kw)
+    model = CovarianceModel(
+        kind=kind, structure="diagonal", size=d.size, diag_values=d, **kw
+    )
     model.require_spd()
     return model
 
 
 def _full(kind: str, A: np.ndarray, **kw) -> CovarianceModel:
     """Dense model of a matrix that already passed the SPD gate."""
+    A = np.asarray(A, dtype=float)
     A = 0.5 * (A + A.T)
-    return CovarianceModel(kind, "full", A.shape[0], matrix=A, **kw)
+    return CovarianceModel(kind=kind, structure="full", size=A.shape[0], matrix=A, **kw)
 
 
 def _finite(A, what: str) -> np.ndarray:
@@ -323,19 +328,14 @@ def sample_mse(E: np.ndarray) -> np.ndarray:
 def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """Ridge-lift borderline sample matrices; reject truly indefinite ones.
 
-    ``A`` is one matrix or a stack.  A stack takes one batched Cholesky
-    attempt, and only when that fails is each matrix gated on its own.  A
+    ``A`` is one matrix or a stack, whose matrices are gated one by one.  A
     smallest eigenvalue within ``-_RIDGE * trace`` of zero is treated as
     small-sample noise and lifted; anything below that aborts.  The
-    eigenvalue is only computed when a Cholesky attempt fails.
+    eigenvalue is only computed when the Cholesky attempt fails.
     """
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
     if A.ndim > 2:
-        try:
-            np.linalg.cholesky(A)
-            return A
-        except np.linalg.LinAlgError:
-            return np.stack([_lift_to_pd(a, label) for a in A])
+        return np.stack([_lift_to_pd(a, label) for a in A])
+    A = 0.5 * (A + A.T)
     try:
         _spd_factor(A, label)
         return A

@@ -486,11 +486,8 @@ def read_residuals(
 # Config files
 
 
-_CONFIG_KEYS = ("method", "temporal", "cross_sectional", "order", "delta", "max_iter")
-
-
-def read_config(path) -> dict:
-    """Parse a ``key = value`` config file of the CLI flags in ``_CONFIG_KEYS``."""
+def read_config(path, keys) -> dict:
+    """Parse a ``key = value`` config file; a key outside ``keys`` is a FormatError."""
     out = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
@@ -500,7 +497,7 @@ def read_config(path) -> dict:
             raise FormatError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out

@@ -175,8 +175,10 @@ def test_residuals_round_trip(tmp_path, toy_file):
 def test_read_config(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("# comment\nmethod = oct-wlsv\nmax-iter = 7\n")
-    cfg = read_config(p)
+    cfg = read_config(p, ("method", "max_iter"))
     assert cfg == {"method": "oct-wlsv", "max_iter": "7"}
+    with pytest.raises(FormatError, match="line 3: unknown key 'max_iter'"):
+        read_config(p, ("method",))
 
 
 # ---------------------------------------------------------------------------
