@@ -65,8 +65,11 @@ class HeuristicConfig:
             raise InvalidInput(
                 f"average must be 'plain' or 'weighted', got {self.average!r}"
             )
-        if not (isinstance(self.tolerance, (int, float)) and math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InvalidInput("tolerance must be a finite positive number")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not (
+            math.isfinite(tol) and tol > 0
+        ):
+            raise InvalidInput(f"tolerance must be a finite positive number, got {tol!r}")
         it = self.max_iterations
         if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
             raise InvalidInput(f"max_iterations must be an integer of at least 1, got {it!r}")

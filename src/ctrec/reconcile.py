@@ -17,7 +17,14 @@ Cholesky-factored.  A diagonal-plus-low-rank ``W = D + U U'`` (the
 shrinkage kinds with fewer residual cycles than values) takes a third
 path, ``woodbury``: ``G0 = K D K'`` is factored by that rule, and ``G =
 G0 + (K U)(K U)'`` is solved through the Cholesky factor of the small
-capacitance matrix without being formed.  Every factor passes one
+capacitance matrix without being formed.  A fourth path, ``two-stage``,
+serves the cross-temporal kernel ``[K_c ; I_n (x) Z]`` when its structure
+comes with it, ``G`` has at least ``_SPARSE_MIN_RANK`` rows and ``W`` is
+block-diagonal by series (the ``ols``, ``struc``, ``wlsh``, ``wlsv`` and
+``acov`` kinds): block elimination of the temporal rows, one batched
+Cholesky of the per-series ``Z W_i Z'``, then one factorization of the
+cross-sectional Schur complement.  It is exact, the counterpart of the
+temporal-first two-step heuristic.  Every factor passes one
 positive-definiteness gate on its pivots, and every path has a 1-norm
 condition estimate, which only :func:`project` computes.  The equivalent
 structural form solves the generalized least-squares problem on the
@@ -28,8 +35,8 @@ gives the covariance of the reconciliation error on demand.
 The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
 materialized projectors, built by :func:`_projectors` as one stack: one
-batched dense Cholesky of every ``K W K'``, the same pivot gate on each
-slice, and no condition estimate.
+batched dense Cholesky of every ``K W K'`` (the helper the two-stage path
+uses), the same pivot gate on each slice, and no condition estimate.
 """
 
 from __future__ import annotations
@@ -79,6 +86,10 @@ _COND_WARN = 1e12
 # Fill-in decides the rest: the block-diagonal oct-bdshr, at 21% fill, ties
 # at rank 1304 (54 vs 52 ms) and loses at rank 680 (12 -> 19 ms); at 37-42%
 # fill it loses at every rank (14 -> 37 ms at rank 652).
+# The rank rule also gates the two-stage path.  Factor, condition estimate
+# and one solve, sparse LU -> two-stage: about 4.4 -> 2.9 ms per series-block
+# kind at rank 652, 30 -> 21 ms (oct-ols) and 66 -> 21 ms (oct-acov) at rank
+# 7016; at rank 131 it loses to the dense Cholesky (0.7-1.1 -> 2.3-2.6 ms).
 _SPARSE_MIN_RANK = 400
 _SPARSE_MAX_FILL = 0.15
 
@@ -89,11 +100,12 @@ class ReconciliationResult:
 
     ``coherency_errors_before`` is the negated constraint residual of the
     input; ``diagnostics`` records the factorization used
-    (``"factorization"``: ``"woodbury"`` for a diagonal-plus-low-rank
-    ``W``, ``"sparse-lu"`` for a large, sparse ``K W K'``, else
-    ``"cholesky"``), a 1-norm condition estimate of the normal-equations
-    matrix (with a ``"warning"`` above 1e12), and the post-solve maximum
-    constraint violation.
+    (``"factorization"``: ``"two-stage"`` for a large cross-temporal
+    solve with a ``W`` block-diagonal by series, ``"woodbury"`` for a
+    diagonal-plus-low-rank ``W``, ``"sparse-lu"`` for a large, sparse ``K
+    W K'``, else ``"cholesky"``), a 1-norm condition estimate of the
+    normal-equations matrix (with a ``"warning"`` above 1e12), and the
+    post-solve maximum constraint violation.
     """
 
     y_tilde: np.ndarray
@@ -237,12 +249,101 @@ def _woodbury(solve, V, factor):
     return solve_sum
 
 
-def _normal_factor(kernel, W: CovarianceModel, context: str):
+def _batched_cholesky(G: np.ndarray, context: str) -> np.ndarray:
+    """Lower Cholesky factors of a stack of symmetric matrices (symmetrized
+    first), each slice gated by :func:`_check_pivots` against its own
+    largest pivot."""
+    try:
+        L = np.linalg.cholesky(0.5 * (G + np.swapaxes(G, -1, -2)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"{context}: normal-equations matrix could not be factorized"
+        ) from exc
+    _check_pivots(np.diagonal(L, axis1=-2, axis2=-1) ** 2, context)
+    return L
+
+
+def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
+    """The ``(n, q, q)`` stack of the diagonal blocks ``W_i`` of a ``W``
+    that is block-diagonal by series (``q = W.size / n`` values each), or
+    ``None`` when ``W`` is low-rank, full, or stores an entry between two
+    series (read from the COO indices of a block-diagonal ``W``)."""
+    q = W.size // n
+    if W.structure in ("identity", "diagonal"):
+        blocks = np.zeros((n, q, q))
+        blocks[:, np.arange(q), np.arange(q)] = W.diagonal().reshape(n, q)
+        return blocks
+    if W.structure != "block-diagonal":
+        return None
+    A = sp.coo_matrix(W.matrix)
+    series = A.row // q
+    if np.any(A.col // q != series):
+        return None
+    flat = (series * q + A.row % q) * q + A.col % q
+    return np.bincount(flat, weights=A.data, minlength=n * q * q).reshape(n, q, q)
+
+
+def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context: str):
+    """Factor ``G = K W K'`` over the kernel ``K = [K_c ; I_n (x) Z]`` of
+    ``xts`` for ``W = blkdiag(W_i)``, given as the stack ``blocks`` of the
+    ``W_i``, by block elimination of the temporal rows.
+
+    Stage one factors every ``B_i = Z W_i Z'`` by one batched Cholesky,
+    inverts the factors, and keeps ``B_i^{-1}``, ``P_i = B_i^{-1} Z W_i[:,
+    hf]`` and the temporally reconciled ``M_i = W_i[hf, hf] - W_i[hf, :] Z'
+    P_i`` on the ``hf`` highest-frequency columns, the only ones ``K_c``
+    reads.  Stage two factors the Schur complement ``S = K_h blkdiag(M_i)
+    K_h'`` by :func:`_factor`, where ``K_h`` is ``K_c`` on those columns.
+    ``G [x1; x2] = [b1; b2]`` is then solved by ``y2 = B^{-1} b2``, ``x1 =
+    S^{-1} (b1 - K_h P' b2)`` and ``x2 = y2 - P K_h' x1``: batched
+    products, one ``S`` solve and two sparse products.  The condition
+    estimate is :func:`_norm1_estimate` over that solve times the same
+    estimate over products with ``G``.
+
+    Returns ``(factorization, solve, condition)``, as :func:`_factor`.
+    """
+    K, n, q = xts.kernel, xts.n, xts.width
+    Z = _as_dense(xts.temporal_kernel)
+    rz, hf = Z.shape[0], xts.h * xts.ts.m
+    hf_cols = slice(q - hf, q)  # the last h m values of every series
+    ZW = Z @ blocks
+    L = _batched_cholesky(ZW @ Z.T, f"{context}, temporal stage")
+    # dtrtri never fails on a gated factor, but rejects an empty one.
+    Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if rz else L
+    V = Linv @ ZW[:, :, hf_cols]  # L_i^{-1} Z W_i[:, hf]
+    Linv_t = np.swapaxes(Linv, 1, 2)
+    B_inv, P = Linv_t @ Linv, Linv_t @ V
+    M = blocks[:, hf_cols, hf_cols] - np.swapaxes(V, 1, 2) @ V
+    rc = K.shape[0] - n * rz
+    K_h = K[:rc][:, (q * np.arange(n)[:, None] + np.arange(q - hf, q)).ravel()]
+    M_bd = sp.bsr_matrix((M, np.arange(n), np.arange(n + 1)), shape=(n * hf, n * hf))
+    solve_s = _factor(K_h @ M_bd @ K_h.T, f"{context}, cross-sectional stage")[1]
+    P_t = np.swapaxes(P, 1, 2)
+
+    def solve(b):
+        b = np.asarray(b, dtype=float)
+        k = b[0].size if b.ndim > 1 else 1
+        b2 = b[rc:].reshape(n, rz, k)
+        x1 = solve_s(b[:rc].reshape(rc, k) - K_h @ (P_t @ b2).reshape(n * hf, k))
+        x2 = B_inv @ b2 - P @ (K_h.T @ x1).reshape(n, hf, k)
+        return np.concatenate([x1, x2.reshape(n * rz, k)]).reshape(b.shape)
+
+    def condition() -> float:
+        norm = _norm1_estimate(lambda b: K @ W.apply(K.T @ b), K.shape[0])
+        return norm * _norm1_estimate(solve, K.shape[0])
+
+    return "two-stage", solve, condition
+
+
+def _normal_factor(kernel, W: CovarianceModel, context: str, xts=None):
     """Factor ``G = K W K'``; over ``K = I`` this factors ``W`` itself.
 
-    ``G`` is assembled and factored by :func:`_factor`, except for a
-    low-rank ``W = D + U U'`` over a non-empty kernel.  Then ``G0 = K D
-    K'`` is factored by :func:`_factor`, the capacitance matrix ``I +
+    When ``kernel`` comes with its :class:`CrossTemporalStructure`
+    ``xts``, has at least ``_SPARSE_MIN_RANK`` rows and ``W`` stores no
+    entry between two series, ``G`` is factored by :func:`_two_stage`.
+    Otherwise ``G`` is assembled and factored by :func:`_factor`, except
+    for a low-rank ``W = D + U U'`` over a non-empty kernel.  Then ``G0 =
+    K D K'`` is factored by :func:`_factor`, the capacitance matrix ``I +
     (KU)' G0^{-1} KU`` by :func:`_cholesky`, and ``G = G0 + KU (KU)'`` is
     solved by the Woodbury identity without being formed.  Its condition
     estimate is :func:`_norm1_estimate` over those solves times the same
@@ -251,6 +352,10 @@ def _normal_factor(kernel, W: CovarianceModel, context: str):
     Returns ``(factorization, solve, condition)``, as :func:`_factor`.
     """
     r = kernel.shape[0]
+    if xts is not None and r >= _SPARSE_MIN_RANK:
+        blocks = _series_blocks(W, xts.n)
+        if blocks is not None:
+            return _two_stage(xts, W, blocks, context)
     if W.structure != "low-rank" or r == 0:
         return _factor(kernel @ W.apply(kernel.T), context)
     G0 = kernel @ (sp.diags(W.diag_values) @ kernel.T)
@@ -272,16 +377,23 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     ``kernel`` is an ``r x s`` full-row-rank constraint matrix (dense or
     sparse); ``W`` must be positive definite.
     """
+    return _project(y_hat, W, kernel)
+
+
+def _project(y_hat, W: CovarianceModel, kernel, xts=None) -> ReconciliationResult:
+    """:func:`project`, told the structure ``xts`` whose kernel ``kernel`` is."""
     y = np.asarray(y_hat, dtype=float).ravel()
     K = kernel
     if K.shape[1] != y.size:
         raise DimensionMismatch(
             f"kernel has {K.shape[1]} columns, forecast vector has {y.size}"
         )
+    if W.size != y.size:
+        raise DimensionMismatch(f"covariance has size {W.size}, forecast vector has {y.size}")
     if not np.all(np.isfinite(y)):
         raise InvalidEntry("forecast vector contains NaN or infinite entries")
     d0 = np.asarray(K @ y).ravel()
-    factorization, solve, condition = _normal_factor(K, W, "project")
+    factorization, solve, condition = _normal_factor(K, W, "project", xts)
     cond_est = condition()
     diagnostics = {"factorization": factorization, "condition_estimate": cond_est}
     if cond_est > _COND_WARN:
@@ -331,18 +443,11 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 def _projectors(kernel, models) -> np.ndarray:
     """The ``(len(models), s, s)`` stack of dense projectors ``I - W K' (K W
     K')^{-1} K`` over one ``r x s`` kernel: one batched Cholesky ``K W K' =
-    L L'``, each slice gated against its own largest pivot, and ``I - (V
-    W)' V`` with ``V = L^{-1} K``.  No condition estimate is computed."""
+    L L'`` by :func:`_batched_cholesky`, and ``I - (V W)' V`` with ``V =
+    L^{-1} K``.  No condition estimate is computed."""
     K = _as_dense(kernel)
     KW = K @ np.stack([model.dense() for model in models])
-    G = KW @ K.T
-    try:
-        L = np.linalg.cholesky(0.5 * (G + np.swapaxes(G, -1, -2)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            "projector: normal-equations matrix could not be factorized"
-        ) from exc
-    _check_pivots(np.diagonal(L, axis1=-2, axis2=-1) ** 2, "projector")
+    L = _batched_cholesky(KW @ K.T, "projector")
     B = np.concatenate([np.broadcast_to(K, KW.shape), KW], axis=-1)
     V, VW = np.split(np.linalg.solve(L, B), 2, axis=-1)  # L^{-1} K, L^{-1} K W
     return np.eye(K.shape[1]) - np.swapaxes(VW, -1, -2) @ V
@@ -488,7 +593,7 @@ def reconcile_cross_temporal(
     tableau = _as_tableau(Y_hat, xts)
     if W is None:
         W = cross_temporal_cov(kind, xts, residuals)
-    res = project(tableau.vec_by_variable, W, xts.kernel)
+    res = _project(tableau.vec_by_variable, W, xts.kernel, xts)
     out = tableau.with_values(
         res.y_tilde.reshape(xts.n, xts.width), provenance=f"reconciled:{W.kind}"
     )

@@ -29,6 +29,8 @@ def test_config_validation():
         HeuristicConfig(tolerance=0.0)
     with pytest.raises(InvalidInput):
         HeuristicConfig(tolerance=-1e-6)
+    with pytest.raises(InvalidInput):  # bool is an int, but not a tolerance
+        HeuristicConfig(tolerance=True)
     with pytest.raises(InvalidInput):
         HeuristicConfig(max_iterations=0)
     with pytest.raises(InvalidInput):

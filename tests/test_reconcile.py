@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +36,8 @@ from ctrec import (
     reconciled_covariance,
     temporal_cov,
 )
-from ctrec.reconcile import _projectors, projector
-from tests.conftest import random_residuals, random_structure
+from ctrec.reconcile import _projectors, _series_blocks, _two_stage, projector
+from tests.conftest import random_hierarchy, random_residuals, random_structure
 
 
 def identity_w(size):
@@ -392,20 +393,25 @@ def relative_gap(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("kind", ["oct-ols", "oct-wlsv", "oct-acov", "oct-shr"])
+def reconcile_flat(y, xts, W):
+    return reconcile_cross_temporal(y.reshape(xts.n, xts.width), xts, W=W)
+
+
+@pytest.mark.parametrize("kind", ["oct-ols", "oct-struc", "oct-wlsv", "oct-acov", "oct-shr"])
 def test_sparse_path_matches_dense_and_structural_oracles(large, kind):
     xts, y, residuals = large
     K = xts.kernel
     W = cross_temporal_cov(kind, xts, residuals)
-    res = project(y, W, K)
-    # oct-shr: 39 residual cycles, Woodbury over a sparse-LU K D K'
-    path = "woodbury" if kind == "oct-shr" else "sparse-lu"
-    assert res.diagnostics["factorization"] == path
     dense = y - W.apply(K.T) @ np.linalg.solve(normal_matrix(K, W), K @ y)
-    assert relative_gap(res.y_tilde, dense) <= 1e-10
-    structural = project_structural(y, W, xts.struct_perm @ xts.struct_summing)
-    assert relative_gap(res.y_tilde, structural.y_tilde) <= 1e-10
-    assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
+    structural = project_structural(y, W, xts.struct_perm @ xts.struct_summing).y_tilde
+    # The bare kernel keeps the sparse LU, the structure's takes the two-stage
+    # path; oct-shr (39 residual cycles) is Woodbury over a sparse-LU K D K'.
+    paths = ("woodbury",) * 2 if kind == "oct-shr" else ("sparse-lu", "two-stage")
+    for res, path in zip((project(y, W, K), reconcile_flat(y, xts, W)), paths):
+        assert res.diagnostics["factorization"] == path
+        assert relative_gap(res.y_tilde, dense) <= 1e-10
+        assert relative_gap(res.y_tilde, structural) <= 1e-10
+        assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
 
 
 def test_dense_path_for_full_dense_or_small_normal_matrices():
@@ -425,14 +431,17 @@ def test_dense_path_for_full_dense_or_small_normal_matrices():
     assert project(y, W, small.kernel).diagnostics["factorization"] == "cholesky"
 
 
-@pytest.mark.parametrize("kind", ["oct-wlsv", "oct-acov", "oct-bdshr", "oct-shr"])
+@pytest.mark.parametrize(
+    "kind", ["oct-ols", "oct-struc", "oct-wlsv", "oct-acov", "oct-bdshr", "oct-shr"]
+)
 def test_condition_estimate_within_factor_two(kind):
     xts = grouped_structure(32, 4, 12, 1)
     y, residuals = seeded_inputs(xts)
     W = cross_temporal_cov(kind, xts, residuals)
-    diagnostics = project(y, W, xts.kernel).diagnostics
     true = np.linalg.cond(normal_matrix(xts.kernel, W), 1)
-    assert true / 2 <= diagnostics["condition_estimate"] <= true * 2
+    # The bare kernel; the structure's, two-stage for oct-wlsv and oct-acov
+    for res in (project(y, W, xts.kernel), reconcile_flat(y, xts, W)):
+        assert true / 2 <= res.diagnostics["condition_estimate"] <= true * 2
 
 
 @pytest.mark.parametrize("row", [0, 5, 100, 2000])
@@ -509,6 +518,122 @@ def test_empty_kernel_takes_dense_path(large):
         res = project(y, W, sp.csr_matrix((0, xts.size)))
         assert res.diagnostics["factorization"] == "cholesky"
         np.testing.assert_array_equal(res.y_tilde, y)
+
+
+# ---------------------------------------------------------------------------
+# W block-diagonal by series: the two-stage path
+
+
+SERIES_BLOCK_KINDS = ["oct-ols", "oct-struc", "oct-wlsv", "oct-acov"]
+
+
+def two_stage(xts, W):
+    """The two-stage factorization of ``K W K'``, whatever the rank."""
+    return _two_stage(xts, W, _series_blocks(W, xts.n), "test")
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
+def test_two_stage_matches_dense_and_structural_oracles(m, h):
+    rng = np.random.default_rng(100 * m + h)
+    xts = build_cross_temporal(random_hierarchy(rng, n_max=7), build_temporal(m), h)
+    residuals = random_residuals(rng, xts)
+    K = xts.kernel
+    y = rng.normal(size=xts.size)
+    S = xts.struct_perm @ xts.struct_summing
+    for kind in SERIES_BLOCK_KINDS:
+        W = cross_temporal_cov(kind, xts, residuals)
+        name, solve, _ = two_stage(xts, W)
+        assert name == "two-stage"
+        G = normal_matrix(K, W)
+        b = rng.normal(size=(K.shape[0], 3))
+        assert relative_gap(solve(b), np.linalg.solve(G, b)) <= 1e-10, kind
+        assert relative_gap(solve(b[:, 0]), np.linalg.solve(G, b[:, 0])) <= 1e-10, kind
+        y_tilde = y - W.apply(K.T @ solve(K @ y))
+        dense = y - W.apply(K.T @ np.linalg.solve(G, K @ y))
+        assert relative_gap(y_tilde, dense) <= 1e-10, kind
+        assert relative_gap(y_tilde, project_structural(y, W, S).y_tilde) <= 1e-10, kind
+
+
+def test_two_stage_matches_sparse_lu_at_size_11816():
+    xts = grouped_structure(200, 10, 12, 2)
+    y, residuals = seeded_inputs(xts)
+    W = cross_temporal_cov("oct-acov", xts, residuals)
+    res = reconcile_flat(y, xts, W)
+    assert res.diagnostics["factorization"] == "two-stage"
+    sparse = project(y, W, xts.kernel)
+    assert sparse.diagnostics["factorization"] == "sparse-lu"
+    assert relative_gap(res.y_tilde, sparse.y_tilde) <= 1e-10
+    assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
+
+
+def test_factorization_routing_through_the_structure():
+    medium = grouped_structure(32, 4, 12, 1)  # rank 652
+    y, residuals = seeded_inputs(medium)
+    for kind in SERIES_BLOCK_KINDS + ["oct-wlsh"]:
+        res = reconcile_flat(y, medium, cross_temporal_cov(kind, medium, residuals))
+        assert res.diagnostics["factorization"] == "two-stage", kind
+    routes = {"oct-bdshr": "cholesky", "oct-shr": "woodbury"}  # series coupled
+    for kind, path in routes.items():
+        res = reconcile_flat(y, medium, cross_temporal_cov(kind, medium, residuals))
+        assert res.diagnostics["factorization"] == path, kind
+    small = grouped_structure(32, 4, 4, 1)  # rank 131, under the rank rule
+    y, residuals = seeded_inputs(small)
+    for kind in SERIES_BLOCK_KINDS:
+        res = reconcile_flat(y, small, cross_temporal_cov(kind, small, residuals))
+        assert res.diagnostics["factorization"] == "cholesky", kind
+
+
+def test_one_entry_between_series_falls_back_to_the_sparse_lu(large):
+    xts, y, residuals = large
+    A = sp.lil_matrix(cross_temporal_cov("oct-acov", xts, residuals).matrix)
+    q = xts.width
+    A[q - 1, q] = A[q, q - 1] = 0.1 * np.sqrt(A[q - 1, q - 1] * A[q, q])
+    W = CovarianceModel(kind="w", structure="block-diagonal", size=xts.size, matrix=A.tocsr())
+    assert _series_blocks(W, xts.n) is None
+    res = reconcile_flat(y, xts, W)
+    assert res.diagnostics["factorization"] == "sparse-lu"
+    dense = y - W.apply(xts.kernel.T) @ np.linalg.solve(
+        normal_matrix(xts.kernel, W), xts.kernel @ y
+    )
+    assert relative_gap(res.y_tilde, dense) <= 1e-10
+
+
+@pytest.mark.parametrize("structure", ["diagonal", "block-diagonal"])
+def test_indefinite_series_block_raises_from_the_temporal_stage(structure):
+    xts = grouped_structure(32, 4, 12, 1)
+    d = np.ones(xts.size)
+    d[5 * xts.width : 6 * xts.width] = -1.0  # W_5 = -I: B_5 = -Z Z'
+    W = CovarianceModel(
+        kind="w", structure=structure, size=xts.size,
+        diag_values=d if structure == "diagonal" else None,
+        matrix=sp.diags(d).tocsr() if structure == "block-diagonal" else None,
+    )
+    with pytest.raises(SingularSystem, match="project, temporal stage"):
+        reconcile_flat(np.ones(xts.size), xts, W)
+
+
+def test_indefinite_g_with_definite_series_blocks_raises_from_the_cross_sectional_stage(
+    large,
+):
+    # test_indefinite_diagonal_w_raises_on_sparse_path's W at j = 500 with
+    # d_j = -1 makes B_8 indefinite too.  With d_j = -1/2, G is indefinite
+    # and every B_i definite, as the leverages of column j in K (0.71) and
+    # in Z (0.63) lie on either side of 1 / (1 - d_j) = 2/3.
+    xts = large[0]
+    j = 500
+    d = np.ones(xts.size)
+    d[j] = -0.5
+    W = CovarianceModel(kind="w", structure="diagonal", size=xts.size, diag_values=d)
+    Z = xts.temporal_kernel.toarray()
+    for i in range(xts.n):
+        B = Z @ (d[i * xts.width : (i + 1) * xts.width, None] * Z.T)
+        assert np.min(np.linalg.eigvalsh(B)) > 0
+    K = xts.kernel
+    x = scipy.sparse.linalg.spsolve(sp.csc_matrix(K @ K.T), K[:, [j]].toarray().ravel())
+    assert x @ (K @ W.apply(K.T @ x)) < 0  # a direction of negative curvature
+    with pytest.raises(SingularSystem, match="project, cross-sectional stage"):
+        reconcile_flat(np.ones(xts.size), xts, W)
 
 
 # ---------------------------------------------------------------------------
