@@ -128,22 +128,20 @@ def info(hierarchy, h):
 
 
 def _reconcile_one(method, vals, h, cs, ts, xts, residuals):
+    """The reconciled tableau, and the cross-temporal solve's result (else
+    ``None``)."""
     tab = xts.tableau(vals)
-    diagnostics = {}
     if method == "bu":
         hf = vals[cs.n_a :, ts.level_slice(1, h)]
-        out = bottom_up(hf, xts)
-    elif method.startswith("cs-"):
-        out = reconcile_cross_sectional_tableau(tab, method, residuals)
-    elif method.startswith("t-"):
-        out = reconcile_temporal(tab, method, residuals)
-    elif method.startswith("oct-"):
+        return bottom_up(hf, xts), None
+    if method.startswith("cs-"):
+        return reconcile_cross_sectional_tableau(tab, method, residuals), None
+    if method.startswith("t-"):
+        return reconcile_temporal(tab, method, residuals), None
+    if method.startswith("oct-"):
         res = reconcile_cross_temporal(tab, xts, method, residuals)
-        out = res.tableau
-        diagnostics = res.diagnostics
-    else:
-        raise InvalidInput(f"unknown method {method!r}")
-    return out, diagnostics
+        return res.tableau, res
+    raise InvalidInput(f"unknown method {method!r}")
 
 
 @main.command()
@@ -194,18 +192,18 @@ def reconcile(method, in_path, residuals_path, hierarchy, out_path, config_path)
         if res_dir is not None:
             res = fio.read_residuals(res_dir / src.name, cs, ts)
         before = coherence_report(vals, xts)
-        out, diagnostics = _reconcile_one(method, vals, h, cs, ts, xts, res)
+        out, solved = _reconcile_one(method, vals, h, cs, ts, xts, res)
         after = coherence_report(out.values, xts)
         fio.write_values(dst, out.values, cs, ts)
         click.echo(f"{src.name}: d_cs {before[0]:.6g} -> {after[0]:.6g}, "
                    f"d_te {before[1]:.6g} -> {after[1]:.6g}")
-        if "condition_estimate" in diagnostics:
+        if solved is not None:
             click.echo(
-                f"  {diagnostics['factorization']}, "
-                f"condition estimate: {diagnostics['condition_estimate']:.3e}"
+                f"  {solved.diagnostics['factorization']}, "
+                f"condition estimate: {solved.condition_estimate:.3e}"
             )
-        if "warning" in diagnostics:
-            click.echo(f"  warning: {diagnostics['warning']}")
+            if solved.warning is not None:
+                click.echo(f"  warning: {solved.warning}")
     click.echo(f"wrote {len(targets)} reconciled file(s) to {out_path}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidInput, SingularSystem
+from .errors import DimensionMismatch, InvalidEntry, InvalidInput, SingularSystem
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
 from .temporal import TemporalStructure, build_full_temporal_kernel, full_summing
@@ -252,7 +252,8 @@ def coherence_report(Y, structure: CrossTemporalStructure) -> tuple[float, float
     """Gross discrepancies ``(d_cs, d_te)`` of a tableau.
 
     Entrywise L1 norms of the cross-sectional constraint residual and of
-    the temporal constraint residual.
+    the temporal constraint residual.  A NaN or infinite entry raises
+    :class:`InvalidEntry`.
     """
     vals = Y.values if isinstance(Y, ForecastTableau) else np.atleast_2d(np.asarray(Y, dtype=float))
     if vals.shape != (structure.n, structure.width):
@@ -260,6 +261,8 @@ def coherence_report(Y, structure: CrossTemporalStructure) -> tuple[float, float
             f"tableau shape {vals.shape} does not match structure "
             f"({structure.n}, {structure.width})"
         )
+    if not np.all(np.isfinite(vals)):
+        raise InvalidEntry("tableau contains NaN or infinite entries")
     d_cs = float(np.abs(structure.cs.kernel @ vals).sum())
     d_te = float(np.abs(structure.temporal_kernel @ vals.T).sum())
     return d_cs, d_te

@@ -24,13 +24,15 @@ block-diagonal by series (the ``ols``, ``struc``, ``wlsh``, ``wlsv`` and
 ``acov`` kinds): block elimination of the temporal rows, one batched
 Cholesky of the per-series ``Z W_i Z'``, then one factorization of the
 cross-sectional Schur complement.  It is exact, the counterpart of the
-temporal-first two-step heuristic.  Every factor passes one
+temporal-first two-step heuristic; a diagonal ``W`` stays a stack of
+diagonals there and scales the columns of ``Z``.  Every factor passes one
 positive-definiteness gate on its pivots, and every path has a 1-norm
-condition estimate, which only :func:`project` computes.  The equivalent
-structural form solves the generalized least-squares problem on the
-bottom coordinates and re-aggregates; it factors ``W`` by the same core,
-as ``K W K'`` over the identity kernel.  :func:`reconciled_covariance`
-gives the covariance of the reconciliation error on demand.
+condition estimate, which the result of :func:`project` computes on
+first access.  The equivalent structural form solves the generalized
+least-squares problem on the bottom coordinates and re-aggregates; it
+factors ``W`` by the same core, as ``K W K'`` over the identity kernel.
+:func:`reconciled_covariance` gives the covariance of the reconciliation
+error on demand.
 
 The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
@@ -41,8 +43,9 @@ uses), the same pivot gate on each slice, and no condition estimate.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -73,7 +76,7 @@ __all__ = [
     "reconcile_cross_temporal",
 ]
 
-# Condition estimates beyond this trigger a diagnostics warning, not an error.
+# Condition estimates beyond this trigger a result's warning, not an error.
 _COND_WARN = 1e12
 
 # K W K' is factored by sparse LU when it has at least _SPARSE_MIN_RANK rows
@@ -103,9 +106,14 @@ class ReconciliationResult:
     (``"factorization"``: ``"two-stage"`` for a large cross-temporal
     solve with a ``W`` block-diagonal by series, ``"woodbury"`` for a
     diagonal-plus-low-rank ``W``, ``"sparse-lu"`` for a large, sparse ``K
-    W K'``, else ``"cholesky"``), a 1-norm condition estimate of the
-    normal-equations matrix (with a ``"warning"`` above 1e12), and the
-    post-solve maximum constraint violation.
+    W K'``, else ``"cholesky"``) and the post-solve maximum constraint
+    violation (``"constraint_residual"``).
+
+    ``condition_estimate`` is a 1-norm condition estimate of the
+    normal-equations matrix, computed on first access and then kept;
+    ``warning`` names an estimate above 1e12.  Both are ``None`` for a
+    result that made no ``K W K'`` solve (the heuristics).  Until the
+    estimate is read, the result holds the factorization it needs.
     """
 
     y_tilde: np.ndarray
@@ -113,10 +121,22 @@ class ReconciliationResult:
     coherency_errors_before: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     tableau: ForecastTableau | None = None
+    _condition: Callable[[], float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def reconciled(self):
         return self.tableau if self.tableau is not None else self.y_tilde
+
+    @cached_property
+    def condition_estimate(self) -> float | None:
+        return None if self._condition is None else self._condition()
+
+    @property
+    def warning(self) -> str | None:
+        cond = self.condition_estimate
+        if cond is not None and cond > _COND_WARN:
+            return f"ill-conditioned system (condition estimate {cond:.3e})"
+        return None
 
 
 def _as_dense(A) -> np.ndarray:
@@ -264,15 +284,15 @@ def _batched_cholesky(G: np.ndarray, context: str) -> np.ndarray:
 
 
 def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
-    """The ``(n, q, q)`` stack of the diagonal blocks ``W_i`` of a ``W``
-    that is block-diagonal by series (``q = W.size / n`` values each), or
-    ``None`` when ``W`` is low-rank, full, or stores an entry between two
-    series (read from the COO indices of a block-diagonal ``W``)."""
+    """The diagonal blocks ``W_i`` of a ``W`` that is block-diagonal by
+    series (``q = W.size / n`` values each): the ``(n, q)`` stack of their
+    diagonals for an identity or diagonal ``W``, else the ``(n, q, q)``
+    stack of the blocks.  ``None`` when ``W`` is low-rank, full, or stores
+    an entry between two series (read from the COO indices of a
+    block-diagonal ``W``)."""
     q = W.size // n
     if W.structure in ("identity", "diagonal"):
-        blocks = np.zeros((n, q, q))
-        blocks[:, np.arange(q), np.arange(q)] = W.diagonal().reshape(n, q)
-        return blocks
+        return W.diagonal().reshape(n, q)
     if W.structure != "block-diagonal":
         return None
     A = sp.coo_matrix(W.matrix)
@@ -285,20 +305,22 @@ def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
 
 def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context: str):
     """Factor ``G = K W K'`` over the kernel ``K = [K_c ; I_n (x) Z]`` of
-    ``xts`` for ``W = blkdiag(W_i)``, given as the stack ``blocks`` of the
-    ``W_i``, by block elimination of the temporal rows.
+    ``xts`` for ``W = blkdiag(W_i)``, given by :func:`_series_blocks` as
+    the stack ``blocks`` of the ``W_i`` or, for a diagonal ``W``, of their
+    diagonals, by block elimination of the temporal rows.
 
     Stage one factors every ``B_i = Z W_i Z'`` by one batched Cholesky,
     inverts the factors, and keeps ``B_i^{-1}``, ``P_i = B_i^{-1} Z W_i[:,
     hf]`` and the temporally reconciled ``M_i = W_i[hf, hf] - W_i[hf, :] Z'
     P_i`` on the ``hf`` highest-frequency columns, the only ones ``K_c``
-    reads.  Stage two factors the Schur complement ``S = K_h blkdiag(M_i)
-    K_h'`` by :func:`_factor`, where ``K_h`` is ``K_c`` on those columns.
-    ``G [x1; x2] = [b1; b2]`` is then solved by ``y2 = B^{-1} b2``, ``x1 =
-    S^{-1} (b1 - K_h P' b2)`` and ``x2 = y2 - P K_h' x1``: batched
-    products, one ``S`` solve and two sparse products.  The condition
-    estimate is :func:`_norm1_estimate` over that solve times the same
-    estimate over products with ``G``.
+    reads.  A diagonal ``W_i`` scales the columns of ``Z`` and is added to
+    the diagonal of ``M_i``.  Stage two factors the Schur complement ``S =
+    K_h blkdiag(M_i) K_h'`` by :func:`_factor`, where ``K_h`` is ``K_c`` on
+    those columns.  ``G [x1; x2] = [b1; b2]`` is then solved by ``y2 =
+    B^{-1} b2``, ``x1 = S^{-1} (b1 - K_h P' b2)`` and ``x2 = y2 - P K_h'
+    x1``: batched products, one ``S`` solve and two sparse products.  The
+    condition estimate is :func:`_norm1_estimate` over that solve times
+    the same estimate over products with ``G``.
 
     Returns ``(factorization, solve, condition)``, as :func:`_factor`.
     """
@@ -306,14 +328,19 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
     Z = _as_dense(xts.temporal_kernel)
     rz, hf = Z.shape[0], xts.h * xts.ts.m
     hf_cols = slice(q - hf, q)  # the last h m values of every series
-    ZW = Z @ blocks
+    diagonal = blocks.ndim == 2
+    ZW = Z * blocks[:, None, :] if diagonal else Z @ blocks
     L = _batched_cholesky(ZW @ Z.T, f"{context}, temporal stage")
     # dtrtri never fails on a gated factor, but rejects an empty one.
     Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if rz else L
     V = Linv @ ZW[:, :, hf_cols]  # L_i^{-1} Z W_i[:, hf]
     Linv_t = np.swapaxes(Linv, 1, 2)
     B_inv, P = Linv_t @ Linv, Linv_t @ V
-    M = blocks[:, hf_cols, hf_cols] - np.swapaxes(V, 1, 2) @ V
+    M = -(np.swapaxes(V, 1, 2) @ V)
+    if diagonal:
+        M[:, np.arange(hf), np.arange(hf)] += blocks[:, hf_cols]
+    else:
+        M += blocks[:, hf_cols, hf_cols]
     rc = K.shape[0] - n * rz
     K_h = K[:rc][:, (q * np.arange(n)[:, None] + np.arange(q - hf, q)).ravel()]
     M_bd = sp.bsr_matrix((M, np.arange(n), np.arange(n + 1)), shape=(n * hf, n * hf))
@@ -375,9 +402,17 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     """Adjust ``y_hat`` onto the null space of ``kernel``.
 
     ``kernel`` is an ``r x s`` full-row-rank constraint matrix (dense or
-    sparse); ``W`` must be positive definite.
+    sparse); ``W`` must be positive definite.  The result's
+    ``condition_estimate`` is computed when it is first read.
     """
     return _project(y_hat, W, kernel)
+
+
+def _check_forecast(y: np.ndarray, W: CovarianceModel) -> None:
+    if W.size != y.size:
+        raise DimensionMismatch(f"covariance has size {W.size}, forecast vector has {y.size}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidEntry("forecast vector contains NaN or infinite entries")
 
 
 def _project(y_hat, W: CovarianceModel, kernel, xts=None) -> ReconciliationResult:
@@ -388,28 +423,20 @@ def _project(y_hat, W: CovarianceModel, kernel, xts=None) -> ReconciliationResul
         raise DimensionMismatch(
             f"kernel has {K.shape[1]} columns, forecast vector has {y.size}"
         )
-    if W.size != y.size:
-        raise DimensionMismatch(f"covariance has size {W.size}, forecast vector has {y.size}")
-    if not np.all(np.isfinite(y)):
-        raise InvalidEntry("forecast vector contains NaN or infinite entries")
+    _check_forecast(y, W)
     d0 = np.asarray(K @ y).ravel()
     factorization, solve, condition = _normal_factor(K, W, "project", xts)
-    cond_est = condition()
-    diagnostics = {"factorization": factorization, "condition_estimate": cond_est}
-    if cond_est > _COND_WARN:
-        diagnostics["warning"] = (
-            f"ill-conditioned system (condition estimate {cond_est:.3e})"
-        )
     adjustment = np.asarray(W.apply(K.T @ solve(d0))).ravel()
     y_tilde = y - adjustment
-    diagnostics["constraint_residual"] = float(
-        np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)
-    )
     return ReconciliationResult(
         y_tilde=y_tilde,
         adjustment=adjustment,
         coherency_errors_before=-d0,
-        diagnostics=diagnostics,
+        diagnostics={
+            "factorization": factorization,
+            "constraint_residual": float(np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)),
+        },
+        _condition=condition,
     )
 
 
@@ -429,6 +456,7 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
         raise DimensionMismatch(
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
+    _check_forecast(y, W)
     WinvS = _normal_factor(sp.identity(W.size), W, "project_structural")[1](S)
     beta = _cholesky(S.T @ WinvS, "project_structural")[0](WinvS.T @ y)
     y_tilde = S @ beta
@@ -481,9 +509,10 @@ def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:
 
 
 def _tableau_result(
-    base: ForecastTableau, out: ForecastTableau, diagnostics: dict
+    base: ForecastTableau, out: ForecastTableau, diagnostics: dict, condition=None
 ) -> ReconciliationResult:
-    """Result of a solve that maps the tableau ``base`` to ``out``."""
+    """Result of a solve that maps the tableau ``base`` to ``out``;
+    ``condition`` computes its condition estimate, if it has one."""
     y = base.vec_by_variable
     return ReconciliationResult(
         y_tilde=out.vec_by_variable,
@@ -491,6 +520,7 @@ def _tableau_result(
         coherency_errors_before=-np.asarray(base.structure.kernel @ y).ravel(),
         diagnostics=diagnostics,
         tableau=out,
+        _condition=condition,
     )
 
 
@@ -597,4 +627,4 @@ def reconcile_cross_temporal(
     out = tableau.with_values(
         res.y_tilde.reshape(xts.n, xts.width), provenance=f"reconciled:{W.kind}"
     )
-    return _tableau_result(tableau, out, res.diagnostics)
+    return _tableau_result(tableau, out, res.diagnostics, res._condition)

@@ -223,6 +223,26 @@ def test_cli_reconcile_all_method_families(tmp_path, toy_file):
     assert cycles == 1 and vals.shape == (3, 7)
 
 
+def test_cli_reconcile_prints_the_ill_conditioning_warning(tmp_path, toy_file):
+    cs, ts = _write_forecasts(tmp_path, toy_file)
+    resid = read_residuals(tmp_path / "res.csv", cs, ts)
+    scaled = resid.values.copy()
+    scaled[: ts.cycle_len] *= 3e-7  # the total's variances about 1e-13 of the others'
+    write_residuals(tmp_path / "res.csv", ResidualTableau(scaled, cs.n, ts), cs)
+    result = CliRunner().invoke(main, [
+        "reconcile", "--method", "oct-wlsv",
+        "--in", str(tmp_path / "fc.csv"),
+        "--residuals", str(tmp_path / "res.csv"),
+        "--hierarchy", str(toy_file),
+        "--out", str(tmp_path / "out.csv"),
+    ])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    estimate = re.fullmatch(r"  cholesky, condition estimate: (\S+)", lines[1]).group(1)
+    assert float(estimate) > 1e12
+    assert lines[2] == f"  warning: ill-conditioned system (condition estimate {estimate})"
+
+
 def test_cli_reconcile_two_cycle_horizon(tmp_path, toy_file):
     cs, ts = read_hierarchy(toy_file)
     actuals, _ = generate_coherent(cs, ts, 12, seed=4)

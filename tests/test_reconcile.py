@@ -8,10 +8,12 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ctrec.reconcile
 from ctrec import (
     CS_KINDS,
     T_KINDS,
     CovarianceModel,
+    DimensionMismatch,
     HeuristicConfig,
     InvalidEntry,
     ResidualTableau,
@@ -36,7 +38,13 @@ from ctrec import (
     reconciled_covariance,
     temporal_cov,
 )
-from ctrec.reconcile import _projectors, _series_blocks, _two_stage, projector
+from ctrec.reconcile import (
+    _normal_factor,
+    _projectors,
+    _series_blocks,
+    _two_stage,
+    projector,
+)
 from tests.conftest import random_hierarchy, random_residuals, random_structure
 
 
@@ -255,7 +263,7 @@ def test_condition_warning_flag():
         diag_values=np.array([1e12, 1.0, 1e-12]),
     )
     res = project(np.array([3.0, 1.0, 1.0]), W, cs.kernel)
-    assert res.diagnostics["condition_estimate"] > 0
+    assert res.condition_estimate > 0
 
 
 def test_condition_warning_fires_above_threshold():
@@ -263,9 +271,9 @@ def test_condition_warning_fires_above_threshold():
     W = CovarianceModel(
         kind="w", structure="diagonal", size=3, diag_values=np.array([1e14, 1.0, 1.0])
     )
-    diagnostics = project(np.array([3.0, 1.0, 1.0]), W, K).diagnostics
-    assert diagnostics["condition_estimate"] == pytest.approx(5e13)
-    assert "ill-conditioned" in diagnostics["warning"]
+    res = project(np.array([3.0, 1.0, 1.0]), W, K)
+    assert res.condition_estimate == pytest.approx(5e13)
+    assert "ill-conditioned" in res.warning
 
 
 def test_reconciled_covariance_matches_closed_form(toy, monkeypatch):
@@ -319,6 +327,7 @@ NON_FINITE_CASES = {
     "ka_two_step": lambda x: ka_two_step(_nan_tableau(x), x, OLS_HEURISTIC),
     "iterative": lambda x: iterative(_nan_tableau(x), x, OLS_HEURISTIC),
     "bottom_up": lambda x: bottom_up(np.full((x.cs.n_b, x.h * x.ts.m), np.inf), x),
+    "coherence_report": lambda x: coherence_report(_nan_tableau(x), x),
     "cross_sectional_cov residuals": lambda x: cross_sectional_cov(
         "cs-wls", x.cs, _bad_residuals(x.n)
     ),
@@ -441,7 +450,70 @@ def test_condition_estimate_within_factor_two(kind):
     true = np.linalg.cond(normal_matrix(xts.kernel, W), 1)
     # The bare kernel; the structure's, two-stage for oct-wlsv and oct-acov
     for res in (project(y, W, xts.kernel), reconcile_flat(y, xts, W)):
-        assert true / 2 <= res.diagnostics["condition_estimate"] <= true * 2
+        assert true / 2 <= res.condition_estimate <= true * 2
+
+
+@pytest.fixture
+def estimate_calls(monkeypatch):
+    """Names of the condition-estimate routines run, in call order."""
+    calls = []
+
+    def counted(name, f):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(
+        ctrec.reconcile, "_norm1_estimate", counted("norm1", ctrec.reconcile._norm1_estimate)
+    )
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dpocon", counted("dpocon", scipy.linalg.lapack.dpocon)
+    )
+    return calls
+
+
+# Each factorization path: (kind, through the structure or the bare kernel,
+# grouped_structure shape).  Rank 45, then rank 652 (size 1036).
+LAZY_PATHS = {
+    "cholesky": ("oct-wlsv", True, (8, 2, 4, 1)),
+    "sparse-lu": ("oct-wlsv", False, (32, 4, 12, 1)),
+    "two-stage": ("oct-wlsv", True, (32, 4, 12, 1)),
+    "woodbury": ("oct-shr", False, (32, 4, 12, 1)),
+}
+
+
+@pytest.mark.parametrize("path", list(LAZY_PATHS))
+def test_condition_estimate_runs_once_on_first_read(estimate_calls, path):
+    kind, through_structure, shape = LAZY_PATHS[path]
+    xts = grouped_structure(*shape)
+    y, residuals = seeded_inputs(xts)
+    W = cross_temporal_cov(kind, xts, residuals)
+    res = reconcile_flat(y, xts, W) if through_structure else project(y, W, xts.kernel)
+    assert res.diagnostics["factorization"] == path
+    assert estimate_calls == []  # not run until read
+    first = res.condition_estimate
+    runs = len(estimate_calls)
+    assert runs > 0
+    assert res.condition_estimate == first and res.warning is None
+    assert len(estimate_calls) == runs
+    factored = _normal_factor(xts.kernel, W, "test", xts if through_structure else None)
+    assert factored[0] == path
+    np.testing.assert_array_max_ulp(first, factored[2](), maxulp=1)
+
+
+def test_results_without_a_normal_solve_have_no_condition_estimate(toy, estimate_calls):
+    rng = np.random.default_rng(3)
+    Y = rng.normal(size=(toy.n, toy.width))
+    results = [
+        ka_two_step(Y, toy, OLS_HEURISTIC),
+        iterative(Y, toy, OLS_HEURISTIC)[0],
+        project_structural(Y.ravel(), identity_w(toy.size), toy.struct_perm @ toy.struct_summing),
+    ]
+    for res in results:
+        assert res.condition_estimate is None and res.warning is None
+    assert estimate_calls == []
 
 
 @pytest.mark.parametrize("row", [0, 5, 100, 2000])
@@ -510,6 +582,23 @@ def test_structural_form_rejects_an_indefinite_block_diagonal_w(shape):
     )
     with pytest.raises(SingularSystem, match="project_structural"):
         project_structural(np.ones(xts.size), W, xts.struct_perm @ xts.struct_summing)
+
+
+def test_structural_form_rejects_a_w_of_the_wrong_size(toy):
+    with pytest.raises(DimensionMismatch, match="covariance has size 20, forecast vector has 21"):
+        project_structural(np.ones(21), identity_w(20), toy.struct_perm @ toy.struct_summing)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_structural_form_rejects_non_finite_forecasts_before_factoring(toy, bad, monkeypatch):
+    def no_factorization(*args):
+        raise AssertionError("factored W for a non-finite forecast")
+
+    monkeypatch.setattr(ctrec.reconcile, "_normal_factor", no_factorization)
+    y = np.ones(21)
+    y[4] = bad
+    with pytest.raises(InvalidEntry, match="NaN or infinite"):
+        project_structural(y, identity_w(21), toy.struct_perm @ toy.struct_summing)
 
 
 def test_empty_kernel_takes_dense_path(large):
@@ -634,6 +723,52 @@ def test_indefinite_g_with_definite_series_blocks_raises_from_the_cross_sectiona
     assert x @ (K @ W.apply(K.T @ x)) < 0  # a direction of negative curvature
     with pytest.raises(SingularSystem, match="project, cross-sectional stage"):
         reconcile_flat(np.ones(xts.size), xts, W)
+
+
+def dense_series_blocks(W, n):
+    """The ``(n, q, q)`` stack of the blocks of a diagonal ``W``, built
+    densely as the two-stage path once took it."""
+    q = W.size // n
+    blocks = np.zeros((n, q, q))
+    blocks[:, np.arange(q), np.arange(q)] = W.diagonal().reshape(n, q)
+    return blocks
+
+
+DIAGONAL_KINDS = ["oct-ols", "oct-struc", "oct-wlsh", "oct-wlsv"]
+
+
+def assert_diagonal_blocks_solve_bit_identically(xts, W, rng):
+    diagonals = _series_blocks(W, xts.n)
+    assert diagonals.shape == (xts.n, xts.width), W.kind
+    name, solve, _ = _two_stage(xts, W, diagonals, "test")
+    assert name == "two-stage"
+    oracle = _two_stage(xts, W, dense_series_blocks(W, xts.n), "test")[1]
+    b = rng.normal(size=(xts.kernel.shape[0], 2))
+    np.testing.assert_array_equal(solve(b), oracle(b), err_msg=W.kind)
+    np.testing.assert_array_equal(solve(b[:, 0]), oracle(b[:, 0]), err_msg=W.kind)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
+def test_diagonal_w_solves_as_its_dense_blocks_on_random_structures(m, h):
+    rng = np.random.default_rng(200 * m + h)
+    xts = build_cross_temporal(random_hierarchy(rng, n_max=7), build_temporal(m), h)
+    residuals = random_residuals(rng, xts)
+    assert_diagonal_blocks_solve_bit_identically(xts, identity_w(xts.size), rng)
+    for kind in DIAGONAL_KINDS:
+        W = cross_temporal_cov(kind, xts, residuals)
+        assert_diagonal_blocks_solve_bit_identically(xts, W, rng)
+
+
+@pytest.mark.parametrize("shape", [(32, 4, 12, 1), (200, 10, 12, 2)])  # size 1036, 11816
+def test_diagonal_w_solves_as_its_dense_blocks_at_bench_sizes(shape):
+    xts = grouped_structure(*shape)
+    y, residuals = seeded_inputs(xts)
+    rng = np.random.default_rng(xts.size)
+    assert_diagonal_blocks_solve_bit_identically(xts, identity_w(xts.size), rng)
+    for kind in DIAGONAL_KINDS:
+        W = cross_temporal_cov(kind, xts, residuals)
+        assert_diagonal_blocks_solve_bit_identically(xts, W, rng)
 
 
 # ---------------------------------------------------------------------------
