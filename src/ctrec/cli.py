@@ -25,6 +25,7 @@ from .errors import (
     NonConvergence,
     SingularCovariance,
     SingularSystem,
+    require_integer,
 )
 from .evaluation import avgrel_table, error_cube, format_report
 from .heuristics import HeuristicConfig, iterative, ka_two_step
@@ -289,7 +290,7 @@ def heuristic(
 def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
     """Compute average relative accuracy tables over a rolling experiment.
 
-    Origin files are matched across procedures by sorted file name; origin
+    Every procedure must hold the same origin file names; origin
     ``t`` of ``q`` is aligned with actual cycle ``N - q - h + t`` so that
     the last origin forecasts the final observed cycles.
     """
@@ -313,6 +314,13 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
     if len(counts) != 1:
         raise InvalidInput(f"procedures disagree on origin counts: {counts}")
     q = counts.pop()
+    for name in names[1:]:
+        for want, got in zip(file_lists[benchmark], file_lists[name]):
+            if got.name != want.name:
+                raise InvalidInput(
+                    f"{runs / name}: origin file {got.name!r} where "
+                    f"{benchmark} has {want.name!r}"
+                )
 
     h = None
     per_proc = {}
@@ -347,6 +355,9 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
 @_guard
 def synth(hierarchy, cycles, origins, h, seed, scheme, out_dir):
     """Generate a demo dataset: actuals, per-origin base forecasts, residuals."""
+    require_integer("--cycles", cycles, 2)
+    require_integer("--origins", origins, 1)
+    require_integer("--h", h, 1)
     cs, ts = fio.read_hierarchy(hierarchy)
     n_total = cycles + origins - 1 + h
     actuals, _ = generate_coherent(cs, ts, n_total, seed=seed)

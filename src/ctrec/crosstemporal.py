@@ -24,7 +24,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InvalidEntry, InvalidInput, SingularSystem
+from .errors import (
+    DimensionMismatch,
+    InvalidEntry,
+    InvalidInput,
+    SingularSystem,
+    require_integer,
+)
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
 from .temporal import TemporalStructure, build_full_temporal_kernel, full_summing
@@ -191,8 +197,7 @@ def build_cross_temporal(
     cycles: every per-cycle matrix is block-extended, so the single-cycle
     formulas hold verbatim for ``h = 1``.
     """
-    if h < 1:
-        raise InvalidInput(f"forecast cycles must be >= 1, got {h}")
+    require_integer("h", h, 1)
     q = h * ts.cycle_len
     Z = build_full_temporal_kernel(ts, h)
     # Cross-sectional rows at the h*m highest-frequency points, ordered time

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class CtrecError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,6 +17,15 @@ class InvalidEntry(CtrecError):
 
 class InvalidInput(CtrecError):
     """A scalar or configuration argument is out of its admissible range."""
+
+
+def require_integer(name: str, value, minimum: int) -> None:
+    """Raise :class:`InvalidInput` unless ``value`` is an integer (a bool is
+    not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise InvalidInput(
+            f"{name} must be an integer of at least {minimum}, got {value!r}"
+        )
 
 
 class RaggedEdge(CtrecError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .covariance import CS_KINDS, T_KINDS, ResidualTableau
 from .crosstemporal import CrossTemporalStructure, coherence_report
-from .errors import InvalidInput, NonConvergence
+from .errors import InvalidInput, NonConvergence, require_integer
 from .reconcile import (
     ReconciliationResult,
     _apply_cross_sectional,
@@ -70,9 +70,7 @@ class HeuristicConfig:
             math.isfinite(tol) and tol > 0
         ):
             raise InvalidInput(f"tolerance must be a finite positive number, got {tol!r}")
-        it = self.max_iterations
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
-            raise InvalidInput(f"max_iterations must be an integer of at least 1, got {it!r}")
+        require_integer("max_iterations", self.max_iterations, 1)
 
 
 def _averaged_cs_projector(

@@ -32,21 +32,28 @@ skipped, and every key must appear exactly once.  Floats are printed
 with 17 significant digits so write/read round-trips are bit-identical.
 
 One columnar reader serves value and residual files.  It reads a file
-once and tokenizes it once with ``csv.reader``, checking the header
-first.  numpy converts each numeric column whole (by the rules of
-Python's ``int`` and ``float``), and the keys map to one linear index
-into the output, which also finds repeated, missing, unknown and
-out-of-range keys.  When a conversion or check fails, the lines in memory
-are walked row by row, and the :class:`FormatError` names the line,
-column or key of the first bad row; only a file without one gets the
-message of the failed check.  Files are UTF-8, with or without a
-byte-order mark.  The writers join each file into one string, byte for
-byte what ``csv.writer`` writes.
+once and checks its header with ``csv.reader``.  The data rows of an
+ASCII text with no ``"`` (what the writers give for unquoted labels) go
+to numpy's C reader, ``np.loadtxt``, in one call.  Every other file, and
+every file that numpy refuses or warns on, is tokenized by
+``csv.reader`` and converted column by column by the rules of Python's
+``int`` and ``float``: that path unquotes labels and takes ``1_000`` and
+non-ASCII digits.  Where both take a file, they give bit-identical
+columns (numpy parses floats with the same ``PyOS_string_to_double``),
+so what is accepted and every message below do not depend on the path.
+The keys map to one linear index into the output, which also finds
+repeated, missing, unknown and out-of-range keys.  When a conversion or
+check fails, the lines in memory are walked row by row, and the
+:class:`FormatError` names the line, column or key of the first bad row;
+only a file without one gets the message of the failed check.  Files
+are UTF-8, with or without a byte-order mark.  The writers join each
+file into one string, byte for byte what ``csv.writer`` writes.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from io import StringIO
 from itertools import repeat
 from pathlib import Path
@@ -293,6 +300,44 @@ def _row_fault(path, lines: list, int_fields: tuple) -> FormatError | None:
     return None
 
 
+def _loadtxt_columns(lines: list, usecols: list, int_fields: tuple):
+    """The columns of the data lines, ``lines[1:]``, by numpy's C reader,
+    as :func:`_csv_columns` gives them, or ``None`` where that reader
+    fails, warns or may differ from ``csv.reader`` and Python's
+    ``int``/``float``.  It is not tried on data lines with a quote (numpy
+    does not unquote), a NUL (``csv.reader`` rejects it before Python
+    3.11), a ``\\x1f`` (numpy strips it from a number as space, Python does
+    not) or any non-ASCII character (numpy 2.4 reads U+01FE as the int 462
+    and crashes on U+100031), nor on a line longer than the csv field limit.
+    """
+    # From the lines, not the raw text: splitlines also breaks at \x0b,
+    # \x1c and U+2028, for example, where numpy would not.
+    data = "\n".join(lines[1:])
+    if (not data.isascii() or any(c in data for c in '"\x00\x1f')
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    dtype = [("series", object), *((name, np.int64) for name in int_fields),
+             ("value", float)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as a file with no data rows warns
+            table = np.loadtxt(StringIO(data), dtype=dtype, delimiter=",",
+                               comments=None, usecols=usecols, ndmin=1)
+    except (ValueError, Warning):  # a row numpy refuses: the csv path judges it
+        return None
+    return (table["series"].tolist(), np.array([table[name] for name in int_fields]),
+            np.ascontiguousarray(table["value"]))
+
+
+def _csv_columns(reader, usecols: list):
+    """``(series, ints, values)`` of the rows left in ``reader``, blank rows
+    skipped; raises ``IndexError`` on a short row and ``ValueError`` or
+    ``OverflowError`` on a cell that does not convert."""
+    rows = [row for row in reader if row]
+    series, *ints, value = ([row[j] for row in rows] for j in usecols)
+    return series, np.array(ints, dtype=np.int64), np.array(value, dtype=float)
+
+
 def _read_long(path, int_fields: tuple):
     """The columns of a long-format CSV in file order, ``(series, ints,
     values, fault)``: the labels as a list, one int64 row per name in
@@ -312,9 +357,10 @@ def _read_long(path, int_fields: tuple):
         col = {name: j for j, name in enumerate(next(reader, []))}
         if not col.keys() >= set(names):
             raise FormatError(f"{path}: expected columns {sorted(names)}")
-        rows = [row for row in reader if row]
-        series, *ints, value = ([row[col[name]] for row in rows] for name in names)
-        return series, np.array(ints, dtype=np.int64), np.array(value, dtype=float), fault
+        usecols = [col[name] for name in names]
+        columns = (_loadtxt_columns(lines, usecols, int_fields)
+                   or _csv_columns(reader, usecols))
+        return (*columns, fault)
     except (csv.Error, IndexError, ValueError, OverflowError):  # a bad row
         raise _row_fault(path, lines, int_fields) from None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ResidualTableau
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, require_integer
 from .hierarchy import CrossSectionalStructure
 from .temporal import TemporalStructure, full_summing
 
@@ -106,8 +106,8 @@ def naive_base_forecasts(
             "actuals must be n series by a whole number of cycles"
         )
     n_total = actuals.shape[1] // cl
-    if origin < 2:
-        raise InvalidInput("need at least two training cycles")
+    require_integer("h", h, 1)
+    require_integer("origin", origin, 2)  # two training cycles at least
     if origin + h > n_total:
         raise InvalidInput(
             f"origin {origin} plus horizon {h} exceeds the {n_total} cycles"

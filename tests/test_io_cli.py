@@ -2,11 +2,12 @@ import csv
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctrec.io
@@ -14,6 +15,7 @@ from ctrec import (
     InvalidInput,
     ResidualTableau,
     build_cross_sectional,
+    build_cross_temporal,
     build_temporal,
     generate_coherent,
 )
@@ -511,6 +513,64 @@ def test_cli_evaluate_table_matches_error_cube(tmp_path, toy_file):
         assert [float(c) for c in cells[2:]] == row[2:]
 
 
+def test_cli_evaluate_rejects_origin_files_that_differ_by_name(tmp_path, toy_file):
+    out = tmp_path / "demo"
+    runner = CliRunner()
+    result = runner.invoke(main, ["synth", "--hierarchy", str(toy_file), "--cycles", "10",
+                                  "--origins", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    base = out / "runs" / "base"
+    (out / "runs" / "bu").mkdir()
+    for t, stem in zip((1, 3, 9), sorted(p.name for p in base.glob("*.csv"))):
+        (out / "runs" / "bu" / f"origin_{t:03d}.csv").write_bytes((base / stem).read_bytes())
+    result = runner.invoke(main, ["evaluate", "--actuals", str(out / "actuals.csv"),
+                                  "--runs", str(out / "runs"), "--hierarchy", str(toy_file)])
+    assert result.exit_code == 2, result.output
+    assert (f"{out / 'runs' / 'bu'}: origin file 'origin_003.csv' where base has "
+            "'origin_002.csv'") in result.output
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        ("naive_base_forecasts h", 0),
+        ("naive_base_forecasts h", -1),
+        ("naive_base_forecasts h", 1.0),
+        ("naive_base_forecasts h", True),
+        ("naive_base_forecasts origin", 1),
+        ("naive_base_forecasts origin", 2.5),
+        ("build_cross_temporal h", 0),
+        ("build_cross_temporal h", 2.0),
+        ("build_cross_temporal h", True),
+        ("synth --h", 0),
+        ("synth --h", -1),
+        ("synth --origins", 0),
+        ("synth --origins", -1),
+        ("synth --cycles", 1),
+    ],
+)
+def test_bad_horizon_or_origin_count_is_invalid_input(tmp_path, toy_file, call, bad):
+    function, _, name = call.partition(" ")
+    least = 2 if name in ("origin", "--cycles") else 1
+    message = f"{name} must be an integer of at least {least}, got {bad!r}"
+    if function == "synth":
+        result = CliRunner().invoke(main, [
+            "synth", "--hierarchy", str(toy_file), "--cycles", "4",
+            name, str(bad), "--out", str(tmp_path / "demo"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+        assert not (tmp_path / "demo").exists()  # nothing written
+        return
+    cs, ts = read_hierarchy(toy_file)
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        if function == "naive_base_forecasts":
+            actuals, _ = generate_coherent(cs, ts, 6, seed=0)
+            naive_base_forecasts(actuals, cs, ts, **{"origin": 4, "h": 1, name: bad})
+        else:
+            build_cross_temporal(cs, ts, bad)
+
+
 def _corrupt_first_row(path, column, text):
     """Copy of a long-format CSV whose first data row has ``column`` = ``text``."""
     lines = path.read_text().splitlines()
@@ -766,6 +826,127 @@ def test_long_format_layout_is_free(tmp_path, toy_file, reader):
     got = read(bad, cs, ts)
     got = got[0] if reader == "values" else got.values
     np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# numpy's C reader against the csv.reader path, its oracle
+
+_PLAIN_LABEL = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='",'),
+    max_size=14,
+)  # spaces, '#' and labels past 8 characters among them
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+# Cells that numpy's reader must not be left to read: forms that only
+# Python's int/float take, forms that numpy's takes and Python's do not,
+# forms that neither takes, and labels that csv unquotes or splitlines splits.
+_ODD = {
+    "int": ["1_2", "\u0661\u0662", "1.0", "0x10", "", "x", "1e3", "9223372036854775808",
+            "\x1f1", "1\x1f", "\u01fe", "\u20031", "\U00100031", "1 2"],
+    "value": ["1_0.5", "\u0661.5", "0x1p3", "", "abc", "1\x1f", "\x1f2.5", "1.0d3",
+              "nan(1)", "\u00a01", "\u01fe"],
+    "series": ['"a, b"', 'x"y', "\u00e9", "a\x1cb", "a\u2028b", "a\x0bb", "a\x00b",
+               "a\x1fb", "\ufeffT", "\U00100031"],
+}
+
+
+@st.composite
+def _int_cell(draw):
+    v = draw(st.one_of(st.integers(-3, 40), st.integers(-(2**63), 2**63 - 1)))
+    text = draw(st.sampled_from(["{}", "+{}", "00{}"])).format(v) if v >= 0 else str(v)
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+@st.composite
+def _float_cell(draw):
+    x = draw(st.floats(allow_nan=True, allow_infinity=True))
+    text = draw(st.sampled_from([repr(x), format(x, ".5e"), format(x, ".3g")]))
+    text = draw(st.sampled_from(
+        [text, text, "nan", "-Infinity", "inf", "1e400", "+.5", "5.", "-0", "2.5E-310"]
+    ))
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+@st.composite
+def _long_text(draw):
+    """A long-format file ``(text, int_fields, plain)``: ``plain`` files
+    must take numpy's reader; up to two odd edits (an odd cell, a short
+    row, a whitespace-only line) make a file that may take either path."""
+    int_fields = draw(st.sampled_from([ctrec.io._VALUE_INTS, ctrec.io._RESIDUAL_INTS]))
+    header = draw(st.permutations(["series", *int_fields, "value"]))
+    header += draw(st.sampled_from([[], ["note"]]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = {"series": draw(_PLAIN_LABEL), "note": "n", "value": draw(_float_cell())}
+        cells.update((name, draw(_int_cell())) for name in int_fields)
+        extra = draw(st.sampled_from([0, 0, 0, 1, 2]))
+        rows.append([cells[name] for name in header] + ["x"] * extra)
+    plain = bool(rows)  # a file without data rows makes numpy warn
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2])) if rows else 0):
+        plain = False
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["series", "int", "value", "short", "space"]))
+        if edit == "short":
+            rows[i] = rows[i][: draw(st.integers(0, len(header) - 1))]
+        elif edit == "space":
+            rows.insert(i, [draw(st.sampled_from([" ", "\t"]))])
+        else:
+            name = draw(st.sampled_from(int_fields)) if edit == "int" else edit
+            j = header.index(name)
+            if j < len(rows[i]):
+                rows[i][j] = draw(st.sampled_from(_ODD[edit]))
+    lines = [",".join(header)]
+    for row in rows:
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1])) + [",".join(row)]
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines), int_fields, plain
+
+
+def _columns_or_error(path, int_fields):
+    """``_read_long``'s columns as bytes, or the text of its FormatError."""
+    try:
+        series, ints, values, fault = ctrec.io._read_long(path, int_fields)
+    except FormatError as exc:
+        return str(exc)
+    return (series, ints.dtype.str, ints.shape, ints.tobytes(), values.dtype.str,
+            values.shape, values.tobytes(), str(fault("check")))
+
+
+def _one_row(series="A", level_k="4", value="1.5", plain=False):
+    """A value file of one data row, as a :func:`_long_text` case."""
+    return (f"series,level_k,index_within_level,value\n{series},{level_k},1,{value}",
+            ctrec.io._VALUE_INTS, plain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_long_text())
+@example(case=("series,level_k,index_within_level,value\n\n", ctrec.io._VALUE_INTS, False))
+@example(case=_one_row(series="# a label past 8", value=" -1E+5 ", plain=True))
+@example(case=_one_row(level_k="\u01fe"))  # numpy reads it as 462
+@example(case=_one_row(level_k="\U00100031"))  # numpy 2.4 crashes on it
+@example(case=_one_row(level_k="4\x1f"))  # numpy strips it, int() does not
+@example(case=_one_row(series="a\x1cb"))  # a line break to splitlines only
+@example(case=_one_row(series='"a"'))  # csv unquotes it, numpy does not
+@example(case=_one_row(value="1" * 131073))  # over the csv field limit
+def test_loadtxt_path_matches_the_csv_path(case):
+    text, int_fields, plain = case
+    loaded = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        loaded.append(table)
+        return table
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "long.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ctrec.io.np, "loadtxt", spy):
+            got = _columns_or_error(path, int_fields)
+        with mock.patch.object(ctrec.io, "_loadtxt_columns", lambda *args: None):
+            want = _columns_or_error(path, int_fields)
+    assert got == want
+    if plain:
+        assert loaded, "a plain file must be read by numpy's reader"
 
 
 # ---------------------------------------------------------------------------
