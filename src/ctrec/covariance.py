@@ -23,7 +23,14 @@ to ``h`` forecast cycles, and assembles block-diagonal ones in one place.
 
 A model multiplies (``apply``) and densifies (``dense``) but does not
 solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
-:mod:`ctrec.reconcile`.  :func:`_spd_factor` is only the estimators' gate.
+:mod:`ctrec.reconcile`.  The estimators have one positive-definiteness
+gate, :func:`_not_pd`: SciPy's LAPACK ``potrf``, looked up once per stack
+and called on each matrix as ``scipy.linalg.cho_factor`` calls it, so it
+decides as that does without its per-call overhead.  It does not check
+finiteness: a model rejects NaN and infinite payloads when it is built,
+and :func:`sample_mse` rejects moments that overflow.  :func:`_lift_to_pd`
+symmetrizes a whole stack at once and ridge-lifts only the matrices the
+gate rejects.
 """
 
 from __future__ import annotations
@@ -167,6 +174,8 @@ class CovarianceModel:
 
     A model has no solve: ``reconcile._normal_factor`` over the identity
     kernel factors ``W`` by the same rule and pivot gate as ``K W K'``.
+    A NaN or infinite entry in ``diag_values`` or ``matrix`` (dense,
+    sparse or the factor ``U``) raises :class:`InvalidEntry`.
     """
 
     kind: str
@@ -180,14 +189,18 @@ class CovarianceModel:
     def __post_init__(self):
         if self.diag_values is not None:
             d = np.array(self.diag_values, dtype=float, order="C")
+            _finite(d, f"{self.kind} diagonal")
             d.flags.writeable = False
             object.__setattr__(self, "diag_values", d)
         if isinstance(self.matrix, np.ndarray):
             m = np.array(self.matrix, dtype=float, order="C")
+            _finite(m, f"{self.kind} matrix")
             m.flags.writeable = False
             if self.structure == "low-rank":
                 m = _LowRank(self.diag_values, m)
             object.__setattr__(self, "matrix", m)
+        elif sp.issparse(self.matrix):
+            _finite(self.matrix.data, f"{self.kind} matrix")
 
     def apply(self, M):
         """Return ``W @ M`` without densifying structured payloads."""
@@ -240,7 +253,7 @@ class CovarianceModel:
                     f"{self.kind}: diagonal has non-positive entries"
                 )
             return
-        _spd_factor(self.dense(), self.kind)
+        _require_pd(self.dense(), self.kind)
 
 
 class _LowRank:
@@ -258,14 +271,24 @@ class _LowRank:
         return W if dtype is None else W.astype(dtype, copy=False)
 
 
-def _spd_factor(A: np.ndarray, label: str):
-    """Cholesky factor of a dense matrix, or :class:`SingularCovariance`."""
-    try:
-        return scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            f"{label}: matrix is not positive definite"
-        ) from exc
+def _not_pd(A: np.ndarray) -> list[int]:
+    """Indices of the matrices of the stack ``A`` (``A`` itself is index 0)
+    that are not positive definite.
+
+    This is the one SPD gate.  LAPACK's ``potrf`` is looked up once and
+    called on each matrix with the arguments ``scipy.linalg.cho_factor``
+    uses, so a matrix fails exactly when ``cho_factor`` would reject it.
+    ``A`` must be finite: ``potrf`` accepts a NaN.
+    """
+    stack = A.reshape(-1, *A.shape[-2:])
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (stack,))
+    return [i for i, a in enumerate(stack) if potrf(a, lower=1, clean=0)[1] > 0]
+
+
+def _require_pd(A: np.ndarray, label: str) -> None:
+    """:class:`SingularCovariance` unless the finite matrix ``A`` passes the gate."""
+    if _not_pd(A):
+        raise SingularCovariance(f"{label}: matrix is not positive definite")
 
 
 def _identity(kind: str, size: int) -> CovarianceModel:
@@ -320,38 +343,37 @@ def _block_diagonal(kind: str, pairs, ts: TemporalStructure, h: int, n: int, **k
 
 def sample_mse(E: np.ndarray) -> np.ndarray:
     """Uncentered second-moment matrix ``E E' / N`` of residual rows ``E``
-    (``p x N``, or a stack of them); NaN or infinity raises InvalidEntry."""
+    (``p x N``, or a stack of them); NaN or infinity in ``E``, or moments
+    that overflow, raise InvalidEntry."""
     E = _finite(np.atleast_2d(E), "residual matrix")
-    return (E @ np.swapaxes(E, -1, -2)) / E.shape[-1]
+    return _finite((E @ np.swapaxes(E, -1, -2)) / E.shape[-1], "residual moment matrix")
 
 
 def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """Ridge-lift borderline sample matrices; reject truly indefinite ones.
 
-    ``A`` is one matrix or a stack, whose matrices are gated one by one.  A
-    smallest eigenvalue within ``-_RIDGE * trace`` of zero is treated as
-    small-sample noise and lifted; anything below that aborts.  The
-    eigenvalue is only computed when the Cholesky attempt fails.
+    ``A`` is one finite matrix or a stack.  It is symmetrized in one
+    operation, and each matrix the gate :func:`_not_pd` rejects is lifted
+    on its own, in stack order.  A smallest eigenvalue within ``-_RIDGE *
+    trace`` of zero is treated as small-sample noise and lifted; anything
+    below that aborts.  The eigenvalue is only computed for a rejected
+    matrix, and a stack with none is returned as symmetrized.
     """
-    if A.ndim > 2:
-        return np.stack([_lift_to_pd(a, label) for a in A])
-    A = 0.5 * (A + A.T)
-    try:
-        _spd_factor(A, label)
-        return A
-    except SingularCovariance:
-        pass
-    tr = float(np.trace(A))
-    if tr <= 0:
-        raise SingularCovariance(f"{label}: sample matrix has non-positive trace")
-    emin = float(scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0])
-    if emin <= -_RIDGE * tr:
-        raise SingularCovariance(
-            f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"
-        )
-    lifted = A + _RIDGE * tr * np.eye(A.shape[0])
-    _spd_factor(lifted, label)
-    return lifted
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    stack = A.reshape(-1, *A.shape[-2:])  # a view: lifts write into A
+    for i in _not_pd(stack):
+        a = stack[i]
+        tr = float(np.trace(a))
+        if tr <= 0:
+            raise SingularCovariance(f"{label}: sample matrix has non-positive trace")
+        emin = float(scipy.linalg.eigvalsh(a, subset_by_index=[0, 0])[0])
+        if emin <= -_RIDGE * tr:
+            raise SingularCovariance(
+                f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"
+            )
+        stack[i] = a + _RIDGE * tr * np.eye(a.shape[0])
+        _require_pd(stack[i], label)
+    return A
 
 
 def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
@@ -362,7 +384,7 @@ def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
     if not shrunk:
         return _lift_to_pd(sample_mse(E), kind), None
     A, lam = shrink(sample_mse(E), residuals=E)
-    _spd_factor(A, kind)
+    _require_pd(A, kind)
     return A, lam
 
 

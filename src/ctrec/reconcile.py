@@ -23,7 +23,10 @@ comes with it, ``G`` has at least ``_SPARSE_MIN_RANK`` rows and ``W`` is
 block-diagonal by series (the ``ols``, ``struc``, ``wlsh``, ``wlsv`` and
 ``acov`` kinds): block elimination of the temporal rows, one batched
 Cholesky of the per-series ``Z W_i Z'``, then one factorization of the
-cross-sectional Schur complement.  It is exact, the counterpart of the
+cross-sectional Schur complement.  That complement is assembled from the
+per-series blocks by one sparse-dense product with the pairwise products
+of the cross-sectional kernel's columns, not by a sparse triple product
+(:func:`_schur_complement`).  It is exact, the counterpart of the
 temporal-first two-step heuristic; a diagonal ``W`` stays a stack of
 diagonals there and scales the columns of ``Z``.  Every factor passes one
 positive-definiteness gate on its pivots, and every path has a 1-norm
@@ -303,6 +306,52 @@ def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
     return np.bincount(flat, weights=A.data, minlength=n * q * q).reshape(n, q, q)
 
 
+def _schur_complement(kappa: np.ndarray, M: np.ndarray) -> sp.csr_matrix:
+    """``S = K_h blkdiag(M_i) K_h'`` for the ``(n, hf, hf)`` stack ``M``,
+    where ``K_h`` is the cross-sectional kernel ``kappa`` (``n_a x n``) at
+    each of ``hf`` time points, rows in the kernel's ``(t, a)`` order.
+
+    The ``(a, b)`` block of ``S`` is ``sum_i kappa[a, i] kappa[b, i] M_i``.
+    The rows ``kappa[a, i] kappa[b, i]`` of the column outer products, one
+    per pair ``(a, b)`` that shares a column, come from the nonzeros of
+    ``kappa`` and multiply ``M`` as ``n x hf^2`` in one sparse-dense
+    product.  The blocks are scattered into a sparse matrix without its
+    zeros, the pattern of the sparse product ``K_h blkdiag(M_i) K_h'``.
+    """
+    n_a, (n, hf, _) = kappa.shape[0], M.shape
+    col = sp.csc_matrix(kappa)
+    k = np.diff(col.indptr)  # nonzeros per column
+    i = np.repeat(np.arange(n), k * k)  # the column of each pair
+    j = np.arange(i.size) - np.repeat(np.cumsum(k * k) - k * k, k * k)
+    ja, jb = col.indptr[i] + j // k[i], col.indptr[i] + j % k[i]
+    pair = col.indices[ja] * n_a + col.indices[jb]
+    # By pair, and each pair's columns from last to first: the order in which
+    # the sparse product sums them, so that S is the same bit for bit when
+    # the weights are 0 and +-1.
+    order = np.lexsort((-i, pair))
+    pairs, counts = np.unique(pair, return_counts=True)
+    outer = sp.csr_matrix(
+        ((col.data[ja] * col.data[jb])[order], i[order], np.r_[0, np.cumsum(counts)]),
+        shape=(pairs.size, n),
+    )
+    blocks = (outer @ M.reshape(n, hf * hf)).reshape(-1, hf, hf)
+    a, b = np.divmod(pairs, n_a)
+    # Row (t, a) holds blocks[p, t, t'] of the pairs p = (a, b) at the columns
+    # (t', b), t' first: one gather, the same for every t, keeps them sorted.
+    tp, p = np.divmod(np.arange(hf * pairs.size), pairs.size)
+    gather = np.argsort(a[p], kind="stable")  # by a, then t', then p
+    S = sp.csr_matrix(
+        (
+            blocks.transpose(1, 2, 0).reshape(hf, -1)[:, gather].ravel(),
+            np.tile((tp * n_a + b[p])[gather], hf),
+            np.r_[0, np.cumsum(np.tile(np.bincount(a, minlength=n_a) * hf, hf))],
+        ),
+        shape=(hf * n_a, hf * n_a),
+    )
+    S.eliminate_zeros()
+    return S
+
+
 def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context: str):
     """Factor ``G = K W K'`` over the kernel ``K = [K_c ; I_n (x) Z]`` of
     ``xts`` for ``W = blkdiag(W_i)``, given by :func:`_series_blocks` as
@@ -316,11 +365,14 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
     reads.  A diagonal ``W_i`` scales the columns of ``Z`` and is added to
     the diagonal of ``M_i``.  Stage two factors the Schur complement ``S =
     K_h blkdiag(M_i) K_h'`` by :func:`_factor`, where ``K_h`` is ``K_c`` on
-    those columns.  ``G [x1; x2] = [b1; b2]`` is then solved by ``y2 =
-    B^{-1} b2``, ``x1 = S^{-1} (b1 - K_h P' b2)`` and ``x2 = y2 - P K_h'
-    x1``: batched products, one ``S`` solve and two sparse products.  The
-    condition estimate is :func:`_norm1_estimate` over that solve times
-    the same estimate over products with ``G``.
+    those columns; :func:`_schur_complement` assembles ``S`` as a sparse
+    matrix from ``M`` and the cross-sectional kernel, so the rank and fill
+    rule sees the matrix the sparse product would give.  ``G [x1; x2] =
+    [b1; b2]`` is then solved by ``y2 = B^{-1} b2``, ``x1 = S^{-1} (b1 -
+    K_h P' b2)`` and ``x2 = y2 - P K_h' x1``: batched products, one ``S``
+    solve and two sparse products.  The condition estimate is
+    :func:`_norm1_estimate` over that solve times the same estimate over
+    products with ``G``.
 
     Returns ``(factorization, solve, condition)``, as :func:`_factor`.
     """
@@ -343,8 +395,7 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
         M += blocks[:, hf_cols, hf_cols]
     rc = K.shape[0] - n * rz
     K_h = K[:rc][:, (q * np.arange(n)[:, None] + np.arange(q - hf, q)).ravel()]
-    M_bd = sp.bsr_matrix((M, np.arange(n), np.arange(n + 1)), shape=(n * hf, n * hf))
-    solve_s = _factor(K_h @ M_bd @ K_h.T, f"{context}, cross-sectional stage")[1]
+    solve_s = _factor(_schur_complement(xts.cs.kernel, M), f"{context}, cross-sectional stage")[1]
     P_t = np.swapaxes(P, 1, 2)
 
     def solve(b):

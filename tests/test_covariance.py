@@ -1,7 +1,9 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -493,6 +495,82 @@ def test_stacked_lift_treats_each_slice_as_the_single_matrix_lift():
         _lift_to_pd(np.stack([good, borderline, indefinite]), "test")
 
 
+def cho_factor_lift(A, label):
+    """The single-matrix lift gated by ``scipy.linalg.cho_factor``, as every
+    stack slice once went through it: the oracle of the stack gate."""
+    A = 0.5 * (A + A.T)
+    try:
+        scipy.linalg.cho_factor(A, lower=True)
+        return A
+    except scipy.linalg.LinAlgError:
+        pass
+    tr = float(np.trace(A))
+    if tr <= 0:
+        raise SingularCovariance(f"{label}: sample matrix has non-positive trace")
+    emin = float(scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0])
+    if emin <= -1e-8 * tr:
+        raise SingularCovariance(
+            f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"
+        )
+    lifted = A + 1e-8 * tr * np.eye(A.shape[0])
+    try:
+        scipy.linalg.cho_factor(lifted, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularCovariance(f"{label}: matrix is not positive definite") from exc
+    return lifted
+
+
+def gate_slice(rng, kind, p):
+    """One ``p x p`` slice for the stack gate."""
+    E = rng.standard_normal((p, p + 3))
+    if kind == "spd":
+        return sample_mse(E)
+    if kind == "rank-deficient":  # duplicated residual rows
+        return sample_mse(E[rng.integers(0, max(1, p - 1), p)])
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    lam = rng.uniform(0.5, 2.0, p)
+    # Smallest eigenvalue inside the ridge tolerance, or well below it.
+    scale = {"borderline": rng.uniform(0.0, 0.9) * 1e-8, "indefinite": rng.uniform(1e-6, 0.5)}
+    lam[0] = -scale[kind] * lam.sum()
+    return (Q * lam) @ Q.T
+
+
+def lift_outcome(lift, A):
+    """The lifted matrix or stack, or the message it was rejected with."""
+    try:
+        return lift(A, "test")
+    except SingularCovariance as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert isinstance(got, str) and got == expected
+    else:
+        np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 7),
+    kinds=st.lists(
+        st.sampled_from(["spd", "rank-deficient", "borderline", "indefinite"]),
+        min_size=1, max_size=8,
+    ),
+)
+def test_stack_gate_matches_the_cho_factor_lift_slice_by_slice(seed, p, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([gate_slice(rng, kind, p) for kind in kinds])
+    expected = lift_outcome(lambda A, label: np.stack([cho_factor_lift(a, label) for a in A]), stack)
+    with mock.patch.object(scipy.linalg, "cho_factor", wraps=scipy.linalg.cho_factor) as spy:
+        got = lift_outcome(_lift_to_pd, stack)
+        alone = lift_outcome(_lift_to_pd, stack[0])  # one matrix, not a stack
+    assert spy.call_count == 0
+    assert_same_outcome(got, expected)
+    assert_same_outcome(alone, lift_outcome(cho_factor_lift, stack[0]))
+
+
 def test_residual_tableau_views(toy):
     ts = toy.ts
     cl = ts.cycle_len
@@ -539,6 +617,34 @@ def test_model_leaves_caller_arrays_writeable():
     CovarianceModel(kind="w", structure="full", size=3, matrix=A)
     CovarianceModel(kind="w", structure="low-rank", size=3, diag_values=d, matrix=U)
     assert d.flags.writeable and A.flags.writeable and U.flags.writeable
+
+
+NON_FINITE_PAYLOADS = {
+    "diagonal": lambda bad: dict(diag_values=[1.0, bad, 2.0]),
+    "full": lambda bad: dict(matrix=np.array([[2.0, bad, 0.0], [bad, 2.0, 0.0], [0.0, 0.0, 1.0]])),
+    "block-diagonal": lambda bad: dict(matrix=sp.csr_matrix(np.diag([1.0, 2.0, bad]))),
+    "low-rank": lambda bad: dict(diag_values=np.ones(3), matrix=np.array([[1.0], [bad], [0.0]])),
+    "low-rank diagonal": lambda bad: dict(diag_values=[1.0, 1.0, bad], matrix=np.ones((3, 1))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("payload", sorted(NON_FINITE_PAYLOADS))
+def test_model_rejects_non_finite_payloads(payload, bad):
+    structure = payload.split()[0]
+    with pytest.raises(InvalidEntry, match="w (diagonal|matrix) contains NaN or infinite"):
+        CovarianceModel(kind="w", structure=structure, size=3, **NON_FINITE_PAYLOADS[payload](bad))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("kind", ["oct-wlsv", "oct-acov", "oct-bdshr", "oct-bdsam", "oct-sam"])
+def test_overflowing_moments_raise_invalid_entry(toy, kind):
+    # Finite residuals whose squares overflow: no inf reaches the SPD gate.
+    E = 1e200 * random_residuals(np.random.default_rng(1), toy).values
+    with pytest.raises(InvalidEntry, match="NaN or infinite"):
+        cross_temporal_cov(kind, toy, E)
+    with pytest.raises(InvalidEntry, match="residual moment matrix"):
+        sample_mse(E)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,12 @@ from ctrec import (
     reconciled_covariance,
     temporal_cov,
 )
+from ctrec.io import read_hierarchy
 from ctrec.reconcile import (
+    _factor,
     _normal_factor,
     _projectors,
+    _schur_complement,
     _series_blocks,
     _two_stage,
     projector,
@@ -723,6 +726,87 @@ def test_indefinite_g_with_definite_series_blocks_raises_from_the_cross_sectiona
     assert x @ (K @ W.apply(K.T @ x)) < 0  # a direction of negative curvature
     with pytest.raises(SingularSystem, match="project, cross-sectional stage"):
         reconcile_flat(np.ones(xts.size), xts, W)
+
+
+def sparse_product_schur(xts, M):
+    """``S = K_h blkdiag(M_i) K_h'`` as the sparse triple product the
+    two-stage path once formed: the oracle of its direct assembly."""
+    n, hf, _ = M.shape
+    q, rc = xts.width, xts.cs.n_a * hf
+    K_h = xts.kernel[:rc][:, (q * np.arange(n)[:, None] + np.arange(q - hf, q)).ravel()]
+    return K_h @ sp.bsr_matrix((M, np.arange(n), np.arange(n + 1)), shape=(n * hf, n * hf)) @ K_h.T
+
+
+def assert_schur_complements_match_the_sparse_product(xts, W, monkeypatch, exact):
+    """Factor ``K W K'`` in two stages and compare the Schur complement it
+    assembles with :func:`sparse_product_schur`: the same pattern, the same
+    factorization, values within 1e-15 relative (equal if ``exact``).
+    Returns the complement's factorization."""
+    seen = []
+
+    def spy(kappa, M):
+        seen.append((M, _schur_complement(kappa, M)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ctrec.reconcile, "_schur_complement", spy)
+    two_stage(xts, W)
+    (M, S), = seen
+    oracle = sparse_product_schur(xts, M)
+    assert S.nnz == oracle.nnz, W.kind
+    np.testing.assert_array_equal(S.toarray() != 0, oracle.toarray() != 0)
+    assert relative_gap(S.toarray(), oracle.toarray()) <= 1e-15, W.kind
+    if exact:
+        np.testing.assert_array_equal(S.toarray(), oracle.toarray(), err_msg=W.kind)
+    assert _factor(S, "test")[0] == _factor(oracle, "test")[0]
+    return _factor(S, "test")[0]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12])
+def test_schur_complement_matches_the_sparse_product(m, h, monkeypatch):
+    rng = np.random.default_rng(300 * m + h)
+    xts = build_cross_temporal(random_hierarchy(rng, n_max=7), build_temporal(m), h)
+    residuals = random_residuals(rng, xts)
+    for kind in SERIES_BLOCK_KINDS:
+        W = cross_temporal_cov(kind, xts, residuals)
+        # 0/1 weights: the same products, summed in the same order.
+        assert_schur_complements_match_the_sparse_product(xts, W, monkeypatch, exact=True)
+
+
+def test_schur_complement_of_weighted_edges_matches_the_sparse_product(tmp_path, monkeypatch):
+    spec = tmp_path / "weighted.txt"
+    spec.write_text(
+        "m = 4\n[edges]\nnode,parent,weight\n"
+        "A,T,0.5\nB,T,2.5\nx,A,1\ny,A,0.3\nz,A,-1.25\nu,B,0.7\nv,B,3\nw,T,1.1\n"
+    )
+    cs, ts = read_hierarchy(spec)
+    assert set(np.unique(cs.kernel)) - {0.0, 1.0, -1.0}  # weights other than 0 and 1
+    xts = build_cross_temporal(cs, ts, 2)
+    residuals = random_residuals(np.random.default_rng(7), xts)
+    for kind in SERIES_BLOCK_KINDS:
+        W = cross_temporal_cov(kind, xts, residuals)
+        assert_schur_complements_match_the_sparse_product(xts, W, monkeypatch, exact=False)
+
+
+@pytest.mark.parametrize(
+    "shape, factorization",
+    [
+        ((200, 40, 12, 1), "sparse-lu"),  # complement of 492 rows
+        ((32, 4, 12, 1), "cholesky"),  # size 1036
+        ((200, 10, 12, 2), "cholesky"),  # size 11816
+    ],
+)
+def test_schur_complement_matches_the_sparse_product_at_bench_sizes(
+    shape, factorization, monkeypatch
+):
+    xts = grouped_structure(*shape)
+    _, residuals = seeded_inputs(xts)
+    for kind in SERIES_BLOCK_KINDS:
+        W = cross_temporal_cov(kind, xts, residuals)
+        got = assert_schur_complements_match_the_sparse_product(xts, W, monkeypatch, exact=True)
+        assert got == factorization, kind
+        res = reconcile_flat(np.ones(xts.size), xts, W)
+        assert res.diagnostics["factorization"] == "two-stage", kind
 
 
 def dense_series_blocks(W, n):
