@@ -12,9 +12,10 @@ Three menus are provided, one per reconciliation dimension:
   for the series-major vectorization;
 * cross-sectional (``cs-``): per time point, ``n x n``; the ``oct-`` menu
   over one temporal level (``cs-wls`` is its ``wlsh``);
-* temporal (``t-``): per series, ``h(k*+m)`` square; the ``oct-`` menu over
-  one series, plus the Markov family (``t-strar1``, ``t-sar1``, ``t-har1``):
-  AR(1) correlation blocks scaled by the ``struc``, ``wlsv`` or ``wlsh`` diagonal.
+* temporal (``t-``): per series, ``h(k*+m)`` square, for one series or, side
+  by side, every series of a tableau; the ``oct-`` menu over one series, plus
+  the Markov family (``t-strar1``, ``t-sar1``, ``t-har1``): AR(1) correlation
+  blocks scaled by the ``struc``, ``wlsv`` or ``wlsh`` diagonal.
 
 One estimator, :func:`_estimate`, serves all three menus.  It reads every
 residual input as a :class:`ResidualTableau`, level by level through
@@ -49,6 +50,7 @@ from .errors import (
     InvalidInput,
     OrderingMismatch,
     SingularCovariance,
+    require_integer,
 )
 from .hierarchy import CrossSectionalStructure
 from .temporal import TemporalStructure, build_temporal
@@ -106,8 +108,8 @@ class ResidualTableau:
 
     ``values`` has one row per node, series-major, each series block in
     the within-cycle level-blocked order, and one column per observation
-    cycle.  The single-series case (``n = 1``) is the per-series residual
-    layout used by the temporal estimators.
+    cycle.  The single-series case (``n = 1``) is the residual layout of
+    one series' temporal model.
     """
 
     values: np.ndarray
@@ -136,7 +138,10 @@ class ResidualTableau:
         return self.values.shape[1]
 
     def series_block(self, i: int) -> np.ndarray:
-        """Rows of series ``i``: ``(k*+m) x N``."""
+        """Rows of series ``i``: ``(k*+m) x N``; ``i`` outside ``[0, n)`` is
+        :class:`InvalidInput`."""
+        if not 0 <= i < self.n:
+            raise InvalidInput(f"series index {i!r} is outside [0, {self.n})")
         cl = self.ts.cycle_len
         return self.values[i * cl : (i + 1) * cl]
 
@@ -145,15 +150,6 @@ class ResidualTableau:
         slc = self.ts.level_slice(k)
         by_series = self.values.reshape(self.n, self.ts.cycle_len, -1)[:, slc]
         return by_series.transpose(0, 2, 1).reshape(self.n, -1)
-
-    def level_slice_matrix(self, k: int, l: int) -> np.ndarray:
-        """All series at level ``k``, within-cycle position ``l``: ``n x N``."""
-        return self.values[self.ts.level_slice(k).start + l :: self.ts.cycle_len]
-
-    def series_level(self, i: int, k: int) -> np.ndarray:
-        """Level ``k`` residuals of series ``i``: ``N x M_k`` (cycle by row)."""
-        slc = self.ts.level_slice(k)
-        return self.series_block(i)[slc].T
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ class CovarianceModel:
     size: int
     diag_values: np.ndarray | None = None
     matrix: object = None
-    lam: float | None = None
+    lam: float | tuple[float, ...] | None = None
     rho: dict | None = field(default=None)
 
     def __post_init__(self):
@@ -377,15 +373,18 @@ def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
 
 
 def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
-    """SPD-checked moment matrix of residual rows ``E``: ``(matrix, lam)``.
+    """SPD-checked moment matrices of the stack ``E`` of residual rows (``g x
+    p x N``): ``(matrices, lams)``, ``lams`` a tuple of one intensity per
+    matrix, or ``None``.
 
-    Shrunk toward its diagonal, or ridge-lifted when borderline.
+    Each is shrunk toward its diagonal, or ridge-lifted when borderline.
     """
     if not shrunk:
         return _lift_to_pd(sample_mse(E), kind), None
-    A, lam = shrink(sample_mse(E), residuals=E)
+    A, lams = zip(*(shrink(S, residuals=Ei) for S, Ei in zip(sample_mse(E), E)))
+    A = np.stack(A)
     _require_pd(A, kind)
-    return A, lam
+    return A, lams
 
 
 def shrink(
@@ -546,7 +545,8 @@ def _estimate(
     ``n = len(d_series)`` series over ``ts``, extended to ``h`` cycles.
 
     ``d_series`` holds each series' bottom count ``S 1``.  The model is
-    series-major and labelled ``kind``.
+    series-major and labelled ``kind``.  Over several series, a ``t-``
+    kind's ``lam`` and ``rho`` hold a tuple of one value per series.
     """
     n, cl = len(d_series), ts.cycle_len
     if family == "ols":
@@ -566,28 +566,33 @@ def _estimate(
 
     E, N = res.values, res.n_cycles  # E: n(k*+m) x N, series-major
     if family in ("shr", "sam"):
+        # g moment matrices of p rows: one per series for a t- kind, else one.
+        E = E.reshape(n if kind.startswith("t-") else 1, -1, N)
+        g, p = E.shape[:2]
         if family == "sam":
             # Named as the menu counts rows: cs- per series, t- per position.
-            rows = "k*+m" if n == 1 else "n" if cl == 1 else "n(k*+m)"
-            _require(N > n * cl, kind, f"N > {rows}", f"got N={N}, {rows}={n * cl}")
-        elif N < n * cl:
+            rows = "k*+m" if g == n else "n" if cl == 1 else "n(k*+m)"
+            _require(N > p, kind, f"N > {rows}", f"got N={N}, {rows}={p}")
+        elif N < p and g == 1:
             # W = lam D + (1 - lam) E E' / N is a diagonal plus rank N; at
-            # lam = 0 it is singular and the dense gate below says so.
-            d = np.mean(E * E, axis=1)
-            lam = _shrink_intensity(E, d)
+            # lam = 0 it is singular and the dense gate below says so.  Only a
+            # model of one matrix takes this form.
+            d = np.mean(E[0] * E[0], axis=1)
+            lam = _shrink_intensity(E[0], d)
             if lam == 1.0:
                 return _diagonal(kind, _extend(d, ts, h, n), lam=lam)
             if lam > 0.0:
                 return CovarianceModel(
                     kind=kind, structure="low-rank", size=d.size * h,
                     diag_values=_extend(lam * d, ts, h, n),
-                    matrix=_extend(np.sqrt((1.0 - lam) / N) * E, ts, h, n), lam=lam,
+                    matrix=_extend(np.sqrt((1.0 - lam) / N) * E[0], ts, h, n), lam=lam,
                 )
         A, lam = _sample_estimate(kind, E, shrunk=family == "shr")
-        if h == 1:
-            return _full(kind, A, lam=lam)
-        # Copies of one PD cycle block stay PD after extension.
-        return _block_diagonal(kind, [(np.arange(n * cl)[None], A)], ts, h, n, lam=lam)
+        lam = lam[0] if lam and g == 1 else lam
+        if h == 1 and g == 1:
+            return _full(kind, A[0], lam=lam)
+        # Copies of PD cycle blocks stay PD after extension.
+        return _block_diagonal(kind, [(np.arange(n * cl).reshape(g, p), A)], ts, h, n, lam=lam)
 
     # One pass per level; each family's blocks cover that level's positions.
     if family == "acov":
@@ -603,9 +608,9 @@ def _estimate(
         elif family == "bdsam-l":  # per position, over the series
             pairs.append((rows.T, _lift_to_pd(sample_mse(E.transpose(1, 0, 2)), kind)))
         elif family in ("bdsam", "bdshr"):  # per level, at each of its positions
-            B, lam = _sample_estimate(kind, res.level_matrix(k), family == "bdshr")
+            B, lam = _sample_estimate(kind, res.level_matrix(k)[None], family == "bdshr")
             pairs.append((rows.T, B))
-            lams.append(lam)
+            lams.extend(lam or ())
         else:  # Markov: per series, AR(1) correlations scaled by sqrt(d)
             rho[k] = _lag1_autocorr(res.level_matrix(k))
             lag = np.abs(rows[0] - rows[0][:, None])
@@ -614,8 +619,8 @@ def _estimate(
             pairs.append((rows, r[:, :, None] * rho[k][:, None, None] ** lag * r[:, None, :]))
     return _block_diagonal(
         kind, pairs, ts, h, n, lam=float(np.mean(lams)) if family == "bdshr" else None,
-        # The Markov kinds are temporal kinds: one series.
-        rho={k: float(rho[k][0]) for k in ts.factors[1:]} if rho else None,
+        rho={k: float(rho[k][0]) if n == 1 else tuple(rho[k].tolist())
+             for k in ts.factors[1:]} if rho else None,
     )
 
 
@@ -661,13 +666,17 @@ def temporal_cov(
     residuals: np.ndarray | None = None,
     h: int = 1,
 ) -> CovarianceModel:
-    """Materialize one entry of the temporal covariance menu for one series.
+    """Materialize one entry of the temporal covariance menu for one series,
+    or for every series of a tableau.
 
     ``residuals`` is the series' ``(k*+m) x N`` block (level-blocked rows,
-    one column per cycle).  The returned model covers ``h`` forecast
-    cycles; matrices estimated within one cycle are block-extended across
-    cycles.
+    one column per cycle), or a :class:`ResidualTableau` of ``n`` series:
+    then the model is their ``n`` models side by side, block-diagonal by
+    series.  The returned model covers ``h`` forecast cycles; matrices
+    estimated within one cycle are block-extended across cycles.
     """
     if kind not in T_KINDS:
         raise InvalidInput(f"unknown temporal covariance kind {kind!r}")
-    return _estimate(kind, kind[2:], ts, h, [1.0], residuals)
+    require_integer("h", h, 1)
+    n = residuals.n if isinstance(residuals, ResidualTableau) else 1
+    return _estimate(kind, kind[2:], ts, h, np.ones(n), residuals)

@@ -40,8 +40,9 @@ error on demand.
 The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
 materialized projectors, built by :func:`_projectors` as one stack: one
-batched dense Cholesky of every ``K W K'`` (the helper the two-stage path
-uses), the same pivot gate on each slice, and no condition estimate.
+batched dense Cholesky of every ``K W_i K'`` (the helper the two-stage path
+uses), the same pivot gate on each slice, and no condition estimate.  The
+temporal ones come from the series blocks of one model of every series.
 """
 
 from __future__ import annotations
@@ -272,10 +273,13 @@ def _woodbury(solve, V, factor):
     return solve_sum
 
 
-def _batched_cholesky(G: np.ndarray, context: str) -> np.ndarray:
-    """Lower Cholesky factors of a stack of symmetric matrices (symmetrized
-    first), each slice gated by :func:`_check_pivots` against its own
-    largest pivot."""
+def _batched_cholesky(K: np.ndarray, blocks: np.ndarray, context: str):
+    """``(K W, L)`` for the dense kernel ``K`` and a stack of blocks ``W_i``,
+    or of their diagonals, as :func:`_series_blocks` gives them: the lower
+    Cholesky factors of every ``K W_i K'`` (symmetrized first), each gated
+    by :func:`_check_pivots` against its own largest pivot."""
+    KW = K * blocks[:, None, :] if blocks.ndim == 2 else K @ blocks
+    G = KW @ K.T
     try:
         L = np.linalg.cholesky(0.5 * (G + np.swapaxes(G, -1, -2)))
     except np.linalg.LinAlgError as exc:
@@ -283,7 +287,7 @@ def _batched_cholesky(G: np.ndarray, context: str) -> np.ndarray:
             f"{context}: normal-equations matrix could not be factorized"
         ) from exc
     _check_pivots(np.diagonal(L, axis1=-2, axis2=-1) ** 2, context)
-    return L
+    return KW, L
 
 
 def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
@@ -381,8 +385,7 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
     rz, hf = Z.shape[0], xts.h * xts.ts.m
     hf_cols = slice(q - hf, q)  # the last h m values of every series
     diagonal = blocks.ndim == 2
-    ZW = Z * blocks[:, None, :] if diagonal else Z @ blocks
-    L = _batched_cholesky(ZW @ Z.T, f"{context}, temporal stage")
+    ZW, L = _batched_cholesky(Z, blocks, f"{context}, temporal stage")
     # dtrtri never fails on a gated factor, but rejects an empty one.
     Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if rz else L
     V = Linv @ ZW[:, :, hf_cols]  # L_i^{-1} Z W_i[:, hf]
@@ -519,14 +522,13 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
     )
 
 
-def _projectors(kernel, models) -> np.ndarray:
-    """The ``(len(models), s, s)`` stack of dense projectors ``I - W K' (K W
-    K')^{-1} K`` over one ``r x s`` kernel: one batched Cholesky ``K W K' =
-    L L'`` by :func:`_batched_cholesky`, and ``I - (V W)' V`` with ``V =
+def _projectors(kernel, blocks: np.ndarray) -> np.ndarray:
+    """The stack of dense projectors ``I - W_i K' (K W_i K')^{-1} K`` over one
+    ``r x s`` kernel for the ``blocks`` of :func:`_batched_cholesky`: one
+    batched Cholesky ``K W_i K' = L L'``, and ``I - (V W_i)' V`` with ``V =
     L^{-1} K``.  No condition estimate is computed."""
     K = _as_dense(kernel)
-    KW = K @ np.stack([model.dense() for model in models])
-    L = _batched_cholesky(KW @ K.T, "projector")
+    KW, L = _batched_cholesky(K, blocks, "projector")
     B = np.concatenate([np.broadcast_to(K, KW.shape), KW], axis=-1)
     V, VW = np.split(np.linalg.solve(L, B), 2, axis=-1)  # L^{-1} K, L^{-1} K W
     return np.eye(K.shape[1]) - np.swapaxes(VW, -1, -2) @ V
@@ -534,7 +536,7 @@ def _projectors(kernel, models) -> np.ndarray:
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
     """Materialize the dense projection matrix fixing the kernel's null space."""
-    return _projectors(kernel, [W])[0]
+    return _projectors(kernel, W.dense()[None])[0]
 
 
 def reconciled_covariance(W: CovarianceModel, kernel) -> np.ndarray:
@@ -605,7 +607,8 @@ def _per_level_projectors(
 ) -> np.ndarray:
     """The stack of each level's cross-sectional projector, in ``ts.factors`` order."""
     E = [None if residuals is None else residuals.level_matrix(k) for k in xts.ts.factors]
-    return _projectors(xts.cs.kernel, [cross_sectional_cov(kind, xts.cs, Ek) for Ek in E])
+    W = [cross_sectional_cov(kind, xts.cs, Ek).dense() for Ek in E]
+    return _projectors(xts.cs.kernel, np.stack(W))
 
 
 def _apply_cross_sectional(
@@ -639,10 +642,13 @@ def _per_series_temporal_projectors(
     kind: str,
     residuals: ResidualTableau | None,
 ) -> np.ndarray:
-    """The ``(n, w, w)`` stack of each series' temporal projector."""
-    E = [None if residuals is None else residuals.series_block(i) for i in range(xts.n)]
-    models = [temporal_cov(kind, xts.ts, Ei, h=xts.h) for Ei in E]
-    return _projectors(xts.temporal_kernel, models)
+    """The ``(n, w, w)`` stack of each series' temporal projector, from the
+    series blocks of one model; without residuals, one projector repeated."""
+    n = 1 if residuals is None else xts.n
+    W = temporal_cov(kind, xts.ts, residuals, xts.h)
+    if W.size != n * xts.width:
+        raise DimensionMismatch(f"residuals cover {W.size // xts.width} series, not {xts.n}")
+    return np.repeat(_projectors(xts.temporal_kernel, _series_blocks(W, n)), xts.n // n, 0)
 
 
 def _apply_temporal(vals: np.ndarray, projs: np.ndarray) -> np.ndarray:

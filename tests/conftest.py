@@ -8,6 +8,8 @@ from ctrec import (
     build_cross_sectional,
     build_cross_temporal,
     build_temporal,
+    generate_coherent,
+    naive_base_forecasts,
 )
 
 
@@ -39,6 +41,21 @@ def random_structure(rng, n_max=10, m_choices=(2, 4, 12), h_choices=(1, 2)):
     ts = build_temporal(int(rng.choice(m_choices)))
     h = int(rng.choice(h_choices))
     return build_cross_temporal(cs, ts, h)
+
+
+def grouped_structure(n_b, g, m, h):
+    """One total plus ``g`` interleaved group totals over ``n_b`` bottoms."""
+    C = np.zeros((1 + g, n_b))
+    C[0] = 1.0
+    for j in range(g):
+        C[1 + j, j::g] = 1.0
+    return build_cross_temporal(build_cross_sectional(C), build_temporal(m), h)
+
+
+def seeded_inputs(xts, origin=40):
+    actuals, _ = generate_coherent(xts.cs, xts.ts, origin + xts.h, seed=0)
+    Y_hat, residuals = naive_base_forecasts(actuals, xts.cs, xts.ts, origin, xts.h)
+    return np.asarray(Y_hat, dtype=float).ravel(), residuals
 
 
 def random_residuals(rng, xts, n_cycles=None):

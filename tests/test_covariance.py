@@ -15,6 +15,7 @@ from ctrec import (
     T_KINDS,
     DegenerateSample,
     InvalidEntry,
+    InvalidInput,
     OrderingMismatch,
     ResidualTableau,
     SingularCovariance,
@@ -30,7 +31,12 @@ from ctrec import (
 )
 from ctrec.covariance import _lift_to_pd, _shrink_intensity
 from ctrec.reconcile import _normal_factor
-from tests.conftest import random_hierarchy, random_residuals
+from tests.conftest import (
+    grouped_structure,
+    random_hierarchy,
+    random_residuals,
+    seeded_inputs,
+)
 
 
 def shrink_lambda_oracle(E):
@@ -571,6 +577,16 @@ def test_stack_gate_matches_the_cho_factor_lift_slice_by_slice(seed, p, kinds):
     assert_same_outcome(alone, lift_outcome(cho_factor_lift, stack[0]))
 
 
+def level_slice_matrix(res, k, l):
+    """All series at level ``k``, within-cycle position ``l``: ``n x N``."""
+    return res.values[res.ts.level_slice(k).start + l :: res.ts.cycle_len]
+
+
+def series_level(res, i, k):
+    """Level ``k`` residuals of series ``i``: ``N x M_k`` (cycle by row)."""
+    return res.series_block(i)[res.ts.level_slice(k)].T
+
+
 def test_residual_tableau_views(toy):
     ts = toy.ts
     cl = ts.cycle_len
@@ -582,11 +598,18 @@ def test_residual_tableau_views(toy):
     assert lvl.shape == (3, 4)
     # time order: cycle 1 positions then cycle 2 positions
     np.testing.assert_array_equal(lvl[0], [vals[1, 0], vals[2, 0], vals[1, 1], vals[2, 1]])
-    sl = res.level_slice_matrix(2, 1)
+    sl = level_slice_matrix(res, 2, 1)
     np.testing.assert_array_equal(sl[0], vals[2])
-    per_series = res.series_level(0, 2)
+    per_series = series_level(res, 0, 2)
     assert per_series.shape == (2, 2)
     np.testing.assert_array_equal(per_series[:, 0], vals[1])
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_series_block_rejects_an_index_outside_the_series(toy, i):
+    res = ResidualTableau(np.ones((2 * toy.ts.cycle_len, 3)), 2, toy.ts)
+    with pytest.raises(InvalidInput, match=re.escape(f"series index {i} is outside [0, 2)")):
+        res.series_block(i)
 
 
 def test_menus_leave_raw_residual_arrays_writeable(toy):
@@ -762,7 +785,7 @@ def menu_oracle(kind, family, ts, d_series, E):
         blocks, lams = [], []  # time-major: one n x n block per position
         for k in ts.factors:
             if family == "bdsam-l":
-                blocks += [_lift_to_pd(sample_mse(res.level_slice_matrix(k, l)), kind)
+                blocks += [_lift_to_pd(sample_mse(level_slice_matrix(res, k, l)), kind)
                            for l in range(ts.M_k[k])]
                 continue
             Ek = res.level_matrix(k)
@@ -810,3 +833,74 @@ def test_every_menu_matches_its_reference_construction(m, h):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), W.kind
         assert W.lam == pytest.approx(lam, rel=1e-15, abs=0), W.kind
         assert W.rho == (None if rho is None else pytest.approx(rho, rel=1e-15, abs=0))
+
+
+def sparse_payload(W):
+    """``W`` as a sparse matrix, its stored entries as the model holds them."""
+    if W.structure == "identity":
+        return sp.identity(W.size, format="csr")
+    if W.structure == "diagonal":
+        return sp.diags(W.diag_values, format="csr")
+    return sp.csr_matrix(W.matrix if W.structure == "block-diagonal" else W.dense())
+
+
+def tableau_cases(h):
+    """Residual tableaux: two random structures, and the grouped (32, 4)
+    hierarchy with m = 12 and naive-forecast residuals at origin 40."""
+    cases = []
+    for seed in (0, 1):
+        rng = np.random.default_rng(300 + 10 * seed + h)
+        cs = random_hierarchy(rng, n_max=7)
+        xts = build_cross_temporal(cs, build_temporal(int(rng.choice([2, 4, 12]))), h)
+        cases.append((xts.ts, random_residuals(rng, xts, n_cycles=xts.ts.cycle_len + 5)))
+    xts = grouped_structure(32, 4, 12, h)
+    cases.append((xts.ts, seeded_inputs(xts)[1]))
+    return cases
+
+
+# One moment matrix per series: the stacked product may round differently.
+SAMPLE_KINDS = ("t-sam", "t-shr")
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("kind", T_KINDS)
+def test_temporal_cov_over_a_tableau_is_each_series_model(kind, h):
+    for ts, res in tableau_cases(h):
+        W = temporal_cov(kind, ts, res, h=h)
+        singles = [temporal_cov(kind, ts, res.series_block(i), h=h) for i in range(res.n)]
+        assert (W.kind, W.size) == (kind, res.n * ts.cycle_len * h)
+        got = sparse_payload(W)
+        want = sp.block_diag([sparse_payload(Wi) for Wi in singles], format="csr")
+        if kind in SAMPLE_KINDS:
+            assert abs(got - want).max() <= 1e-15 * abs(want).max(), kind
+        else:
+            assert (got != want).nnz == 0, kind
+        lams = [Wi.lam for Wi in singles]
+        assert W.lam == (None if lams[0] is None else pytest.approx(tuple(lams), rel=1e-15))
+        if singles[0].rho is not None:
+            assert W.rho == {k: tuple(Wi.rho[k] for Wi in singles) for k in W.rho}
+
+
+def test_temporal_cov_keeps_one_series_metadata_as_floats(toy):
+    res = random_residuals(np.random.default_rng(310), toy)
+    one = ResidualTableau(res.series_block(0), 1, toy.ts)
+    for E in (res.series_block(0), one):
+        assert isinstance(temporal_cov("t-shr", toy.ts, E).lam, float)
+        assert all(isinstance(r, float) for r in temporal_cov("t-sar1", toy.ts, E).rho.values())
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_t_shr_over_a_tableau_with_few_cycles_is_dense_by_series(h):
+    xts = grouped_structure(8, 2, 12, h)
+    res = seeded_inputs(xts, origin=14)[1]
+    assert res.n_cycles < xts.ts.cycle_len
+    W = temporal_cov("t-shr", xts.ts, res, h=h)
+    assert W.structure == "block-diagonal"
+    q = xts.width
+    for i in range(xts.n):
+        Wi = temporal_cov("t-shr", xts.ts, res.series_block(i), h=h)
+        assert Wi.structure == "low-rank", i
+        block = W.matrix[i * q : (i + 1) * q, i * q : (i + 1) * q].toarray()
+        want = Wi.dense()
+        assert np.max(np.abs(block - want)) <= 1e-15 * np.max(np.abs(want)), i
+        assert W.lam[i] == pytest.approx(Wi.lam, rel=1e-15)

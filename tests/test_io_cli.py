@@ -18,6 +18,7 @@ from ctrec import (
     build_cross_temporal,
     build_temporal,
     generate_coherent,
+    temporal_cov,
 )
 from ctrec.cli import main
 from ctrec.evaluation import avgrel_table, error_cube
@@ -542,6 +543,10 @@ def test_cli_evaluate_rejects_origin_files_that_differ_by_name(tmp_path, toy_fil
         ("build_cross_temporal h", 0),
         ("build_cross_temporal h", 2.0),
         ("build_cross_temporal h", True),
+        ("temporal_cov h", 0),
+        ("temporal_cov h", 2.5),
+        ("temporal_cov h", 2.0),
+        ("temporal_cov h", True),
         ("synth --h", 0),
         ("synth --h", -1),
         ("synth --origins", 0),
@@ -567,6 +572,8 @@ def test_bad_horizon_or_origin_count_is_invalid_input(tmp_path, toy_file, call, 
         if function == "naive_base_forecasts":
             actuals, _ = generate_coherent(cs, ts, 6, seed=0)
             naive_base_forecasts(actuals, cs, ts, **{"origin": 4, "h": 1, name: bad})
+        elif function == "temporal_cov":
+            temporal_cov("t-ols", ts, h=bad)
         else:
             build_cross_temporal(cs, ts, bad)
 

@@ -25,10 +25,8 @@ from ctrec import (
     coherence_report,
     cross_sectional_cov,
     cross_temporal_cov,
-    generate_coherent,
     iterative,
     ka_two_step,
-    naive_base_forecasts,
     project,
     project_structural,
     reconcile_cross_sectional,
@@ -42,13 +40,20 @@ from ctrec.io import read_hierarchy
 from ctrec.reconcile import (
     _factor,
     _normal_factor,
+    _per_series_temporal_projectors,
     _projectors,
     _schur_complement,
     _series_blocks,
     _two_stage,
     projector,
 )
-from tests.conftest import random_hierarchy, random_residuals, random_structure
+from tests.conftest import (
+    grouped_structure,
+    random_hierarchy,
+    random_residuals,
+    random_structure,
+    seeded_inputs,
+)
 
 
 def identity_w(size):
@@ -372,21 +377,6 @@ def test_non_numeric_residuals_raise_invalid_entry(toy, case):
 
 # ---------------------------------------------------------------------------
 # Sparse and dense factorizations above 3000 values
-
-
-def grouped_structure(n_b, g, m, h):
-    """One total plus ``g`` interleaved group totals over ``n_b`` bottoms."""
-    C = np.zeros((1 + g, n_b))
-    C[0] = 1.0
-    for j in range(g):
-        C[1 + j, j::g] = 1.0
-    return build_cross_temporal(build_cross_sectional(C), build_temporal(m), h)
-
-
-def seeded_inputs(xts, origin=40):
-    actuals, _ = generate_coherent(xts.cs, xts.ts, origin + xts.h, seed=0)
-    Y_hat, residuals = naive_base_forecasts(actuals, xts.cs, xts.ts, origin, xts.h)
-    return np.asarray(Y_hat, dtype=float).ravel(), residuals
 
 
 @pytest.fixture(scope="module")
@@ -981,13 +971,6 @@ def test_cross_sectional_levels_match_kkt_oracle_with_their_own_w(kind, h):
             )
 
 
-def _diagonal_models(*diags):
-    return [
-        CovarianceModel(kind="w", structure="diagonal", size=d.size, diag_values=d)
-        for d in diags
-    ]
-
-
 @pytest.mark.parametrize(
     "delta, message",
     [
@@ -1003,19 +986,51 @@ def test_stacked_projectors_gate_each_slice(delta, message):
     healthy = np.random.default_rng(70).uniform(0.5, 2.0, ts.cycle_len)
     bad = np.ones(ts.cycle_len)
     bad[: ts.k_star] = delta
-    models = _diagonal_models(healthy, bad, healthy)
-    with pytest.raises(SingularSystem, match=message):
-        _projectors(Z, models)
+    with pytest.raises(SingularSystem, match=message):  # a stack of diagonals
+        _projectors(Z, np.stack([healthy, bad, healthy]))
+    with pytest.raises(SingularSystem, match=message):  # a stack of matrices
+        _projectors(Z, np.stack([np.diag(healthy), np.diag(bad)]))
 
 
 def test_stacked_projectors_scale_each_tolerance():
     ts = build_temporal(12)
     Z = build_cross_temporal(build_cross_sectional([[1, 1]]), ts, 1).temporal_kernel
     healthy = np.random.default_rng(71).uniform(0.5, 2.0, ts.cycle_len)
-    projs = _projectors(Z, _diagonal_models(1e12 * healthy, 1e-6 * healthy))
-    single = projector(Z, _diagonal_models(healthy)[0])
+    projs = _projectors(Z, np.stack([1e12 * healthy, 1e-6 * healthy]))
+    W = CovarianceModel(kind="w", structure="diagonal", size=healthy.size, diag_values=healthy)
+    single = projector(Z, W)
     for P in projs:  # W and c W give the same projector
         np.testing.assert_allclose(P, single, rtol=1e-10, atol=1e-12)
+
+
+def per_series_loop(xts, kind, residuals):
+    """Each series' temporal projector from its own ``temporal_cov`` call,
+    the model densified: how the projectors were once built."""
+    E = [None if residuals is None else residuals.series_block(i) for i in range(xts.n)]
+    models = [temporal_cov(kind, xts.ts, Ei, h=xts.h) for Ei in E]
+    return _projectors(xts.temporal_kernel, np.stack([W.dense() for W in models]))
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("kind", T_KINDS)
+def test_temporal_projectors_match_the_per_series_loop(kind, h):
+    rng = np.random.default_rng(80 + h)
+    xts = random_structure(rng, h_choices=(h,))
+    cases = [(xts, random_residuals(rng, xts, n_cycles=xts.ts.cycle_len + 5))]
+    medium = grouped_structure(32, 4, 12, h)
+    cases.append((medium, seeded_inputs(medium)[1]))
+    if kind in ("t-ols", "t-struc"):
+        cases += [(xts, None), (medium, None)]
+    for xts, residuals in cases:
+        got = _per_series_temporal_projectors(xts, kind, residuals)
+        np.testing.assert_array_equal(got, per_series_loop(xts, kind, residuals))
+
+
+def test_temporal_projectors_reject_residuals_of_other_series(toy):
+    other = build_cross_temporal(build_cross_sectional([[1, 1, 1]]), toy.ts, 1)
+    residuals = random_residuals(np.random.default_rng(81), other)
+    with pytest.raises(DimensionMismatch, match="residuals cover 4 series, not 3"):
+        reconcile_temporal(toy.tableau(np.ones((toy.n, toy.width))), "t-wlsv", residuals)
 
 
 def test_tableaux_and_structures_leave_caller_arrays_writeable(toy):
