@@ -374,8 +374,8 @@ def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
 
 def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
     """SPD-checked moment matrices of the stack ``E`` of residual rows (``g x
-    p x N``): ``(matrices, lams)``, ``lams`` a tuple of one intensity per
-    matrix, or ``None``.
+    p x N``): ``(matrices, lam)``, ``lam`` the intensity of a single matrix,
+    a tuple of one intensity per matrix, or ``None`` when not shrunk.
 
     Each is shrunk toward its diagonal, or ridge-lifted when borderline.
     """
@@ -384,7 +384,7 @@ def _sample_estimate(kind: str, E: np.ndarray, shrunk: bool):
     A, lams = zip(*(shrink(S, residuals=Ei) for S, Ei in zip(sample_mse(E), E)))
     A = np.stack(A)
     _require_pd(A, kind)
-    return A, lams
+    return A, lams if len(lams) > 1 else lams[0]
 
 
 def shrink(
@@ -588,7 +588,6 @@ def _estimate(
                     matrix=_extend(np.sqrt((1.0 - lam) / N) * E[0], ts, h, n), lam=lam,
                 )
         A, lam = _sample_estimate(kind, E, shrunk=family == "shr")
-        lam = lam[0] if lam and g == 1 else lam
         if h == 1 and g == 1:
             return _full(kind, A[0], lam=lam)
         # Copies of PD cycle blocks stay PD after extension.
@@ -610,7 +609,7 @@ def _estimate(
         elif family in ("bdsam", "bdshr"):  # per level, at each of its positions
             B, lam = _sample_estimate(kind, res.level_matrix(k)[None], family == "bdshr")
             pairs.append((rows.T, B))
-            lams.extend(lam or ())
+            lams.append(lam)
         else:  # Markov: per series, AR(1) correlations scaled by sqrt(d)
             rho[k] = _lag1_autocorr(res.level_matrix(k))
             lag = np.abs(rows[0] - rows[0][:, None])

@@ -384,7 +384,6 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
     Z = _as_dense(xts.temporal_kernel)
     rz, hf = Z.shape[0], xts.h * xts.ts.m
     hf_cols = slice(q - hf, q)  # the last h m values of every series
-    diagonal = blocks.ndim == 2
     ZW, L = _batched_cholesky(Z, blocks, f"{context}, temporal stage")
     # dtrtri never fails on a gated factor, but rejects an empty one.
     Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if rz else L
@@ -392,7 +391,7 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
     Linv_t = np.swapaxes(Linv, 1, 2)
     B_inv, P = Linv_t @ Linv, Linv_t @ V
     M = -(np.swapaxes(V, 1, 2) @ V)
-    if diagonal:
+    if blocks.ndim == 2:  # diagonals
         M[:, np.arange(hf), np.arange(hf)] += blocks[:, hf_cols]
     else:
         M += blocks[:, hf_cols, hf_cols]
@@ -643,11 +642,14 @@ def _per_series_temporal_projectors(
     residuals: ResidualTableau | None,
 ) -> np.ndarray:
     """The ``(n, w, w)`` stack of each series' temporal projector, from the
-    series blocks of one model; without residuals, one projector repeated."""
+    series blocks of one model; for a kind that reads no residuals, one
+    projector repeated."""
+    if residuals is not None and residuals.n != xts.n:
+        raise DimensionMismatch(f"residuals cover {residuals.n} series, not {xts.n}")
+    if kind in ("t-ols", "t-struc"):
+        residuals = None
     n = 1 if residuals is None else xts.n
     W = temporal_cov(kind, xts.ts, residuals, xts.h)
-    if W.size != n * xts.width:
-        raise DimensionMismatch(f"residuals cover {W.size // xts.width} series, not {xts.n}")
     return np.repeat(_projectors(xts.temporal_kernel, _series_blocks(W, n)), xts.n // n, 0)
 
 

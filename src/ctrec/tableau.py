@@ -55,6 +55,22 @@ class ForecastTableau:
         """Column-stacked vector (time-major)."""
         return self.values.ravel(order="F")
 
+    @classmethod
+    def from_vec_by_variable(
+        cls, vec, structure: "CrossTemporalStructure", provenance: str = "base"
+    ) -> "ForecastTableau":
+        vec = np.asarray(vec, dtype=float).ravel()
+        if vec.size != structure.size:
+            raise DimensionMismatch(
+                f"vector length {vec.size} does not match structure size "
+                f"{structure.size}"
+            )
+        return cls(vec.reshape(structure.n, structure.width), structure, provenance)
+
+    def level_block(self, k: int) -> np.ndarray:
+        """Columns of aggregation level ``k`` (a read-only view)."""
+        return self.values[:, self.structure.ts.level_slice(k, self.structure.h)]
+
     def with_values(self, values, provenance: str | None = None) -> "ForecastTableau":
         return replace(
             self,

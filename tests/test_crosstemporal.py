@@ -137,6 +137,9 @@ def test_tableau_vectorization_views(toy):
     np.testing.assert_array_equal(
         toy.commutation @ tab.vec_by_time, tab.vec_by_variable
     )
+    again = type(tab).from_vec_by_variable(tab.vec_by_variable, toy)
+    np.testing.assert_array_equal(again.values, tab.values)
+    np.testing.assert_array_equal(tab.level_block(2), tab.values[:, 1:3])
 
 
 def test_permutations_orthogonal(toy):

@@ -1026,11 +1026,12 @@ def test_temporal_projectors_match_the_per_series_loop(kind, h):
         np.testing.assert_array_equal(got, per_series_loop(xts, kind, residuals))
 
 
-def test_temporal_projectors_reject_residuals_of_other_series(toy):
+@pytest.mark.parametrize("kind", ["t-ols", "t-wlsv"])
+def test_temporal_projectors_reject_residuals_of_other_series(toy, kind):
     other = build_cross_temporal(build_cross_sectional([[1, 1, 1]]), toy.ts, 1)
     residuals = random_residuals(np.random.default_rng(81), other)
     with pytest.raises(DimensionMismatch, match="residuals cover 4 series, not 3"):
-        reconcile_temporal(toy.tableau(np.ones((toy.n, toy.width))), "t-wlsv", residuals)
+        reconcile_temporal(toy.tableau(np.ones((toy.n, toy.width))), kind, residuals)
 
 
 def test_tableaux_and_structures_leave_caller_arrays_writeable(toy):

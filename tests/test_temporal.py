@@ -9,12 +9,7 @@ from ctrec import (
     build_full_temporal_kernel,
     build_temporal,
 )
-from ctrec.temporal import full_summing
-
-
-def full_vector(ts, x):
-    """All temporal aggregates of ``x``, stacked in the level-blocked layout."""
-    return np.concatenate([aggregate_series(ts, x, k) for k in ts.factors])
+from ctrec.temporal import full_summing, full_vector
 
 QUARTERLY_K1 = np.array(
     [
