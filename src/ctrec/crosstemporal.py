@@ -215,6 +215,21 @@ def build_cross_temporal(
     return CrossTemporalStructure(cs=cs, ts=ts, h=h, temporal_kernel=Z, kernel=kernel)
 
 
+def _checked_kernel(kernel, size: int | None = None, name: str = "kernel"):
+    """``kernel``, sparse as given or else as a float array, once checked:
+    2-D with ``size`` columns when that is given (else
+    :class:`DimensionMismatch`), and no NaN or infinite entry (else
+    :class:`InvalidEntry`)."""
+    K = kernel if sp.issparse(kernel) else np.asarray(kernel, dtype=float)
+    if K.ndim != 2:
+        raise DimensionMismatch(f"{name} must be 2-D, got shape {K.shape}")
+    if size is not None and K.shape[1] != size:
+        raise DimensionMismatch(f"{name} has {K.shape[1]} columns, expected {size}")
+    if not np.all(np.isfinite(sp.coo_matrix(K).data if sp.issparse(K) else K)):
+        raise InvalidEntry(f"{name} contains NaN or infinite entries")
+    return K
+
+
 def validate_raw_kernel(kernel, size: int | None = None) -> sp.csr_matrix:
     """Validate a user-supplied constraint kernel and return it as sparse.
 
@@ -222,12 +237,11 @@ def validate_raw_kernel(kernel, size: int | None = None) -> sp.csr_matrix:
     cannot be written through an aggregation matrix (series sharing a
     total from different sides, for example).  Structural operations
     (bottom-up, the structural solver) are unavailable for raw kernels.
+    A NaN or infinite entry raises :class:`InvalidEntry`.
     """
-    K = sp.csr_matrix(np.atleast_2d(kernel) if not sp.issparse(kernel) else kernel)
-    if size is not None and K.shape[1] != size:
-        raise DimensionMismatch(
-            f"kernel has {K.shape[1]} columns, expected {size}"
-        )
+    if not sp.issparse(kernel):
+        kernel = np.atleast_2d(kernel)
+    K = sp.csr_matrix(_checked_kernel(kernel, size))
     if K.shape[0] >= K.shape[1]:
         raise DimensionMismatch("kernel must have fewer rows than columns")
     if numerical_rank(K) != K.shape[0]:

@@ -6,20 +6,16 @@ the null space of a constraint kernel ``K``::
     y_tilde = y_hat - W K' (K W K')^{-1} K y_hat
 
 computed through one factorization of the normal matrix ``G = K W K'``
-(:func:`_normal_factor`); ``W`` is never inverted and structured forms
-(diagonal, block-diagonal, diagonal plus low rank) are used without
-densification.  ``G`` is factored by a sparse LU with diagonal pivots
-(SuperLU) when it is large and sparse: at least ``_SPARSE_MIN_RANK`` rows
-and at most a ``_SPARSE_MAX_FILL`` share of nonzeros, as with an
-identity, diagonal or block-diagonal ``W`` on a large hierarchy.
-Otherwise (every full ``W``, a small or dense ``G``) it is densified and
-Cholesky-factored.  A diagonal-plus-low-rank ``W = D + U U'`` (the
-shrinkage kinds with fewer residual cycles than values) takes a third
-path, ``woodbury``: ``G0 = K D K'`` is factored by that rule, and ``G =
-G0 + (K U)(K U)'`` is solved through the Cholesky factor of the small
-capacitance matrix without being formed.  A fourth path, ``two-stage``,
-serves the cross-temporal kernel ``[K_c ; I_n (x) Z]`` when its structure
-comes with it, ``G`` has at least ``_SPARSE_MIN_RANK`` rows and ``W`` is
+by one dispatch, :func:`_normal_factor`; ``W`` is never inverted and
+structured forms (diagonal, block-diagonal, diagonal plus low rank) are
+used without densification.  ``G`` is factored by a sparse LU with
+diagonal pivots (SuperLU) when it is large and sparse: at least
+``_SPARSE_MIN_RANK`` rows and at most a ``_SPARSE_MAX_FILL`` share of
+nonzeros, as with an identity, diagonal or block-diagonal ``W`` on a large
+hierarchy.  Otherwise (every full ``W``, a small or dense ``G``) it is
+densified and Cholesky-factored.  A third path, ``two-stage``, serves the
+cross-temporal kernel ``[K_c ; I_n (x) Z]`` when its structure comes with
+it, ``G`` has at least ``_SPARSE_MIN_RANK`` rows and ``W`` is
 block-diagonal by series (the ``ols``, ``struc``, ``wlsh``, ``wlsv`` and
 ``acov`` kinds): block elimination of the temporal rows, one batched
 Cholesky of the per-series ``Z W_i Z'``, then one factorization of the
@@ -28,14 +24,21 @@ per-series blocks by one sparse-dense product with the pairwise products
 of the cross-sectional kernel's columns, not by a sparse triple product
 (:func:`_schur_complement`).  It is exact, the counterpart of the
 temporal-first two-step heuristic; a diagonal ``W`` stays a stack of
-diagonals there and scales the columns of ``Z``.  Every factor passes one
-positive-definiteness gate on its pivots, and every path has a 1-norm
-condition estimate, which the result of :func:`project` computes on
-first access.  The equivalent structural form solves the generalized
-least-squares problem on the bottom coordinates and re-aggregates; it
-factors ``W`` by the same core, as ``K W K'`` over the identity kernel.
-:func:`reconciled_covariance` gives the covariance of the reconciliation
-error on demand.
+diagonals there and scales the columns of ``Z``.  A diagonal-plus-low-rank
+``W = D + U U'`` (the shrinkage kinds with fewer residual cycles than
+values) is ``woodbury``, a composition: the dispatch factors ``G0 = K D
+K'``, by the two-stage path where that applies, and ``G = G0 + (K U)(K
+U)'`` is solved through the Cholesky factor of the small capacitance
+matrix without being formed.  Every factor passes one positive-definiteness
+gate on its pivots.  Every path has the same 1-norm condition estimate
+(:func:`_condition_estimate`), which the result of :func:`project`
+computes on first access.  The equivalent structural form solves the
+generalized least-squares problem on the bottom coordinates and
+re-aggregates; it factors ``W`` by the same core, as ``K W K'`` over the
+identity kernel.  :func:`reconciled_covariance` gives the covariance of
+the reconciliation error on demand.  The public entry points reject a
+kernel that is not 2-D, of another width than ``W``, or with a NaN or
+infinite entry.
 
 The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
@@ -63,7 +66,7 @@ from .covariance import (
     cross_temporal_cov,
     temporal_cov,
 )
-from .crosstemporal import CrossTemporalStructure
+from .crosstemporal import CrossTemporalStructure, _checked_kernel
 from .errors import DimensionMismatch, InvalidEntry, SingularSystem
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
@@ -113,11 +116,12 @@ class ReconciliationResult:
     W K'``, else ``"cholesky"``) and the post-solve maximum constraint
     violation (``"constraint_residual"``).
 
-    ``condition_estimate`` is a 1-norm condition estimate of the
-    normal-equations matrix, computed on first access and then kept;
-    ``warning`` names an estimate above 1e12.  Both are ``None`` for a
-    result that made no ``K W K'`` solve (the heuristics).  Until the
-    estimate is read, the result holds the factorization it needs.
+    ``condition_estimate`` is the 1-norm condition estimate of the
+    normal-equations matrix by :func:`_condition_estimate`, the same rule
+    for every path (1.0 for an empty kernel), computed on first access and
+    then kept; ``warning`` names an estimate above 1e12.  Both are ``None``
+    for a result that made no ``K W K'`` solve (the heuristics).  Until the
+    estimate is read, the result holds the solver it needs.
     """
 
     y_tilde: np.ndarray
@@ -189,12 +193,19 @@ def _norm1_estimate(apply, r: int) -> float:
     return float(max(est, 2.0 * np.abs(apply(alt)).sum() / (3.0 * r)))
 
 
-def _cholesky(A, context: str):
-    """Symmetrize, Cholesky-factor and gate the dense matrix ``A``.
+def _condition_estimate(K, W: CovarianceModel, solve) -> float:
+    """The 1-norm condition estimate of ``G = K W K'`` on every path:
+    :func:`_norm1_estimate` over products with ``G`` times the same over
+    ``solve``, a solver of ``G``; 1.0 for an empty ``G``."""
+    r = K.shape[0]
+    if r == 0:
+        return 1.0
+    return _norm1_estimate(lambda b: K @ W.apply(K.T @ b), r) * _norm1_estimate(solve, r)
 
-    Returns ``(solve, condition)``: ``condition()`` is LAPACK's ``dpocon``
-    estimate on the factor, computed only when called.
-    """
+
+def _cholesky(A, context: str):
+    """Symmetrize, Cholesky-factor and gate the dense matrix ``A``; returns
+    its solver."""
     A = 0.5 * (A + A.T)
     try:
         cho = scipy.linalg.cho_factor(A, lower=True)
@@ -203,26 +214,13 @@ def _cholesky(A, context: str):
             f"{context}: normal-equations matrix could not be factorized"
         ) from exc
     _check_pivots(np.diag(cho[0]) ** 2, context)
-
-    def condition() -> float:
-        if not A.size:
-            return 1.0
-        rcond, _ = scipy.linalg.lapack.dpocon(
-            cho[0], np.abs(A).sum(axis=0).max(), uplo="L"
-        )
-        return 1.0 / rcond
-
-    return partial(scipy.linalg.cho_solve, cho), condition
+    return partial(scipy.linalg.cho_solve, cho)
 
 
 def _sparse_lu(G, context: str):
     """Symmetrize and factor the sparse matrix ``G`` by SuperLU with
     diagonal pivots only (``G = P L U P'``), gated on the pivots
-    ``diag(U)``.
-
-    Returns ``(solve, condition)``: ``condition()`` is ``||G||_1`` times
-    :func:`_norm1_estimate`, computed only when called.
-    """
+    ``diag(U)``; returns its solver."""
     G = (0.5 * (G + G.T)).tocsc()
     try:
         lu = spla.splu(
@@ -240,7 +238,7 @@ def _sparse_lu(G, context: str):
             f"{context}: normal-equations matrix needed off-diagonal pivots"
         )
     _check_pivots(lu.U.diagonal(), context)
-    return lu.solve, lambda: float(spla.norm(G, 1) * _norm1_estimate(lu.solve, G.shape[0]))
+    return lu.solve
 
 
 def _factor(G, context: str):
@@ -248,23 +246,23 @@ def _factor(G, context: str):
     rows and at most ``_SPARSE_MAX_FILL`` of its entries are nonzero, and
     by dense Cholesky otherwise (a dense or small ``G``, an empty one).
 
-    Returns ``(factorization, solve, condition)``, as :func:`_cholesky`.
+    Returns ``(factorization, solve)``.
     """
     r = G.shape[0]
     if sp.issparse(G) and r >= _SPARSE_MIN_RANK and G.nnz <= _SPARSE_MAX_FILL * r * r:
-        return ("sparse-lu", *_sparse_lu(G, context))
-    return ("cholesky", *_cholesky(_as_dense(G), context))
+        return "sparse-lu", _sparse_lu(G, context)
+    return "cholesky", _cholesky(_as_dense(G), context)
 
 
-def _woodbury(solve, V, factor):
+def _woodbury(solve, V, context: str):
     """Solver of ``A + V V'`` from a solver of ``A``, by the Woodbury identity.
 
     ``(A + V V')^{-1} = A^{-1} - A^{-1} V C^{-1} V' A^{-1}`` with the
-    capacitance matrix ``C = I + V' A^{-1} V``; ``factor(C)`` returns a
-    solver of ``C``.  Only ``A^{-1} V`` and ``C`` are stored.
+    capacitance matrix ``C = I + V' A^{-1} V``, factored by
+    :func:`_cholesky`.  Only ``A^{-1} V`` and the factor of ``C`` are stored.
     """
     AiV = solve(V)
-    solve_c = factor(np.eye(V.shape[1]) + V.T @ AiV)
+    solve_c = _cholesky(np.eye(V.shape[1]) + V.T @ AiV, context)
 
     def solve_sum(b):
         y = solve(b)
@@ -356,9 +354,9 @@ def _schur_complement(kappa: np.ndarray, M: np.ndarray) -> sp.csr_matrix:
     return S
 
 
-def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context: str):
-    """Factor ``G = K W K'`` over the kernel ``K = [K_c ; I_n (x) Z]`` of
-    ``xts`` for ``W = blkdiag(W_i)``, given by :func:`_series_blocks` as
+def _two_stage(xts: CrossTemporalStructure, blocks, context: str):
+    """The solver of ``G = K W K'`` over the kernel ``K = [K_c ; I_n (x) Z]``
+    of ``xts`` for ``W = blkdiag(W_i)``, given by :func:`_series_blocks` as
     the stack ``blocks`` of the ``W_i`` or, for a diagonal ``W``, of their
     diagonals, by block elimination of the temporal rows.
 
@@ -374,11 +372,7 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
     rule sees the matrix the sparse product would give.  ``G [x1; x2] =
     [b1; b2]`` is then solved by ``y2 = B^{-1} b2``, ``x1 = S^{-1} (b1 -
     K_h P' b2)`` and ``x2 = y2 - P K_h' x1``: batched products, one ``S``
-    solve and two sparse products.  The condition estimate is
-    :func:`_norm1_estimate` over that solve times the same estimate over
-    products with ``G``.
-
-    Returns ``(factorization, solve, condition)``, as :func:`_factor`.
+    solve and two sparse products.
     """
     K, n, q = xts.kernel, xts.n, xts.width
     Z = _as_dense(xts.temporal_kernel)
@@ -408,57 +402,44 @@ def _two_stage(xts: CrossTemporalStructure, W: CovarianceModel, blocks, context:
         x2 = B_inv @ b2 - P @ (K_h.T @ x1).reshape(n, hf, k)
         return np.concatenate([x1, x2.reshape(n * rz, k)]).reshape(b.shape)
 
-    def condition() -> float:
-        norm = _norm1_estimate(lambda b: K @ W.apply(K.T @ b), K.shape[0])
-        return norm * _norm1_estimate(solve, K.shape[0])
-
-    return "two-stage", solve, condition
+    return solve
 
 
 def _normal_factor(kernel, W: CovarianceModel, context: str, xts=None):
     """Factor ``G = K W K'``; over ``K = I`` this factors ``W`` itself.
 
-    When ``kernel`` comes with its :class:`CrossTemporalStructure`
-    ``xts``, has at least ``_SPARSE_MIN_RANK`` rows and ``W`` stores no
-    entry between two series, ``G`` is factored by :func:`_two_stage`.
-    Otherwise ``G`` is assembled and factored by :func:`_factor`, except
-    for a low-rank ``W = D + U U'`` over a non-empty kernel.  Then ``G0 =
-    K D K'`` is factored by :func:`_factor`, the capacitance matrix ``I +
-    (KU)' G0^{-1} KU`` by :func:`_cholesky`, and ``G = G0 + KU (KU)'`` is
-    solved by the Woodbury identity without being formed.  Its condition
-    estimate is :func:`_norm1_estimate` over those solves times the same
-    estimate over products with ``G``.
+    The one dispatch of every solve.  A low-rank ``W = D + U U'`` over a
+    non-empty kernel is ``woodbury``: ``G0 = K D K'`` is factored by this
+    dispatch, ``xts`` included, and :func:`_woodbury` solves ``G = G0 + KU
+    (KU)'`` without forming it.  Otherwise, when ``kernel`` comes with its
+    :class:`CrossTemporalStructure` ``xts``, has at least
+    ``_SPARSE_MIN_RANK`` rows and ``W`` stores no entry between two series,
+    ``G`` is factored by :func:`_two_stage`; else it is assembled and
+    factored by :func:`_factor`.
 
-    Returns ``(factorization, solve, condition)``, as :func:`_factor`.
+    Returns ``(factorization, solve)``, as :func:`_factor`.
     """
     r = kernel.shape[0]
+    if W.structure == "low-rank" and r:
+        D = CovarianceModel(W.kind, "diagonal", W.size, diag_values=W.diag_values)
+        solve = _normal_factor(kernel, D, context, xts)[1]
+        return "woodbury", _woodbury(solve, np.asarray(kernel @ W.matrix.U), context)
     if xts is not None and r >= _SPARSE_MIN_RANK:
         blocks = _series_blocks(W, xts.n)
         if blocks is not None:
-            return _two_stage(xts, W, blocks, context)
-    if W.structure != "low-rank" or r == 0:
-        return _factor(kernel @ W.apply(kernel.T), context)
-    G0 = kernel @ (sp.diags(W.diag_values) @ kernel.T)
-    KU = np.asarray(kernel @ W.matrix.U)
-    solve = _woodbury(
-        _factor(G0, context)[1], KU, lambda C: _cholesky(C, context)[0]
-    )
-
-    def condition() -> float:
-        norm = _norm1_estimate(lambda b: G0 @ b + KU @ (KU.T @ b), r)
-        return norm * _norm1_estimate(solve, r)
-
-    return "woodbury", solve, condition
+            return "two-stage", _two_stage(xts, blocks, context)
+    return _factor(kernel @ W.apply(kernel.T), context)
 
 
 def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     """Adjust ``y_hat`` onto the null space of ``kernel``.
 
     ``kernel`` is an ``r x s`` full-row-rank constraint matrix (dense or
-    sparse); ``W`` must be positive definite.  The result's
-    ``condition_estimate`` is computed when it is first read.
+    sparse) with ``s = W.size`` and finite entries; ``W`` must be positive
+    definite.  The result's ``condition_estimate`` is computed when it is
+    first read.
     """
-    return _project(y_hat, W, kernel)
+    return _project(y_hat, W, _checked_kernel(kernel, W.size))
 
 
 def _check_forecast(y: np.ndarray, W: CovarianceModel) -> None:
@@ -468,17 +449,13 @@ def _check_forecast(y: np.ndarray, W: CovarianceModel) -> None:
         raise InvalidEntry("forecast vector contains NaN or infinite entries")
 
 
-def _project(y_hat, W: CovarianceModel, kernel, xts=None) -> ReconciliationResult:
-    """:func:`project`, told the structure ``xts`` whose kernel ``kernel`` is."""
+def _project(y_hat, W: CovarianceModel, K, xts=None) -> ReconciliationResult:
+    """:func:`project` over a checked kernel ``K``, told the structure
+    ``xts`` whose kernel ``K`` is."""
     y = np.asarray(y_hat, dtype=float).ravel()
-    K = kernel
-    if K.shape[1] != y.size:
-        raise DimensionMismatch(
-            f"kernel has {K.shape[1]} columns, forecast vector has {y.size}"
-        )
     _check_forecast(y, W)
     d0 = np.asarray(K @ y).ravel()
-    factorization, solve, condition = _normal_factor(K, W, "project", xts)
+    factorization, solve = _normal_factor(K, W, "project", xts)
     adjustment = np.asarray(W.apply(K.T @ solve(d0))).ravel()
     y_tilde = y - adjustment
     return ReconciliationResult(
@@ -489,7 +466,7 @@ def _project(y_hat, W: CovarianceModel, kernel, xts=None) -> ReconciliationResul
             "factorization": factorization,
             "constraint_residual": float(np.max(np.abs(np.asarray(K @ y_tilde)), initial=0.0)),
         },
-        _condition=condition,
+        _condition=partial(_condition_estimate, K, W, solve),
     )
 
 
@@ -504,14 +481,14 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
     ``diagnostics`` hold ``beta`` only.
     """
     y = np.asarray(y_hat, dtype=float).ravel()
-    S = _as_dense(summing)
+    S = _as_dense(_checked_kernel(summing, name="summing matrix"))
     if S.shape[0] != y.size:
         raise DimensionMismatch(
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
     _check_forecast(y, W)
     WinvS = _normal_factor(sp.identity(W.size), W, "project_structural")[1](S)
-    beta = _cholesky(S.T @ WinvS, "project_structural")[0](WinvS.T @ y)
+    beta = _cholesky(S.T @ WinvS, "project_structural")(WinvS.T @ y)
     y_tilde = S @ beta
     return ReconciliationResult(
         y_tilde=y_tilde,
@@ -535,7 +512,7 @@ def _projectors(kernel, blocks: np.ndarray) -> np.ndarray:
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
     """Materialize the dense projection matrix fixing the kernel's null space."""
-    return _projectors(kernel, W.dense()[None])[0]
+    return _projectors(_checked_kernel(kernel, W.size), W.dense()[None])[0]
 
 
 def reconciled_covariance(W: CovarianceModel, kernel) -> np.ndarray:
@@ -547,10 +524,7 @@ def reconciled_covariance(W: CovarianceModel, kernel) -> np.ndarray:
     reconciled forecast distribution when ``W`` is that of the base
     forecasts.
     """
-    if kernel.shape[1] != W.size:
-        raise DimensionMismatch(
-            f"kernel has {kernel.shape[1]} columns, covariance has size {W.size}"
-        )
+    kernel = _checked_kernel(kernel, W.size)
     solve = _normal_factor(kernel, W, "reconciled_covariance")[1]
     WKt = _as_dense(W.apply(kernel.T))
     return W.dense() - WKt @ solve(WKt.T)

@@ -35,9 +35,11 @@ from ctrec import (
     reconcile_temporal,
     reconciled_covariance,
     temporal_cov,
+    validate_raw_kernel,
 )
 from ctrec.io import read_hierarchy
 from ctrec.reconcile import (
+    _condition_estimate,
     _factor,
     _normal_factor,
     _per_series_temporal_projectors,
@@ -325,6 +327,18 @@ def _bad_residuals(rows):
     return E
 
 
+def _bad_kernel(xts, bad=np.nan):
+    K = xts.kernel.toarray()
+    K[0, 1] = bad
+    return K
+
+
+def _bad_summing(xts):
+    S = sp.csr_matrix(xts.struct_perm @ xts.struct_summing).toarray()
+    S[2, 0] = np.inf
+    return S
+
+
 OLS_HEURISTIC = HeuristicConfig("t-ols", "cs-ols")
 NON_FINITE_CASES = {
     "reconcile_cross_temporal": lambda x: reconcile_cross_temporal(_nan_tableau(x), x),
@@ -348,6 +362,17 @@ NON_FINITE_CASES = {
     "reconcile_cross_sectional residuals": lambda x: reconcile_cross_sectional(
         np.ones((x.n, 4)), x.cs, "cs-shr", _bad_residuals(x.n)
     ),
+    "project kernel": lambda x: project(
+        np.ones(x.size), identity_w(x.size), sp.csr_matrix(_bad_kernel(x, np.inf))
+    ),
+    "projector kernel": lambda x: projector(_bad_kernel(x), identity_w(x.size)),
+    "reconciled_covariance kernel": lambda x: reconciled_covariance(
+        identity_w(x.size), _bad_kernel(x)
+    ),
+    "project_structural summing matrix": lambda x: project_structural(
+        np.ones(x.size), identity_w(x.size), _bad_summing(x)
+    ),
+    "validate_raw_kernel": lambda x: validate_raw_kernel(_bad_kernel(x)),
 }
 
 
@@ -355,6 +380,25 @@ NON_FINITE_CASES = {
 def test_non_finite_input_raises_invalid_entry(toy, case):
     with pytest.raises(InvalidEntry, match="NaN or infinite"):
         NON_FINITE_CASES[case](toy)
+
+
+KERNEL_SHAPE_CASES = {
+    "project 1-D kernel": lambda x: project(np.ones(x.size), identity_w(x.size), np.ones(x.size)),
+    "project width": lambda x: project(np.ones(x.size), identity_w(x.size), x.kernel[:, 1:]),
+    "projector width": lambda x: projector(x.kernel, identity_w(x.size - 1)),
+    "reconciled_covariance width": lambda x: reconciled_covariance(
+        identity_w(x.size + 1), x.kernel
+    ),
+    "project_structural 1-D summing matrix": lambda x: project_structural(
+        np.ones(x.size), identity_w(x.size), np.ones(x.size)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_SHAPE_CASES))
+def test_kernel_of_the_wrong_shape_raises_dimension_mismatch(toy, case):
+    with pytest.raises(DimensionMismatch, match="kernel|summing matrix"):
+        KERNEL_SHAPE_CASES[case](toy)
 
 
 NON_NUMERIC_CASES = {
@@ -407,7 +451,9 @@ def test_sparse_path_matches_dense_and_structural_oracles(large, kind):
     dense = y - W.apply(K.T) @ np.linalg.solve(normal_matrix(K, W), K @ y)
     structural = project_structural(y, W, xts.struct_perm @ xts.struct_summing).y_tilde
     # The bare kernel keeps the sparse LU, the structure's takes the two-stage
-    # path; oct-shr (39 residual cycles) is Woodbury over a sparse-LU K D K'.
+    # path; oct-shr (39 residual cycles) is Woodbury over the factor of K D K'
+    # the dispatch picks: sparse LU over the bare kernel, two-stage over the
+    # structure's.
     paths = ("woodbury",) * 2 if kind == "oct-shr" else ("sparse-lu", "two-stage")
     for res, path in zip((project(y, W, K), reconcile_flat(y, xts, W)), paths):
         assert res.diagnostics["factorization"] == path
@@ -467,33 +513,34 @@ def estimate_calls(monkeypatch):
     return calls
 
 
-# Each factorization path: (kind, through the structure or the bare kernel,
-# grouped_structure shape).  Rank 45, then rank 652 (size 1036).
+# Each factorization path: (factorization, kind, through the structure or the
+# bare kernel, grouped_structure shape).  Rank 45, then rank 652 (size 1036).
 LAZY_PATHS = {
-    "cholesky": ("oct-wlsv", True, (8, 2, 4, 1)),
-    "sparse-lu": ("oct-wlsv", False, (32, 4, 12, 1)),
-    "two-stage": ("oct-wlsv", True, (32, 4, 12, 1)),
-    "woodbury": ("oct-shr", False, (32, 4, 12, 1)),
+    "cholesky": ("cholesky", "oct-wlsv", True, (8, 2, 4, 1)),
+    "sparse-lu": ("sparse-lu", "oct-wlsv", False, (32, 4, 12, 1)),
+    "two-stage": ("two-stage", "oct-wlsv", True, (32, 4, 12, 1)),
+    "woodbury": ("woodbury", "oct-shr", False, (32, 4, 12, 1)),
+    "woodbury through the structure": ("woodbury", "oct-shr", True, (32, 4, 12, 1)),
 }
 
 
 @pytest.mark.parametrize("path", list(LAZY_PATHS))
 def test_condition_estimate_runs_once_on_first_read(estimate_calls, path):
-    kind, through_structure, shape = LAZY_PATHS[path]
+    factorization, kind, through_structure, shape = LAZY_PATHS[path]
     xts = grouped_structure(*shape)
     y, residuals = seeded_inputs(xts)
     W = cross_temporal_cov(kind, xts, residuals)
     res = reconcile_flat(y, xts, W) if through_structure else project(y, W, xts.kernel)
-    assert res.diagnostics["factorization"] == path
+    assert res.diagnostics["factorization"] == factorization
     assert estimate_calls == []  # not run until read
     first = res.condition_estimate
     runs = len(estimate_calls)
-    assert runs > 0
+    assert runs > 0 and "dpocon" not in estimate_calls  # one rule on every path
     assert res.condition_estimate == first and res.warning is None
     assert len(estimate_calls) == runs
     factored = _normal_factor(xts.kernel, W, "test", xts if through_structure else None)
-    assert factored[0] == path
-    np.testing.assert_array_max_ulp(first, factored[2](), maxulp=1)
+    assert factored[0] == factorization
+    assert _condition_estimate(xts.kernel, W, factored[1]) == first
 
 
 def test_results_without_a_normal_solve_have_no_condition_estimate(toy, estimate_calls):
@@ -602,6 +649,17 @@ def test_empty_kernel_takes_dense_path(large):
         np.testing.assert_array_equal(res.y_tilde, y)
 
 
+@pytest.mark.parametrize("sparse_kernel", [False, True])
+def test_empty_kernel_returns_the_forecast_with_condition_one(sparse_kernel):
+    rng = np.random.default_rng(9)
+    y = rng.normal(size=30)
+    K = sp.csr_matrix((0, y.size)) if sparse_kernel else np.zeros((0, y.size))
+    for W in w_of_each_structure(rng, y.size):
+        res = project(y, W, K)
+        np.testing.assert_array_equal(res.y_tilde, y)
+        assert res.condition_estimate == 1.0, W.structure
+
+
 # ---------------------------------------------------------------------------
 # W block-diagonal by series: the two-stage path
 
@@ -610,8 +668,8 @@ SERIES_BLOCK_KINDS = ["oct-ols", "oct-struc", "oct-wlsv", "oct-acov"]
 
 
 def two_stage(xts, W):
-    """The two-stage factorization of ``K W K'``, whatever the rank."""
-    return _two_stage(xts, W, _series_blocks(W, xts.n), "test")
+    """The two-stage solver of ``K W K'``, whatever the rank."""
+    return _two_stage(xts, _series_blocks(W, xts.n), "test")
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -625,8 +683,7 @@ def test_two_stage_matches_dense_and_structural_oracles(m, h):
     S = xts.struct_perm @ xts.struct_summing
     for kind in SERIES_BLOCK_KINDS:
         W = cross_temporal_cov(kind, xts, residuals)
-        name, solve, _ = two_stage(xts, W)
-        assert name == "two-stage"
+        solve = two_stage(xts, W)
         G = normal_matrix(K, W)
         b = rng.normal(size=(K.shape[0], 3))
         assert relative_gap(solve(b), np.linalg.solve(G, b)) <= 1e-10, kind
@@ -814,9 +871,8 @@ DIAGONAL_KINDS = ["oct-ols", "oct-struc", "oct-wlsh", "oct-wlsv"]
 def assert_diagonal_blocks_solve_bit_identically(xts, W, rng):
     diagonals = _series_blocks(W, xts.n)
     assert diagonals.shape == (xts.n, xts.width), W.kind
-    name, solve, _ = _two_stage(xts, W, diagonals, "test")
-    assert name == "two-stage"
-    oracle = _two_stage(xts, W, dense_series_blocks(W, xts.n), "test")[1]
+    solve = _two_stage(xts, diagonals, "test")
+    oracle = _two_stage(xts, dense_series_blocks(W, xts.n), "test")
     b = rng.normal(size=(xts.kernel.shape[0], 2))
     np.testing.assert_array_equal(solve(b), oracle(b), err_msg=W.kind)
     np.testing.assert_array_equal(solve(b[:, 0]), oracle(b[:, 0]), err_msg=W.kind)
@@ -914,6 +970,27 @@ def test_near_singular_low_rank_diagonal_raises_from_pivot_gate(m):
     )
     with pytest.raises(SingularSystem, match="not numerically positive definite"):
         project(rng.normal(size=xts.size), W, xts.kernel)
+
+
+def test_oct_shr_through_the_structure_factors_k_d_k_in_two_stages(monkeypatch):
+    xts = grouped_structure(32, 4, 12, 1)  # rank 652
+    y, residuals = seeded_inputs(xts)
+    W = cross_temporal_cov("oct-shr", xts, residuals)
+    assert W.structure == "low-rank"
+    blocks = []
+
+    def spy(xts, diagonals, context):
+        blocks.append(diagonals)
+        return _two_stage(xts, diagonals, context)
+
+    monkeypatch.setattr(ctrec.reconcile, "_two_stage", spy)
+    via_structure = reconcile_flat(y, xts, W)
+    assert via_structure.diagnostics["factorization"] == "woodbury"
+    (D,) = blocks  # K D K' in two stages, D as a stack of diagonals
+    np.testing.assert_array_equal(D, W.diag_values.reshape(xts.n, xts.width))
+    bare = project(y, W, xts.kernel)  # the bare kernel: K D K' by sparse LU
+    assert len(blocks) == 1 and bare.diagnostics["factorization"] == "woodbury"
+    assert relative_gap(via_structure.y_tilde, bare.y_tilde) <= 1e-14
 
 
 @pytest.mark.parametrize("h", [1, 2])
