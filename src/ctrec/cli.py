@@ -139,10 +139,8 @@ def _reconcile_one(method, vals, h, cs, ts, xts, residuals):
         return reconcile_cross_sectional_tableau(tab, method, residuals), None
     if method.startswith("t-"):
         return reconcile_temporal(tab, method, residuals), None
-    if method.startswith("oct-"):
-        res = reconcile_cross_temporal(tab, xts, method, residuals)
-        return res.tableau, res
-    raise InvalidInput(f"unknown method {method!r}")
+    res = reconcile_cross_temporal(tab, xts, method, residuals)  # an oct- kind
+    return res.tableau, res
 
 
 @main.command()
@@ -310,10 +308,6 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
         if not files:
             raise InvalidInput(f"{runs / name}: no origin files")
         file_lists[name] = files
-    counts = {len(v) for v in file_lists.values()}
-    if len(counts) != 1:
-        raise InvalidInput(f"procedures disagree on origin counts: {counts}")
-    q = counts.pop()
     for name in names[1:]:
         for want, got in zip(file_lists[benchmark], file_lists[name]):
             if got.name != want.name:
@@ -321,19 +315,11 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
                     f"{runs / name}: origin file {got.name!r} where "
                     f"{benchmark} has {want.name!r}"
                 )
-
-    h = None
-    per_proc = {}
-    for name in names:
-        loaded = [fio.read_values(f, cs, ts) for f in file_lists[name]]
-        hs = {c for _, c in loaded}
-        if len(hs) != 1:
-            raise InvalidInput(f"{name}: origin files disagree on horizon")
-        if h is None:
-            h = hs.pop()
-        elif hs != {h}:
-            raise InvalidInput("procedures disagree on the forecast horizon")
-        per_proc[name] = [v for v, _ in loaded]
+    # error_cube rejects a procedure with another origin count or horizon.
+    loaded = {name: [fio.read_values(f, cs, ts) for f in files]
+              for name, files in file_lists.items()}
+    per_proc = {name: [v for v, _ in pairs] for name, pairs in loaded.items()}
+    q, h = len(per_proc[benchmark]), loaded[benchmark][0][1]
     cube = error_cube(actuals, per_proc, cs, ts, h, n_total - q - h + 1)
     header, rows = avgrel_table(cube, measure)
     click.echo(format_report(header, rows))

@@ -24,18 +24,19 @@ to ``h`` forecast cycles, and assembles block-diagonal ones in one place.
 
 A model multiplies (``apply``) and densifies (``dense``) but does not
 solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
-:mod:`ctrec.reconcile`.  The estimators have one positive-definiteness
-gate, :func:`_not_pd`: SciPy's LAPACK ``potrf``, looked up once per stack
-and called on each matrix as ``scipy.linalg.cho_factor`` calls it, so it
-decides as that does without its per-call overhead.  It does not check
-finiteness: a model rejects NaN and infinite payloads when it is built,
-and :func:`sample_mse` rejects moments that overflow.  :func:`_lift_to_pd`
-symmetrizes a whole stack at once and ridge-lifts only the matrices the
-gate rejects.
+:mod:`ctrec.reconcile`.  That core and the estimators share one
+positive-definiteness gate, :func:`_cholesky_gate`: one batched NumPy
+Cholesky, and every pivot above ``r eps`` times its matrix's largest
+(:func:`_pivots_pass`), so a matrix singular to rounding fails even when
+LAPACK completes it.  Finiteness is checked first: a model rejects NaN and
+infinite payloads when built, and :func:`sample_mse` moments that overflow.
+:func:`_lift_to_pd` symmetrizes a whole stack at once and ridge-lifts only
+the matrices the gate rejects.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,23 +268,34 @@ class _LowRank:
         return W if dtype is None else W.astype(dtype, copy=False)
 
 
-def _not_pd(A: np.ndarray) -> list[int]:
-    """Indices of the matrices of the stack ``A`` (``A`` itself is index 0)
-    that are not positive definite.
+def _pivots_pass(pivots: np.ndarray) -> np.ndarray:
+    """The pivot rule, per row of the pivots of symmetric factorizations
+    without off-diagonal pivoting: all above ``r eps`` times the row's
+    largest (``numpy.linalg.matrix_rank``'s tolerance).  Below it, a pivot
+    is roundoff from a singular matrix, of either sign; a NaN fails."""
+    tol = pivots.shape[-1] * np.finfo(float).eps * pivots.max(-1, keepdims=True, initial=0.0)
+    return np.all(pivots > tol, axis=-1)
 
-    This is the one SPD gate.  LAPACK's ``potrf`` is looked up once and
-    called on each matrix with the arguments ``scipy.linalg.cho_factor``
-    uses, so a matrix fails exactly when ``cho_factor`` would reject it.
-    ``A`` must be finite: ``potrf`` accepts a NaN.
-    """
-    stack = A.reshape(-1, *A.shape[-2:])
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (stack,))
-    return [i for i, a in enumerate(stack) if potrf(a, lower=1, clean=0)[1] > 0]
+
+def _cholesky_gate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one positive-definiteness gate: the lower Cholesky factors of the
+    symmetric matrix or stack ``A`` by one batched NumPy call, and whether
+    each matrix's pivots ``L_jj^2`` pass :func:`_pivots_pass` (shape
+    ``A.shape[:-2]``).  A failure stops the batched call; the stack is then
+    factored matrix by matrix, a failed one keeping a zero factor."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        L = np.zeros_like(A)
+        for i in np.ndindex(A.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                L[i] = np.linalg.cholesky(A[i])
+    return L, _pivots_pass(np.diagonal(L, axis1=-2, axis2=-1) ** 2)
 
 
 def _require_pd(A: np.ndarray, label: str) -> None:
-    """:class:`SingularCovariance` unless the finite matrix ``A`` passes the gate."""
-    if _not_pd(A):
+    """:class:`SingularCovariance` unless every matrix of ``A`` passes the gate."""
+    if not _cholesky_gate(A)[1].all():
         raise SingularCovariance(f"{label}: matrix is not positive definite")
 
 
@@ -349,15 +361,15 @@ def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """Ridge-lift borderline sample matrices; reject truly indefinite ones.
 
     ``A`` is one finite matrix or a stack.  It is symmetrized in one
-    operation, and each matrix the gate :func:`_not_pd` rejects is lifted
-    on its own, in stack order.  A smallest eigenvalue within ``-_RIDGE *
+    operation, and each matrix :func:`_cholesky_gate` rejects is lifted on
+    its own, in stack order.  A smallest eigenvalue within ``-_RIDGE *
     trace`` of zero is treated as small-sample noise and lifted; anything
     below that aborts.  The eigenvalue is only computed for a rejected
     matrix, and a stack with none is returned as symmetrized.
     """
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     stack = A.reshape(-1, *A.shape[-2:])  # a view: lifts write into A
-    for i in _not_pd(stack):
+    for i in np.flatnonzero(~_cholesky_gate(stack)[1]):
         a = stack[i]
         tr = float(np.trace(a))
         if tr <= 0:
@@ -412,6 +424,8 @@ def shrink(
         if residuals.shape[0] != sample.shape[0]:
             raise DimensionMismatch("residual rows do not match the sample matrix")
         lam = _shrink_intensity(residuals, d, sample)
+    elif not np.isfinite(lam):
+        raise InvalidInput(f"shrinkage intensity must be finite, got {lam!r}")
     lam = float(min(1.0, max(0.0, lam)))
     combined = lam * np.diag(d) + (1.0 - lam) * sample
     np.fill_diagonal(combined, d)  # keep the diagonal bit-exact

@@ -48,8 +48,8 @@ __all__ = [
 
 def commutation_indices(r: int, c: int) -> np.ndarray:
     """Permutation ``perm`` with ``vec(X')[i] = vec(X)[perm[i]]`` for X (r x c)."""
-    if r < 1 or c < 1:
-        raise InvalidInput("matrix dimensions must be positive")
+    require_integer("r", r, 1)
+    require_integer("c", c, 1)
     # vec(X)[i + j*r] = X[i, j]; vec(X')[j + i*c] = X[i, j]
     i, j = np.meshgrid(np.arange(r), np.arange(c), indexing="ij")
     perm = np.empty(r * c, dtype=np.intp)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosstemporal import CrossTemporalStructure
-from .errors import BenchmarkZero, DimensionMismatch, EmptySelection, InvalidInput
+from .errors import BenchmarkZero, DimensionMismatch, EmptySelection, InvalidInput, require_integer
 from .hierarchy import CrossSectionalStructure
 from .temporal import TemporalStructure
 
@@ -74,9 +74,11 @@ class ErrorCube:
         return first.shape[1]
 
     def series_index(self, i) -> int:
-        if isinstance(i, (int, np.integer)):
-            return int(i)
-        return self.series_labels.index(i)
+        """Row of the series with label or 0-based index ``i``."""
+        index = isinstance(i, (int, np.integer))
+        if not (0 <= i < len(self.series_labels) if index else i in self.series_labels):
+            raise InvalidInput(f"unknown series {i!r}")
+        return int(i) if index else self.series_labels.index(i)
 
     def series_group(self, group: str) -> list:
         if group == "all":
@@ -93,6 +95,8 @@ def _accuracy(cube: ErrorCube, measure: str, j: str, k: int) -> np.ndarray:
     cell per (series, horizon): ``(n_series, h_k)``."""
     if measure not in MEASURES:
         raise InvalidInput(f"unknown measure {measure!r}")
+    if j not in cube.errors:
+        raise InvalidInput(f"unknown procedure {j!r}")
     e = cube.errors[j][k]
     if measure == "mae":
         return np.mean(np.abs(e), axis=1)
@@ -128,9 +132,9 @@ def _geometric_mean(ratios: np.ndarray, axis=None):
 
 def _horizon_column(cube: ErrorCube, k: int, h: int) -> int:
     """0-based column of horizon ``h`` of level ``k``."""
-    if k not in cube.factors or not 1 <= h <= cube.horizons[k]:
+    if k not in cube.factors or h not in range(1, cube.horizons[k] + 1):
         raise InvalidInput(f"level {k}, horizon {h} is not a cell of the cube")
-    return h - 1
+    return int(h) - 1
 
 
 def accuracy_index(
@@ -161,7 +165,7 @@ def _selection(cube: ErrorCube, series, levels, horizons):
         rows = cube.series_group(series or "all")
     else:
         rows = [cube.series_index(i) for i in series]
-    levels = list(cube.factors) if levels is None else [int(k) for k in levels]
+    levels = list(cube.factors) if levels is None else list(levels)
     blocks = []
     for k in levels:
         if k not in cube.factors:
@@ -231,6 +235,7 @@ def error_cube(
     start_cycle : int
         0-based index of the first forecasted cycle of the first origin.
     """
+    require_integer("start_cycle", start_cycle, 0)
     n = cs.n
     actuals = np.atleast_2d(np.asarray(actuals, dtype=float))
     if actuals.shape[0] != n or actuals.shape[1] % ts.cycle_len:
@@ -238,8 +243,12 @@ def error_cube(
             "actuals must be n series by a whole number of cycles"
         )
     n_total = actuals.shape[1] // ts.cycle_len
-    q = len(next(iter(outputs.values())))
-    if start_cycle < 0 or start_cycle + q - 1 + h > n_total:
+    q = len(next(iter(outputs.values()), ()))  # no procedure: ErrorCube says so
+    shape = (n, h * ts.cycle_len)
+    for name, tableaux in outputs.items():
+        if len(tableaux) != q or any(np.shape(T) != shape for T in tableaux):
+            raise DimensionMismatch(f"{name}: expected {q} tableaux of shape {shape}")
+    if start_cycle + q - 1 + h > n_total:
         raise InvalidInput(
             f"{q} origins of {h} cycles starting at cycle {start_cycle} do not "
             f"fit into {n_total} observed cycles"
@@ -294,6 +303,7 @@ def rolling_harness(
     start_cycle : int
         0-based index of the first forecasted cycle of the first origin.
     """
+    require_integer("start_cycle", start_cycle, 0)
     names = ["base"] + [p for p in procedures if p != "base"]
     outputs = {name: [] for name in names}
     for Y_hat, residuals in base_forecasts:

@@ -135,7 +135,8 @@ def iterative(
     Raises
     ------
     NonConvergence
-        If the iteration cap is reached; the trace rides on the exception.
+        If the iteration cap is reached, or the iterates overflow; the trace
+        of the completed iterations rides on the exception.
     """
     config = config or HeuristicConfig()
     tableau = _as_tableau(Y_hat, xts)
@@ -157,6 +158,9 @@ def iterative(
         d = [0.0, 0.0]
         for i in order:
             vals = passes[i](vals)
+            if not np.all(np.isfinite(vals)):
+                raise NonConvergence(f"iterates diverged to non-finite values after "
+                                     f"{len(trace)} iterations", trace=trace)
             d[i] = coherence_report(vals, xts)[i]
         trace.append(tuple(d))
         if d[order[1]] < threshold:

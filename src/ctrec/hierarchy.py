@@ -148,6 +148,8 @@ def deduplicate_nodes(
     if labels is None:
         labels = [f"U{j + 1}" for j in range(n_a)] + [f"B{i + 1}" for i in range(n_b)]
     labels = list(labels)
+    if len(labels) != n_a + n_b:
+        raise DimensionMismatch(f"expected {n_a + n_b} labels, got {len(labels)}")
 
     integral = np.allclose(C, np.round(C), atol=0.0)
     tol = 0.0 if integral else _DUP_TOL

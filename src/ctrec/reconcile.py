@@ -30,7 +30,9 @@ values) is ``woodbury``, a composition: the dispatch factors ``G0 = K D
 K'``, by the two-stage path where that applies, and ``G = G0 + (K U)(K
 U)'`` is solved through the Cholesky factor of the small capacitance
 matrix without being formed.  Every factor passes one positive-definiteness
-gate on its pivots.  Every path has the same 1-norm condition estimate
+gate: dense Cholesky factors come from :func:`ctrec.covariance._cholesky_gate`
+(SciPy's ``cho_solve`` solves with them), and a sparse LU meets its pivot
+rule on ``diag(U)``.  Every path has the same 1-norm condition estimate
 (:func:`_condition_estimate`), which the result of :func:`project`
 computes on first access.  The equivalent structural form solves the
 generalized least-squares problem on the bottom coordinates and
@@ -44,8 +46,8 @@ The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
 materialized projectors, built by :func:`_projectors` as one stack: one
 batched dense Cholesky of every ``K W_i K'`` (the helper the two-stage path
-uses), the same pivot gate on each slice, and no condition estimate.  The
-temporal ones come from the series blocks of one model of every series.
+uses), gated slice by slice, and no condition estimate.  The temporal ones
+come from the series blocks of one model of every series.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ import scipy.sparse.linalg as spla
 from .covariance import (
     CovarianceModel,
     ResidualTableau,
+    _cholesky_gate,
+    _pivots_pass,
     cross_sectional_cov,
     cross_temporal_cov,
     temporal_cov,
@@ -85,6 +89,7 @@ __all__ = [
 
 # Condition estimates beyond this trigger a result's warning, not an error.
 _COND_WARN = 1e12
+_NOT_PD = "normal-equations matrix is not numerically positive definite"
 
 # K W K' is factored by sparse LU when it has at least _SPARSE_MIN_RANK rows
 # and at most a _SPARSE_MAX_FILL share of nonzeros; otherwise by dense
@@ -151,20 +156,13 @@ def _as_dense(A) -> np.ndarray:
     return np.asarray(A.todense() if sp.issparse(A) else A, dtype=float)
 
 
-def _check_pivots(pivots: np.ndarray, context: str) -> None:
-    """The SPD gate: every pivot of a symmetric factorization without
-    off-diagonal pivoting must be positive, and above ``r eps`` times the
-    largest one (the rank tolerance of ``numpy.linalg.matrix_rank``), each
-    row of a stack against its own.
-
-    The signs of such pivots are the inertia of the matrix; a pivot at
-    the rank tolerance is roundoff from a singular matrix, of either sign.
-    """
-    tol = pivots.shape[-1] * np.finfo(float).eps * pivots.max(-1, keepdims=True, initial=0.0)
-    if not np.all(pivots > tol):
-        raise SingularSystem(
-            f"{context}: normal-equations matrix is not numerically positive definite"
-        )
+def _gated_cholesky(A, context: str) -> np.ndarray:
+    """Lower Cholesky factors of the symmetrized matrix or stack ``A`` by the
+    one SPD gate, or :class:`SingularSystem` when any matrix fails it."""
+    L, ok = _cholesky_gate(0.5 * (A + np.swapaxes(A, -1, -2)))
+    if not ok.all():
+        raise SingularSystem(f"{context}: {_NOT_PD}")
+    return L
 
 
 def _norm1_estimate(apply, r: int) -> float:
@@ -204,23 +202,15 @@ def _condition_estimate(K, W: CovarianceModel, solve) -> float:
 
 
 def _cholesky(A, context: str):
-    """Symmetrize, Cholesky-factor and gate the dense matrix ``A``; returns
-    its solver."""
-    A = 0.5 * (A + A.T)
-    try:
-        cho = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"{context}: normal-equations matrix could not be factorized"
-        ) from exc
-    _check_pivots(np.diag(cho[0]) ** 2, context)
-    return partial(scipy.linalg.cho_solve, cho)
+    """Symmetrize, factor and gate the dense matrix ``A`` by
+    :func:`_gated_cholesky`; returns its solver."""
+    return partial(scipy.linalg.cho_solve, (_gated_cholesky(A, context), True))
 
 
 def _sparse_lu(G, context: str):
     """Symmetrize and factor the sparse matrix ``G`` by SuperLU with
-    diagonal pivots only (``G = P L U P'``), gated on the pivots
-    ``diag(U)``; returns its solver."""
+    diagonal pivots only (``G = P L U P'``), gated by the SPD gate's pivot
+    rule on ``diag(U)``; returns its solver."""
     G = (0.5 * (G + G.T)).tocsc()
     try:
         lu = spla.splu(
@@ -237,7 +227,8 @@ def _sparse_lu(G, context: str):
         raise SingularSystem(
             f"{context}: normal-equations matrix needed off-diagonal pivots"
         )
-    _check_pivots(lu.U.diagonal(), context)
+    if not _pivots_pass(lu.U.diagonal()):
+        raise SingularSystem(f"{context}: {_NOT_PD}")
     return lu.solve
 
 
@@ -274,18 +265,10 @@ def _woodbury(solve, V, context: str):
 def _batched_cholesky(K: np.ndarray, blocks: np.ndarray, context: str):
     """``(K W, L)`` for the dense kernel ``K`` and a stack of blocks ``W_i``,
     or of their diagonals, as :func:`_series_blocks` gives them: the lower
-    Cholesky factors of every ``K W_i K'`` (symmetrized first), each gated
-    by :func:`_check_pivots` against its own largest pivot."""
+    Cholesky factors of every ``K W_i K'`` by :func:`_gated_cholesky`, each
+    matrix gated against its own largest pivot."""
     KW = K * blocks[:, None, :] if blocks.ndim == 2 else K @ blocks
-    G = KW @ K.T
-    try:
-        L = np.linalg.cholesky(0.5 * (G + np.swapaxes(G, -1, -2)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"{context}: normal-equations matrix could not be factorized"
-        ) from exc
-    _check_pivots(np.diagonal(L, axis1=-2, axis2=-1) ** 2, context)
-    return KW, L
+    return KW, _gated_cholesky(KW @ K.T, context)
 
 
 def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:

@@ -79,6 +79,12 @@ def test_shrink_forced_lambda():
     assert lam == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shrink_rejects_a_non_finite_intensity(bad):
+    with pytest.raises(InvalidInput, match="shrinkage intensity must be finite"):
+        shrink(np.array([[2.0, 1.0], [1.0, 2.0]]), lam=bad)
+
+
 def test_shrink_two_by_two_hand_case():
     E = np.array([[1.0, -0.8, 0.6, 1.2], [0.9, -1.1, 0.2, 0.7]])
     S = sample_mse(E)
@@ -501,15 +507,24 @@ def test_stacked_lift_treats_each_slice_as_the_single_matrix_lift():
         _lift_to_pd(np.stack([good, borderline, indefinite]), "test")
 
 
-def cho_factor_lift(A, label):
-    """The single-matrix lift gated by ``scipy.linalg.cho_factor``, as every
-    stack slice once went through it: the oracle of the stack gate."""
-    A = 0.5 * (A + A.T)
+def cho_factor_gate(A):
+    """``A`` passes when ``scipy.linalg.cho_factor`` completes and every
+    pivot ``L_jj^2`` exceeds ``p eps`` times the largest: the gate's rule,
+    written out on SciPy's factorization."""
     try:
-        scipy.linalg.cho_factor(A, lower=True)
-        return A
+        L = scipy.linalg.cho_factor(A, lower=True)[0]
     except scipy.linalg.LinAlgError:
-        pass
+        return False
+    pivots = np.diag(L) ** 2
+    return bool(np.all(pivots > A.shape[0] * np.finfo(float).eps * pivots.max(initial=0.0)))
+
+
+def cho_factor_lift(A, label):
+    """The single-matrix lift gated by :func:`cho_factor_gate`, slice by
+    slice: the oracle of the stack gate."""
+    A = 0.5 * (A + A.T)
+    if cho_factor_gate(A):
+        return A
     tr = float(np.trace(A))
     if tr <= 0:
         raise SingularCovariance(f"{label}: sample matrix has non-positive trace")
@@ -519,10 +534,8 @@ def cho_factor_lift(A, label):
             f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"
         )
     lifted = A + 1e-8 * tr * np.eye(A.shape[0])
-    try:
-        scipy.linalg.cho_factor(lifted, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"{label}: matrix is not positive definite") from exc
+    if not cho_factor_gate(lifted):
+        raise SingularCovariance(f"{label}: matrix is not positive definite")
     return lifted
 
 

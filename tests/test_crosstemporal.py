@@ -9,6 +9,7 @@ import ctrec.crosstemporal
 from ctrec import (
     DimensionMismatch,
     HeuristicConfig,
+    InvalidInput,
     SingularSystem,
     bottom_up,
     build_cross_sectional,
@@ -99,6 +100,12 @@ def test_commutation_identity_and_involution():
     np.testing.assert_array_equal((K @ K).toarray(), np.eye(9))
     K23 = commutation_matrix(2, 3)
     np.testing.assert_array_equal((K23.T @ K23).toarray(), np.eye(6))
+
+
+@pytest.mark.parametrize("r, c", [(2.5, 2), (2, "3"), (True, 2), (0, 2)])
+def test_commutation_matrix_rejects_a_dimension_that_is_not_a_positive_integer(r, c):
+    with pytest.raises(InvalidInput, match="must be an integer of at least 1"):
+        commutation_matrix(r, c)
 
 
 def test_toy_golden_matrices(toy):

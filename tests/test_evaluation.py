@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctrec import (
     BenchmarkZero,
+    DimensionMismatch,
     EmptySelection,
     ErrorCube,
     InvalidInput,
@@ -215,3 +216,55 @@ def test_error_cube_is_target_minus_output(toy):
                         assert cube.errors[name][k][i, t, j] == (
                             target - forecast[t][i, j]
                         )
+
+
+@pytest.mark.parametrize("index", [accuracy_index, relative_index])
+@pytest.mark.parametrize(
+    "series, proc, message",
+    [("nope", "cand", "unknown series 'nope'"), (2, "cand", "unknown series 2"),
+     (-1, "cand", "unknown series -1"), (0, "nope", "unknown procedure")],
+)
+def test_single_cell_indices_name_an_unknown_series_or_procedure(index, series, proc, message):
+    with pytest.raises(InvalidInput, match=message):
+        index(constant_cube(), "mse", series, proc, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"series": ["nope"]}, "unknown series"), ({"series": [5]}, "unknown series 5"),
+     ({"levels": [1.5]}, "level 1.5"), ({"levels": [3]}, "level 3")],
+)
+def test_avg_rel_index_names_an_unknown_selection(kwargs, message):
+    with pytest.raises(InvalidInput, match=message):
+        avg_rel_index(constant_cube(), "mse", "cand", **kwargs)
+    with pytest.raises(InvalidInput, match="unknown procedure"):
+        avg_rel_index(constant_cube(), "mse", "nope")
+
+
+def test_single_cell_indices_reject_a_fractional_horizon():
+    with pytest.raises(InvalidInput, match="horizon 1.5"):
+        accuracy_index(constant_cube(), "mse", 0, "cand", 1, 1.5)
+
+
+def test_error_cube_names_bad_arguments(toy):
+    cs, ts = toy.cs, toy.ts
+    actuals, _ = generate_coherent(cs, ts, 6, seed=4)
+    good = [np.zeros((toy.n, toy.width))] * 2
+    with pytest.raises(InvalidInput, match="start_cycle must be an integer"):
+        error_cube(actuals, {"base": good}, cs, ts, 1, 2.0)
+    with pytest.raises(InvalidInput, match="benchmark procedure"):
+        error_cube(actuals, {}, cs, ts, 1, 2)
+    with pytest.raises(DimensionMismatch, match="p1: expected 2 tableaux"):
+        error_cube(actuals, {"base": good, "p1": [good[0], good[0][:, 1:]]}, cs, ts, 1, 2)
+    with pytest.raises(DimensionMismatch, match="p1: expected 2 tableaux"):
+        error_cube(actuals, {"base": good, "p1": good[:1]}, cs, ts, 1, 2)
+
+
+def test_rolling_harness_checks_start_cycle_before_running(toy):
+    def never(*args):
+        raise AssertionError("a procedure ran")
+
+    actuals, _ = generate_coherent(toy.cs, toy.ts, 6, seed=4)
+    origins = [(np.zeros((toy.n, toy.width)), None)]
+    with pytest.raises(InvalidInput, match="start_cycle must be an integer"):
+        rolling_harness(actuals, origins, {"p": never}, toy, start_cycle=2.0)

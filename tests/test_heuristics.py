@@ -15,7 +15,7 @@ from ctrec import (
     reconcile_cross_sectional_tableau,
     reconcile_temporal,
 )
-from tests.conftest import random_residuals
+from tests.conftest import grouped_structure, random_residuals, seeded_inputs
 
 
 def coherence_scale(tab):
@@ -182,3 +182,49 @@ def test_iterative_nonconvergence_carries_trace(toy):
     with pytest.raises(NonConvergence) as err:
         iterative(Y, toy, cfg, res_tab)
     assert len(err.value.trace) == 2
+
+
+@pytest.fixture(scope="module")
+def rank_deficient_t_sam():
+    """Naive forecasts over 23 residual cycles at m = 4: every series'
+    7 x 7 ``t-sam`` moment matrix is singular to rounding (eigenvalue ratios
+    of 1e-16 and below).  The gate ridge-lifts those whose Cholesky pivots
+    fall under its tolerance."""
+    xts = grouped_structure(32, 4, 4, 1)
+    y, residuals = seeded_inputs(xts, origin=24)
+    return xts, xts.tableau(y.reshape(xts.n, xts.width)), residuals
+
+
+def test_t_sam_heuristics_survive_moment_matrices_singular_to_rounding(
+    rank_deficient_t_sam,
+):
+    xts, tab, residuals = rank_deficient_t_sam
+    scale = coherence_scale(tab)
+    temporal = reconcile_temporal(tab, "t-sam", residuals)
+    assert coherence_report(temporal, xts)[1] <= 1e-10 * scale
+    for order in ("tcs", "cst"):
+        out = ka_two_step(tab, xts, HeuristicConfig("t-sam", order=order), residuals)
+        d_cs, d_te = coherence_report(out.tableau, xts)
+        assert d_cs <= 1e-10 * scale
+        # The series whose matrices pass the gate unlifted give temporal
+        # projectors off by up to ~1 entrywise (K W K' has condition ~1e13);
+        # averaged in the cst order they leave this much temporal residual.
+        assert d_te <= (1e-10 if order == "tcs" else 1e-4) * scale
+    # The t-sam temporal pass alternates with cs-ols to convergence; with
+    # cs-wls or cs-shr the alternation diverges on these inputs.
+    config = HeuristicConfig("t-sam", "cs-ols")
+    out, trace = iterative(tab, xts, config, residuals)
+    threshold = config.tolerance * scale
+    assert max(coherence_report(out.tableau, xts)) <= threshold
+    assert trace[-1][1] <= threshold
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_iterative_divergence_is_nonconvergence_with_the_trace():
+    xts = grouped_structure(32, 4, 12, 1)
+    y, residuals = seeded_inputs(xts, origin=40)
+    with pytest.raises(NonConvergence, match="diverged") as err:
+        iterative(y.reshape(xts.n, xts.width), xts, HeuristicConfig("t-sam", "cs-sam"), residuals)
+    trace = err.value.trace
+    assert 1 <= len(trace) < 100 and np.all(np.isfinite(trace))
+    assert trace[-1][1] > 1e100

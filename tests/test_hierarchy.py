@@ -162,3 +162,10 @@ def test_column_sums_property(n_a, n_b, seed):
     np.testing.assert_array_equal(st_.kernel @ st_.summing_matrix, 0.0)
     col_sums = st_.summing_matrix.sum(axis=0)
     np.testing.assert_array_equal(col_sums, 1.0 + C.sum(axis=0))
+
+
+@pytest.mark.parametrize("count", [3, 6])
+def test_deduplicate_nodes_rejects_a_wrong_label_count(count):
+    C = [[1, 1, 1], [0, 1, 0]]  # five nodes
+    with pytest.raises(DimensionMismatch, match=f"expected 5 labels, got {count}"):
+        deduplicate_nodes(C, [f"L{i}" for i in range(count)])

@@ -34,7 +34,7 @@ from ctrec.io import (
     write_values,
 )
 from ctrec.synthgen import naive_base_forecasts
-from tests.conftest import random_hierarchy
+from tests.conftest import grouped_structure, random_hierarchy, seeded_inputs
 
 TOY_SPEC = """m = 4
 [matrix]
@@ -327,6 +327,27 @@ def test_cli_heuristic_and_nonconvergence(tmp_path, toy_file):
         assert "trace" in result.output
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cli_heuristic_divergence_exits_4_with_the_trace(tmp_path):
+    xts = grouped_structure(32, 4, 12, 1)
+    y, resid = seeded_inputs(xts, origin=40)
+    write_hierarchy(tmp_path / "h.txt", xts.cs, xts.ts)
+    write_values(tmp_path / "fc.csv", y.reshape(xts.n, xts.width), xts.cs, xts.ts)
+    write_residuals(tmp_path / "res.csv", resid, xts.cs)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(
+            main,
+            ["heuristic", "--iterative", "--temporal", "t-sam", "--cross-sectional", "cs-sam",
+             "--in", str(tmp_path / "fc.csv"), "--residuals", str(tmp_path / "res.csv"),
+             "--hierarchy", str(tmp_path / "h.txt"), "--out", "never.csv"],
+        )
+        assert result.exit_code == 4, result.output
+        assert "diverged" in result.output
+        lines = open("ctrec-trace.csv", encoding="utf-8").read().splitlines()
+        assert lines[0] == "iteration,d_cs,d_te" and len(lines) > 2
+
+
 def test_cli_config_file(tmp_path, toy_file):
     _write_forecasts(tmp_path, toy_file)
     cfg = tmp_path / "cfg.txt"
@@ -512,6 +533,28 @@ def test_cli_evaluate_table_matches_error_cube(tmp_path, toy_file):
         cells = line.split(",")
         assert cells[:2] == row[:2]
         assert [float(c) for c in cells[2:]] == row[2:]
+
+
+def test_cli_evaluate_rejects_a_missing_origin_file_and_another_horizon(tmp_path, toy_file):
+    out = tmp_path / "demo"
+    runner = CliRunner()
+    result = runner.invoke(main, ["synth", "--hierarchy", str(toy_file), "--cycles", "10",
+                                  "--origins", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    base = out / "runs" / "base"
+    (out / "runs" / "bu").mkdir()
+    for stem in ("origin_001.csv", "origin_002.csv"):
+        (out / "runs" / "bu" / stem).write_bytes((base / stem).read_bytes())
+    args = ["evaluate", "--actuals", str(out / "actuals.csv"), "--runs", str(out / "runs"),
+            "--hierarchy", str(toy_file)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "bu: expected 3 tableaux of shape (3, 7)" in result.output
+    cs, ts = read_hierarchy(toy_file)
+    write_values(out / "runs" / "bu" / "origin_003.csv", np.zeros((3, 14)), cs, ts)  # h = 2
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "bu: expected 3 tableaux of shape (3, 7)" in result.output
 
 
 def test_cli_evaluate_rejects_origin_files_that_differ_by_name(tmp_path, toy_file):
