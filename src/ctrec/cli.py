@@ -320,6 +320,8 @@ def evaluate(actuals_path, runs_dir, hierarchy, measure, benchmark, out_path):
               for name, files in file_lists.items()}
     per_proc = {name: [v for v, _ in pairs] for name, pairs in loaded.items()}
     q, h = len(per_proc[benchmark]), loaded[benchmark][0][1]
+    if q + h - 1 > n_total:
+        raise InvalidInput(f"{q} origins of {h} cycles do not fit into {n_total} observed cycles")
     cube = error_cube(actuals, per_proc, cs, ts, h, n_total - q - h + 1)
     header, rows = avgrel_table(cube, measure)
     click.echo(format_report(header, rows))

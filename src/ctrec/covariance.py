@@ -24,23 +24,21 @@ to ``h`` forecast cycles, and assembles block-diagonal ones in one place.
 
 A model multiplies (``apply``) and densifies (``dense``) but does not
 solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
-:mod:`ctrec.reconcile`.  That core and the estimators share one
-positive-definiteness gate, :func:`_cholesky_gate`: one batched NumPy
-Cholesky, and every pivot above ``r eps`` times its matrix's largest
-(:func:`_pivots_pass`), so a matrix singular to rounding fails even when
-LAPACK completes it.  Finiteness is checked first: a model rejects NaN and
-infinite payloads when built, and :func:`sample_mse` moments that overflow.
-:func:`_lift_to_pd` symmetrizes a whole stack at once and ridge-lifts only
-the matrices the gate rejects.
+:mod:`ctrec.reconcile`.  Positive definiteness has one rule,
+:func:`_pivots_pass`: every pivot or eigenvalue above ``r eps`` times its
+matrix's largest.  One gate, :func:`_cholesky_gate`, applies it to the
+pivots of one batched NumPy Cholesky for that core and the estimators, so
+a matrix singular to rounding fails even when LAPACK completes it;
+:func:`_lift_to_pd` applies it to the eigenvalues of a sample stack.
+Finiteness is checked first: a model rejects NaN and infinite payloads
+when built, and :func:`sample_mse` moments that overflow.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .crosstemporal import CrossTemporalStructure
@@ -269,33 +267,29 @@ class _LowRank:
 
 
 def _pivots_pass(pivots: np.ndarray) -> np.ndarray:
-    """The pivot rule, per row of the pivots of symmetric factorizations
-    without off-diagonal pivoting: all above ``r eps`` times the row's
-    largest (``numpy.linalg.matrix_rank``'s tolerance).  Below it, a pivot
-    is roundoff from a singular matrix, of either sign; a NaN fails."""
+    """The positive-definiteness rule per row of pivots, of symmetric
+    factorizations without off-diagonal pivoting, or of eigenvalues: all
+    above ``r eps`` times the row's largest (``matrix_rank``'s tolerance).
+    Below it, a value is roundoff from a singular matrix; a NaN fails."""
     tol = pivots.shape[-1] * np.finfo(float).eps * pivots.max(-1, keepdims=True, initial=0.0)
     return np.all(pivots > tol, axis=-1)
 
 
-def _cholesky_gate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one positive-definiteness gate: the lower Cholesky factors of the
-    symmetric matrix or stack ``A`` by one batched NumPy call, and whether
-    each matrix's pivots ``L_jj^2`` pass :func:`_pivots_pass` (shape
-    ``A.shape[:-2]``).  A failure stops the batched call; the stack is then
-    factored matrix by matrix, a failed one keeping a zero factor."""
+def _cholesky_gate(A: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """The one positive-definiteness gate: ``(L, ok)``, the lower Cholesky
+    factors of the symmetrized matrix or stack ``A`` by one batched NumPy
+    call, and whether every matrix's pivots ``L_jj^2`` pass
+    :func:`_pivots_pass`.  ``L`` is ``None`` when LAPACK stops."""
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(0.5 * (A + np.swapaxes(A, -1, -2)))
     except np.linalg.LinAlgError:
-        L = np.zeros_like(A)
-        for i in np.ndindex(A.shape[:-2]):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                L[i] = np.linalg.cholesky(A[i])
-    return L, _pivots_pass(np.diagonal(L, axis1=-2, axis2=-1) ** 2)
+        return None, False
+    return L, bool(_pivots_pass(np.diagonal(L, axis1=-2, axis2=-1) ** 2).all())
 
 
 def _require_pd(A: np.ndarray, label: str) -> None:
     """:class:`SingularCovariance` unless every matrix of ``A`` passes the gate."""
-    if not _cholesky_gate(A)[1].all():
+    if not _cholesky_gate(A)[1]:
         raise SingularCovariance(f"{label}: matrix is not positive definite")
 
 
@@ -360,21 +354,23 @@ def sample_mse(E: np.ndarray) -> np.ndarray:
 def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
     """Ridge-lift borderline sample matrices; reject truly indefinite ones.
 
-    ``A`` is one finite matrix or a stack.  It is symmetrized in one
-    operation, and each matrix :func:`_cholesky_gate` rejects is lifted on
-    its own, in stack order.  A smallest eigenvalue within ``-_RIDGE *
-    trace`` of zero is treated as small-sample noise and lifted; anything
-    below that aborts.  The eigenvalue is only computed for a rejected
-    matrix, and a stack with none is returned as symmetrized.
+    ``A`` is one finite matrix or a stack, symmetrized and its eigenvalues
+    computed in one batched operation each.  Each matrix whose eigenvalues
+    fail :func:`_pivots_pass` is lifted on its own, in stack order: a
+    smallest eigenvalue within ``-_RIDGE * trace`` of zero is small-sample
+    noise, lifted, and the lift must pass :func:`_cholesky_gate`; below
+    that it aborts.  Cholesky pivots do not decide: they pass some ``t-sam``
+    moment matrices of rank ``m``, whose projectors are then not coherent.
     """
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     stack = A.reshape(-1, *A.shape[-2:])  # a view: lifts write into A
-    for i in np.flatnonzero(~_cholesky_gate(stack)[1]):
+    eigenvalues = np.linalg.eigvalsh(stack)
+    for i in np.flatnonzero(~_pivots_pass(eigenvalues)):
         a = stack[i]
         tr = float(np.trace(a))
         if tr <= 0:
             raise SingularCovariance(f"{label}: sample matrix has non-positive trace")
-        emin = float(scipy.linalg.eigvalsh(a, subset_by_index=[0, 0])[0])
+        emin = float(eigenvalues[i, 0])
         if emin <= -_RIDGE * tr:
             raise SingularCovariance(
                 f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"

@@ -89,7 +89,6 @@ __all__ = [
 
 # Condition estimates beyond this trigger a result's warning, not an error.
 _COND_WARN = 1e12
-_NOT_PD = "normal-equations matrix is not numerically positive definite"
 
 # K W K' is factored by sparse LU when it has at least _SPARSE_MIN_RANK rows
 # and at most a _SPARSE_MAX_FILL share of nonzeros; otherwise by dense
@@ -156,12 +155,13 @@ def _as_dense(A) -> np.ndarray:
     return np.asarray(A.todense() if sp.issparse(A) else A, dtype=float)
 
 
-def _gated_cholesky(A, context: str) -> np.ndarray:
-    """Lower Cholesky factors of the symmetrized matrix or stack ``A`` by the
-    one SPD gate, or :class:`SingularSystem` when any matrix fails it."""
-    L, ok = _cholesky_gate(0.5 * (A + np.swapaxes(A, -1, -2)))
-    if not ok.all():
-        raise SingularSystem(f"{context}: {_NOT_PD}")
+def _gated(L, passed: bool, context: str):
+    """``L``, the factor of a matrix that passed the one SPD gate, or
+    :class:`SingularSystem`."""
+    if not passed:
+        raise SingularSystem(
+            f"{context}: normal-equations matrix is not numerically positive definite"
+        )
     return L
 
 
@@ -202,9 +202,9 @@ def _condition_estimate(K, W: CovarianceModel, solve) -> float:
 
 
 def _cholesky(A, context: str):
-    """Symmetrize, factor and gate the dense matrix ``A`` by
-    :func:`_gated_cholesky`; returns its solver."""
-    return partial(scipy.linalg.cho_solve, (_gated_cholesky(A, context), True))
+    """Symmetrize, factor and gate the dense matrix ``A``; returns its
+    solver, over ``L'`` as the upper factor (Fortran-ordered: no copy)."""
+    return partial(scipy.linalg.cho_solve, (_gated(*_cholesky_gate(A), context).T, False))
 
 
 def _sparse_lu(G, context: str):
@@ -227,8 +227,7 @@ def _sparse_lu(G, context: str):
         raise SingularSystem(
             f"{context}: normal-equations matrix needed off-diagonal pivots"
         )
-    if not _pivots_pass(lu.U.diagonal()):
-        raise SingularSystem(f"{context}: {_NOT_PD}")
+    _gated(None, _pivots_pass(lu.U.diagonal()), context)
     return lu.solve
 
 
@@ -265,10 +264,10 @@ def _woodbury(solve, V, context: str):
 def _batched_cholesky(K: np.ndarray, blocks: np.ndarray, context: str):
     """``(K W, L)`` for the dense kernel ``K`` and a stack of blocks ``W_i``,
     or of their diagonals, as :func:`_series_blocks` gives them: the lower
-    Cholesky factors of every ``K W_i K'`` by :func:`_gated_cholesky`, each
-    matrix gated against its own largest pivot."""
+    Cholesky factors of every ``K W_i K'`` by the one SPD gate, each matrix
+    gated against its own largest pivot."""
     KW = K * blocks[:, None, :] if blocks.ndim == 2 else K @ blocks
-    return KW, _gated_cholesky(KW @ K.T, context)
+    return KW, _gated(*_cholesky_gate(KW @ K.T), context)
 
 
 def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:

@@ -507,28 +507,34 @@ def test_stacked_lift_treats_each_slice_as_the_single_matrix_lift():
         _lift_to_pd(np.stack([good, borderline, indefinite]), "test")
 
 
+def passes_rule(values):
+    """Every pivot or eigenvalue above ``p eps`` times the largest: the
+    gate's rule, written out."""
+    return bool(np.all(values > values.size * np.finfo(float).eps * values.max(initial=0.0)))
+
+
 def cho_factor_gate(A):
-    """``A`` passes when ``scipy.linalg.cho_factor`` completes and every
-    pivot ``L_jj^2`` exceeds ``p eps`` times the largest: the gate's rule,
-    written out on SciPy's factorization."""
+    """``A`` passes when ``scipy.linalg.cho_factor`` completes and its pivots
+    ``L_jj^2`` pass the rule: the gate on SciPy's factorization."""
     try:
         L = scipy.linalg.cho_factor(A, lower=True)[0]
     except scipy.linalg.LinAlgError:
         return False
-    pivots = np.diag(L) ** 2
-    return bool(np.all(pivots > A.shape[0] * np.finfo(float).eps * pivots.max(initial=0.0)))
+    return passes_rule(np.diag(L) ** 2)
 
 
 def cho_factor_lift(A, label):
-    """The single-matrix lift gated by :func:`cho_factor_gate`, slice by
-    slice: the oracle of the stack gate."""
+    """The single-matrix lift in SciPy, slice by slice: the oracle of the
+    stack gate.  A matrix whose SciPy eigenvalues fail the rule is lifted,
+    and the lifted matrix must pass :func:`cho_factor_gate`."""
     A = 0.5 * (A + A.T)
-    if cho_factor_gate(A):
+    eigenvalues = scipy.linalg.eigvalsh(A)
+    if passes_rule(eigenvalues):
         return A
     tr = float(np.trace(A))
     if tr <= 0:
         raise SingularCovariance(f"{label}: sample matrix has non-positive trace")
-    emin = float(scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0])
+    emin = float(eigenvalues[0])
     if emin <= -1e-8 * tr:
         raise SingularCovariance(
             f"{label}: sample matrix is indefinite (min eigenvalue {emin:.3e})"

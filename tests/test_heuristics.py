@@ -187,9 +187,9 @@ def test_iterative_nonconvergence_carries_trace(toy):
 @pytest.fixture(scope="module")
 def rank_deficient_t_sam():
     """Naive forecasts over 23 residual cycles at m = 4: every series'
-    7 x 7 ``t-sam`` moment matrix is singular to rounding (eigenvalue ratios
-    of 1e-16 and below).  The gate ridge-lifts those whose Cholesky pivots
-    fall under its tolerance."""
+    7 x 7 ``t-sam`` moment matrix has rank 4 to rounding (eigenvalue ratios
+    of 1e-16 and below, some Cholesky pivot ratios above the ``r eps``
+    tolerance).  The lift decides on the eigenvalues, so all are lifted."""
     xts = grouped_structure(32, 4, 4, 1)
     y, residuals = seeded_inputs(xts, origin=24)
     return xts, xts.tableau(y.reshape(xts.n, xts.width)), residuals
@@ -204,19 +204,31 @@ def test_t_sam_heuristics_survive_moment_matrices_singular_to_rounding(
     assert coherence_report(temporal, xts)[1] <= 1e-10 * scale
     for order in ("tcs", "cst"):
         out = ka_two_step(tab, xts, HeuristicConfig("t-sam", order=order), residuals)
-        d_cs, d_te = coherence_report(out.tableau, xts)
-        assert d_cs <= 1e-10 * scale
-        # The series whose matrices pass the gate unlifted give temporal
-        # projectors off by up to ~1 entrywise (K W K' has condition ~1e13);
-        # averaged in the cst order they leave this much temporal residual.
-        assert d_te <= (1e-10 if order == "tcs" else 1e-4) * scale
-    # The t-sam temporal pass alternates with cs-ols to convergence; with
-    # cs-wls or cs-shr the alternation diverges on these inputs.
-    config = HeuristicConfig("t-sam", "cs-ols")
-    out, trace = iterative(tab, xts, config, residuals)
-    threshold = config.tolerance * scale
-    assert max(coherence_report(out.tableau, xts)) <= threshold
-    assert trace[-1][1] <= threshold
+        assert max(coherence_report(out.tableau, xts)) <= 1e-10 * scale
+    for cs_kind in ("cs-ols", "cs-struc"):
+        config = HeuristicConfig("t-sam", cs_kind)
+        out, trace = iterative(tab, xts, config, residuals)
+        threshold = config.tolerance * scale
+        assert max(coherence_report(out.tableau, xts)) <= threshold
+        assert trace[-1][1] <= threshold
+
+
+def test_t_sam_iterative_with_weighted_cross_sectional_steps_diverges(
+    rank_deficient_t_sam,
+):
+    """The lifted ``t-sam`` blocks have condition ~1e8, and their temporal
+    projectors, coherent to 1e-12 of their norm, have spectral norms up to
+    ~1.6e3.  Alternated with the oblique ``cs-wls`` or ``cs-shr`` steps
+    they amplify the incoherence ~15x per pass, where ``t-acov`` converges
+    in two: :class:`NonConvergence`, not a singular system."""
+    xts, tab, residuals = rank_deficient_t_sam
+    _, trace = iterative(tab, xts, HeuristicConfig("t-acov", "cs-wls"), residuals)
+    assert len(trace) == 2
+    for cs_kind in ("cs-wls", "cs-shr"):
+        with pytest.raises(NonConvergence, match="no convergence") as err:
+            iterative(tab, xts, HeuristicConfig("t-sam", cs_kind), residuals)
+        trace = np.asarray(err.value.trace)
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace[:, 0]) > 0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

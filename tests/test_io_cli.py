@@ -557,6 +557,20 @@ def test_cli_evaluate_rejects_a_missing_origin_file_and_another_horizon(tmp_path
     assert "bu: expected 3 tableaux of shape (3, 7)" in result.output
 
 
+def test_cli_evaluate_states_a_shortfall_of_actual_cycles(tmp_path, toy_file):
+    out = tmp_path / "demo"
+    runner = CliRunner()
+    result = runner.invoke(main, ["synth", "--hierarchy", str(toy_file), "--cycles", "10",
+                                  "--origins", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    cs, ts = read_hierarchy(toy_file)
+    write_values(out / "short.csv", np.zeros((3, 2 * 7)), cs, ts)  # 2 cycles
+    result = runner.invoke(main, ["evaluate", "--actuals", str(out / "short.csv"),
+                                  "--runs", str(out / "runs"), "--hierarchy", str(toy_file)])
+    assert result.exit_code == 2, result.output
+    assert "3 origins of 1 cycles do not fit into 2 observed cycles" in result.output
+
+
 def test_cli_evaluate_rejects_origin_files_that_differ_by_name(tmp_path, toy_file):
     out = tmp_path / "demo"
     runner = CliRunner()
