@@ -45,10 +45,10 @@ from .crosstemporal import CrossTemporalStructure
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
-    InvalidEntry,
     InvalidInput,
     OrderingMismatch,
     SingularCovariance,
+    require_finite,
     require_integer,
 )
 from .hierarchy import CrossSectionalStructure
@@ -116,11 +116,9 @@ class ResidualTableau:
     ts: TemporalStructure
 
     def __post_init__(self):
-        try:
-            # A copy, so that freezing it leaves the caller's array writeable.
-            vals = np.array(self.values, dtype=float, order="C")
-        except (TypeError, ValueError) as exc:
-            raise InvalidEntry("residual tableau has non-numeric entries") from exc
+        require_integer("n", self.n, 1)
+        # A copy, so that freezing it leaves the caller's array writeable.
+        vals = np.array(require_finite(self.values, "residual tableau"), order="C")
         expected = self.n * self.ts.cycle_len
         if vals.ndim != 2 or vals.shape[0] != expected:
             raise DimensionMismatch(
@@ -128,7 +126,6 @@ class ResidualTableau:
             )
         if vals.shape[1] < 1:
             raise InvalidInput("residual tableau needs at least one cycle")
-        _finite(vals, "residual tableau")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -183,19 +180,17 @@ class CovarianceModel:
 
     def __post_init__(self):
         if self.diag_values is not None:
-            d = np.array(self.diag_values, dtype=float, order="C")
-            _finite(d, f"{self.kind} diagonal")
+            d = np.array(require_finite(self.diag_values, f"{self.kind} diagonal"), order="C")
             d.flags.writeable = False
             object.__setattr__(self, "diag_values", d)
         if isinstance(self.matrix, np.ndarray):
-            m = np.array(self.matrix, dtype=float, order="C")
-            _finite(m, f"{self.kind} matrix")
+            m = np.array(require_finite(self.matrix, f"{self.kind} matrix"), order="C")
             m.flags.writeable = False
             if self.structure == "low-rank":
                 m = _LowRank(self.diag_values, m)
             object.__setattr__(self, "matrix", m)
         elif sp.issparse(self.matrix):
-            _finite(self.matrix.data, f"{self.kind} matrix")
+            require_finite(self.matrix.data, f"{self.kind} matrix")
 
     def apply(self, M):
         """Return ``W @ M`` without densifying structured payloads."""
@@ -313,14 +308,6 @@ def _full(kind: str, A: np.ndarray, **kw) -> CovarianceModel:
     return CovarianceModel(kind=kind, structure="full", size=A.shape[0], matrix=A, **kw)
 
 
-def _finite(A, what: str) -> np.ndarray:
-    """``A`` as a float array, or :class:`InvalidEntry` on NaN or infinity."""
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise InvalidEntry(f"{what} contains NaN or infinite entries")
-    return A
-
-
 def _block_diagonal(kind: str, pairs, ts: TemporalStructure, h: int, n: int, **kw):
     """Block-diagonal CSR model of ``n`` series over ``h`` cycles from
     ``(rows, blocks)`` pairs: ``blocks`` (``b x s x s``, or broadcast to it)
@@ -347,8 +334,8 @@ def sample_mse(E: np.ndarray) -> np.ndarray:
     """Uncentered second-moment matrix ``E E' / N`` of residual rows ``E``
     (``p x N``, or a stack of them); NaN or infinity in ``E``, or moments
     that overflow, raise InvalidEntry."""
-    E = _finite(np.atleast_2d(E), "residual matrix")
-    return _finite((E @ np.swapaxes(E, -1, -2)) / E.shape[-1], "residual moment matrix")
+    E = require_finite(np.atleast_2d(E), "residual matrix")
+    return require_finite((E @ np.swapaxes(E, -1, -2)) / E.shape[-1], "residual moment matrix")
 
 
 def _lift_to_pd(A: np.ndarray, label: str) -> np.ndarray:
@@ -408,12 +395,12 @@ def shrink(
     residual rows, by :func:`_shrink_intensity`.  NaN or infinite entries
     in ``sample`` or ``residuals`` raise :class:`InvalidEntry`.
     """
-    sample = _finite(np.atleast_2d(sample), "sample matrix")
+    sample = require_finite(np.atleast_2d(sample), "sample matrix")
     d = np.diag(sample)
     if np.any(d == 0):
         raise DegenerateSample("sample matrix has a zero diagonal entry")
     if residuals is not None:
-        residuals = _finite(np.atleast_2d(residuals), "residual matrix")
+        residuals = require_finite(np.atleast_2d(residuals), "residual matrix")
     if lam is None:
         if residuals is None:
             raise InvalidInput("shrink needs residuals unless lam is given")

@@ -24,15 +24,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import (
-    DimensionMismatch,
-    InvalidEntry,
-    InvalidInput,
-    SingularSystem,
-    require_integer,
-)
+from .errors import DimensionMismatch, SingularSystem, require_finite, require_integer
 from .hierarchy import CrossSectionalStructure
-from .tableau import ForecastTableau
+from .tableau import ForecastTableau, tableau_values
 from .temporal import TemporalStructure, build_full_temporal_kernel, full_summing
 
 __all__ = [
@@ -185,7 +179,7 @@ class CrossTemporalStructure:
         return sp.csr_matrix(self.struct_summing[:n_a_star])
 
     def tableau(self, values, provenance: str = "base") -> ForecastTableau:
-        return ForecastTableau(np.asarray(values, dtype=float), self, provenance)
+        return ForecastTableau(values, self, provenance)
 
 
 def build_cross_temporal(
@@ -225,8 +219,7 @@ def _checked_kernel(kernel, size: int | None = None, name: str = "kernel"):
         raise DimensionMismatch(f"{name} must be 2-D, got shape {K.shape}")
     if size is not None and K.shape[1] != size:
         raise DimensionMismatch(f"{name} has {K.shape[1]} columns, expected {size}")
-    if not np.all(np.isfinite(sp.coo_matrix(K).data if sp.issparse(K) else K)):
-        raise InvalidEntry(f"{name} contains NaN or infinite entries")
+    require_finite(sp.coo_matrix(K).data if sp.issparse(K) else K, name)
     return K
 
 
@@ -274,14 +267,7 @@ def coherence_report(Y, structure: CrossTemporalStructure) -> tuple[float, float
     the temporal constraint residual.  A NaN or infinite entry raises
     :class:`InvalidEntry`.
     """
-    vals = Y.values if isinstance(Y, ForecastTableau) else np.atleast_2d(np.asarray(Y, dtype=float))
-    if vals.shape != (structure.n, structure.width):
-        raise DimensionMismatch(
-            f"tableau shape {vals.shape} does not match structure "
-            f"({structure.n}, {structure.width})"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise InvalidEntry("tableau contains NaN or infinite entries")
+    vals = tableau_values(Y.values if isinstance(Y, ForecastTableau) else Y, structure)
     d_cs = float(np.abs(structure.cs.kernel @ vals).sum())
     d_te = float(np.abs(structure.temporal_kernel @ vals.T).sum())
     return d_cs, d_te

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its input rules.
+
+Each input rule has one helper that every entry point goes through:
+:func:`require_finite` for numeric arrays, :func:`require_integer` for
+counts and aggregation orders, ``temporal.whole_cycles`` for ``n`` series
+by whole cycles, ``tableau.tableau_values`` for a tableau's shape and
+entries, ``hierarchy._labels`` for series labels and ``io._key_value`` for
+``key = value`` lines.
+"""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class CtrecError(Exception):
@@ -12,7 +22,7 @@ class DimensionMismatch(CtrecError):
 
 
 class InvalidEntry(CtrecError):
-    """An input matrix contains NaN or infinite entries."""
+    """An input array has an entry that is not a number, or NaN or infinite."""
 
 
 class InvalidInput(CtrecError):
@@ -26,6 +36,18 @@ def require_integer(name: str, value, minimum: int) -> None:
         raise InvalidInput(
             f"{name} must be an integer of at least {minimum}, got {value!r}"
         )
+
+
+def require_finite(A, what: str) -> np.ndarray:
+    """``A`` as a float array; :class:`InvalidEntry` for an entry that is not
+    a number, or that is NaN or infinite."""
+    try:
+        A = np.asarray(A, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidEntry(f"{what} has non-numeric entries") from exc
+    if not np.all(np.isfinite(A)):
+        raise InvalidEntry(f"{what} contains NaN or infinite entries")
+    return A
 
 
 class RaggedEdge(CtrecError):

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosstemporal import CrossTemporalStructure
-from .errors import BenchmarkZero, DimensionMismatch, EmptySelection, InvalidInput, require_integer
+from .errors import (
+    BenchmarkZero, DimensionMismatch, EmptySelection, InvalidInput, require_finite, require_integer,
+)
 from .hierarchy import CrossSectionalStructure
-from .temporal import TemporalStructure
+from .temporal import TemporalStructure, whole_cycles
 
 __all__ = [
     "ErrorCube",
@@ -237,16 +239,15 @@ def error_cube(
     """
     require_integer("start_cycle", start_cycle, 0)
     n = cs.n
-    actuals = np.atleast_2d(np.asarray(actuals, dtype=float))
-    if actuals.shape[0] != n or actuals.shape[1] % ts.cycle_len:
-        raise DimensionMismatch(
-            "actuals must be n series by a whole number of cycles"
-        )
-    n_total = actuals.shape[1] // ts.cycle_len
+    actuals, n_total = whole_cycles(actuals, n, ts, "actuals")
     q = len(next(iter(outputs.values()), ()))  # no procedure: ErrorCube says so
     shape = (n, h * ts.cycle_len)
+    outputs = {
+        name: [require_finite(T, f"{name} tableau {t + 1}") for t, T in enumerate(tableaux)]
+        for name, tableaux in outputs.items()
+    }
     for name, tableaux in outputs.items():
-        if len(tableaux) != q or any(np.shape(T) != shape for T in tableaux):
+        if len(tableaux) != q or any(T.shape != shape for T in tableaux):
             raise DimensionMismatch(f"{name}: expected {q} tableaux of shape {shape}")
     if start_cycle + q - 1 + h > n_total:
         raise InvalidInput(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEntry, InvalidInput
+from .errors import DimensionMismatch, InvalidEntry, InvalidInput, require_finite
 
 __all__ = [
     "CrossSectionalStructure",
@@ -72,6 +72,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _labels(labels, n_a: int, n_b: int) -> list:
+    """``labels`` as a list, ``U1..U{n_a}, B1..B{n_b}`` by default;
+    :class:`DimensionMismatch` unless there are ``n_a + n_b`` of them."""
+    if labels is None:
+        labels = [f"U{j + 1}" for j in range(n_a)] + [f"B{i + 1}" for i in range(n_b)]
+    labels = list(labels)
+    if len(labels) != n_a + n_b:
+        raise DimensionMismatch(f"expected {n_a + n_b} labels, got {len(labels)}")
+    return labels
+
+
 def build_cross_sectional(
     C: np.ndarray, labels: Sequence[str] | None = None
 ) -> CrossSectionalStructure:
@@ -95,19 +106,11 @@ def build_cross_sectional(
     InvalidInput
         If a label contains a line break, which no hierarchy file can hold.
     """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    C = np.atleast_2d(require_finite(C, "aggregation matrix"))
     if C.size == 0 or C.ndim != 2:
         raise DimensionMismatch("aggregation matrix must be a nonempty 2-D array")
-    if not np.all(np.isfinite(C)):
-        raise InvalidEntry("aggregation matrix contains NaN or infinite entries")
     n_a, n_b = C.shape
-    if labels is None:
-        labels = [f"U{j + 1}" for j in range(n_a)] + [f"B{i + 1}" for i in range(n_b)]
-    labels = tuple(str(x) for x in labels)
-    if len(labels) != n_a + n_b:
-        raise DimensionMismatch(
-            f"expected {n_a + n_b} labels, got {len(labels)}"
-        )
+    labels = tuple(map(str, _labels(labels, n_a, n_b)))
     if len(set(labels)) != len(labels):
         raise DimensionMismatch("labels contain duplicates")
     for label in labels:
@@ -141,15 +144,9 @@ def deduplicate_nodes(
     (C_reduced, labels_reduced, removed)
         ``removed`` lists the labels of the dropped upper rows.
     """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if not np.all(np.isfinite(C)):
-        raise InvalidEntry("aggregation matrix contains NaN or infinite entries")
+    C = np.atleast_2d(require_finite(C, "aggregation matrix"))
     n_a, n_b = C.shape
-    if labels is None:
-        labels = [f"U{j + 1}" for j in range(n_a)] + [f"B{i + 1}" for i in range(n_b)]
-    labels = list(labels)
-    if len(labels) != n_a + n_b:
-        raise DimensionMismatch(f"expected {n_a + n_b} labels, got {len(labels)}")
+    labels = _labels(labels, n_a, n_b)
 
     integral = np.allclose(C, np.round(C), atol=0.0)
     tol = 0.0 if integral else _DUP_TOL

@@ -63,7 +63,7 @@ import numpy as np
 from .covariance import ResidualTableau
 from .errors import DimensionMismatch, InvalidInput
 from .hierarchy import CrossSectionalStructure, build_cross_sectional
-from .temporal import TemporalStructure, build_temporal
+from .temporal import TemporalStructure, _divisors_desc, build_temporal, whole_cycles
 
 __all__ = [
     "read_hierarchy",
@@ -90,6 +90,28 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _lines(path):
+    """``(number, line)`` of every line of the file that is neither blank nor a
+    ``#`` comment, stripped of spaces."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _key_value(path, lineno: int, line: str, keys) -> tuple[str, str]:
+    """``(key, value)`` of a ``key = value`` line, both stripped; the key
+    ignores case and reads ``-`` as ``_``, and one outside ``keys`` is a
+    :class:`FormatError`."""
+    if "=" not in line:
+        raise FormatError(f"{path}: line {lineno}: expected key = value, got {line!r}")
+    key, _, value = line.partition("=")
+    key = key.strip().lower().replace("-", "_")
+    if key not in keys:
+        raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
+    return key, value.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +157,17 @@ def _compile_edges(rows: list) -> tuple[np.ndarray, list]:
 
 def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
     """Parse a hierarchy spec file into its two component structures."""
-    text = _read_text(path)
     m = None
     factors = None
     section = None
     matrix_lines: list[str] = []
     edge_rows: list[tuple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         if line.lower() in ("[matrix]", "[edges]"):
             section = line.lower()[1:-1]
             continue
         if section is None:
-            if "=" not in line:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected key = value, got {raw!r}"
-                )
-            key, _, value = line.partition("=")
-            key, value = key.strip().lower(), value.strip()
-            if key not in ("m", "factors"):
-                raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
+            key, value = _key_value(path, lineno, line, ("m", "factors"))
             try:
                 if key == "m":
                     m = int(value)
@@ -208,7 +219,7 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
 def write_hierarchy(path, cs: CrossSectionalStructure, ts: TemporalStructure):
     """Serialize in the canonical matrix form (round-trips exactly)."""
     lines = [f"m = {ts.m}"]
-    if ts.factors != tuple(k for k in range(ts.m, 0, -1) if ts.m % k == 0):
+    if list(ts.factors) != _divisors_desc(ts.m):
         lines.append("factors = " + ",".join(str(k) for k in ts.factors))
     lines.append("[matrix]")
     lines.append(_record(["", *cs.bottom_labels]))
@@ -245,12 +256,7 @@ def write_table(path, header: list, rows: list) -> None:
 
 def write_values(path, values, cs: CrossSectionalStructure, ts: TemporalStructure):
     """Write a level-blocked value matrix (forecasts or actuals)."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != cs.n or values.shape[1] % ts.cycle_len:
-        raise DimensionMismatch(
-            "value matrix must be n series by a whole number of cycles"
-        )
-    cycles = values.shape[1] // ts.cycle_len
+    values, cycles = whole_cycles(values, cs.n, ts, "value matrix")
     lines = ["series,level_k,index_within_level,value"]
     for label, row in zip(cs.labels, values.tolist()):
         for k in ts.factors:
@@ -534,16 +540,4 @@ def read_residuals(
 
 def read_config(path, keys) -> dict:
     """Parse a ``key = value`` config file; a key outside ``keys`` is a FormatError."""
-    out = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in keys:
-            raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
-        out[key] = value.strip()
-    return out
+    return dict(_key_value(path, lineno, line, keys) for lineno, line in _lines(path))

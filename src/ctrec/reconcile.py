@@ -71,7 +71,7 @@ from .covariance import (
     temporal_cov,
 )
 from .crosstemporal import CrossTemporalStructure, _checked_kernel
-from .errors import DimensionMismatch, InvalidEntry, SingularSystem
+from .errors import DimensionMismatch, SingularSystem, require_finite
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
 
@@ -424,18 +424,18 @@ def project(y_hat, W: CovarianceModel, kernel) -> ReconciliationResult:
     return _project(y_hat, W, _checked_kernel(kernel, W.size))
 
 
-def _check_forecast(y: np.ndarray, W: CovarianceModel) -> None:
+def _forecast_vector(y_hat, W: CovarianceModel) -> np.ndarray:
+    """``y_hat`` as a finite float vector of ``W``'s size."""
+    y = require_finite(y_hat, "forecast vector").ravel()
     if W.size != y.size:
         raise DimensionMismatch(f"covariance has size {W.size}, forecast vector has {y.size}")
-    if not np.all(np.isfinite(y)):
-        raise InvalidEntry("forecast vector contains NaN or infinite entries")
+    return y
 
 
 def _project(y_hat, W: CovarianceModel, K, xts=None) -> ReconciliationResult:
     """:func:`project` over a checked kernel ``K``, told the structure
     ``xts`` whose kernel ``K`` is."""
-    y = np.asarray(y_hat, dtype=float).ravel()
-    _check_forecast(y, W)
+    y = _forecast_vector(y_hat, W)
     d0 = np.asarray(K @ y).ravel()
     factorization, solve = _normal_factor(K, W, "project", xts)
     adjustment = np.asarray(W.apply(K.T @ solve(d0))).ravel()
@@ -462,13 +462,12 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
     passes the same factorization rule and pivot gate as ``K W K'``.
     ``diagnostics`` hold ``beta`` only.
     """
-    y = np.asarray(y_hat, dtype=float).ravel()
+    y = _forecast_vector(y_hat, W)
     S = _as_dense(_checked_kernel(summing, name="summing matrix"))
     if S.shape[0] != y.size:
         raise DimensionMismatch(
             f"summing matrix has {S.shape[0]} rows, forecast vector has {y.size}"
         )
-    _check_forecast(y, W)
     WinvS = _normal_factor(sp.identity(W.size), W, "project_structural")[1](S)
     beta = _cholesky(S.T @ WinvS, "project_structural")(WinvS.T @ y)
     y_tilde = S @ beta
@@ -543,13 +542,11 @@ def reconcile_cross_sectional(
     residuals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reconcile an ``n x H`` matrix column by column (time by time)."""
-    Y = np.atleast_2d(np.asarray(Y_hat, dtype=float))
+    Y = np.atleast_2d(require_finite(Y_hat, "forecast matrix"))
     if Y.shape[0] != cs.n:
         raise DimensionMismatch(
             f"forecast matrix has {Y.shape[0]} rows, structure has {cs.n} series"
         )
-    if not np.all(np.isfinite(Y)):
-        raise InvalidEntry("forecast matrix contains NaN or infinite entries")
     W = cross_sectional_cov(kind, cs, residuals)
     M = projector(cs.kernel, W)
     return M @ Y

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ResidualTableau
-from .errors import DimensionMismatch, InvalidInput, require_integer
+from .errors import InvalidInput, require_integer
 from .hierarchy import CrossSectionalStructure
-from .temporal import TemporalStructure, full_summing
+from .temporal import TemporalStructure, full_summing, whole_cycles
 
 __all__ = ["NoiseSpec", "generate_coherent", "naive_base_forecasts"]
 
@@ -46,8 +46,7 @@ def generate_coherent(
     ``n_b x n_cycles*m`` bottom paths.  Reruns with the same seed are
     bit-identical.
     """
-    if n_cycles < 1:
-        raise InvalidInput(f"cycle count must be >= 1, got {n_cycles}")
+    require_integer("n_cycles", n_cycles, 1)
     noise = noise or NoiseSpec()
     rng = np.random.default_rng(seed)
     T = n_cycles * ts.m
@@ -99,13 +98,8 @@ def naive_base_forecasts(
     """
     if scheme not in ("seasonal-naive", "mean"):
         raise InvalidInput(f"unknown scheme {scheme!r}")
-    actuals = np.atleast_2d(np.asarray(actuals, dtype=float))
+    actuals, n_total = whole_cycles(actuals, cs.n, ts, "actuals")
     cl = ts.cycle_len
-    if actuals.shape[0] != cs.n or actuals.shape[1] % cl:
-        raise DimensionMismatch(
-            "actuals must be n series by a whole number of cycles"
-        )
-    n_total = actuals.shape[1] // cl
     require_integer("h", h, 1)
     require_integer("origin", origin, 2)  # two training cycles at least
     if origin + h > n_total:

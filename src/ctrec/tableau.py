@@ -15,12 +15,24 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEntry
+from .errors import DimensionMismatch, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover
     from .crosstemporal import CrossTemporalStructure
 
 __all__ = ["ForecastTableau"]
+
+
+def tableau_values(values, structure: "CrossTemporalStructure") -> np.ndarray:
+    """``values`` as a finite float array (:func:`require_finite`) of the
+    structure's tableau shape, else :class:`DimensionMismatch`."""
+    vals = require_finite(values, "tableau")
+    if vals.shape != (structure.n, structure.width):
+        raise DimensionMismatch(
+            f"tableau shape {vals.shape} does not match structure "
+            f"({structure.n}, {structure.width})"
+        )
+    return vals
 
 
 @dataclass(frozen=True)
@@ -33,15 +45,7 @@ class ForecastTableau:
 
     def __post_init__(self):
         # A copy, so that freezing it leaves the caller's array writeable.
-        vals = np.array(self.values, dtype=float, order="C")
-        st = self.structure
-        if vals.shape != (st.n, st.width):
-            raise DimensionMismatch(
-                f"tableau shape {vals.shape} does not match structure "
-                f"({st.n}, {st.width})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidEntry("tableau contains NaN or infinite entries")
+        vals = np.array(tableau_values(self.values, self.structure), order="C")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -17,7 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInput, NotAFactor, RaggedEdge
+from .errors import (
+    DimensionMismatch, InvalidInput, NotAFactor, RaggedEdge, require_finite, require_integer,
+)
 
 __all__ = [
     "TemporalStructure",
@@ -100,13 +102,13 @@ def build_temporal(m: int, factors: Sequence[int] | None = None) -> TemporalStru
         and every member must divide ``m``.  By default all divisors of
         ``m`` are used.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidInput(f"cycle length must be a positive integer, got {m!r}")
+    require_integer("cycle length m", m, 1)
     m = int(m)
-    all_factors = _divisors_desc(m)
     if factors is None:
-        kept = all_factors
+        kept = _divisors_desc(m)
     else:
+        for k in factors:
+            require_integer("aggregation order", k, 1)
         kept = sorted({int(k) for k in factors}, reverse=True)
         for k in kept:
             if m % k != 0:
@@ -146,6 +148,7 @@ def aggregate_series(ts: TemporalStructure, x: np.ndarray, k: int) -> np.ndarray
     the sum of ``x`` over positions ``(l-1)k+1 .. lk``.
     """
     x = np.asarray(x, dtype=float).ravel()
+    require_integer("k", k, 1)
     if x.size % ts.m != 0:
         raise RaggedEdge(
             f"series length {x.size} is not a multiple of the cycle length {ts.m}"
@@ -161,8 +164,7 @@ def build_full_temporal_agg(ts: TemporalStructure, N: int) -> sp.csr_matrix:
     Stacks one ``I_{N M_k} (x) ones(1, k)`` block per non-unit factor,
     descending order, matching the level-blocked vector layout.
     """
-    if N < 1:
-        raise InvalidInput(f"cycle count must be >= 1, got {N}")
+    require_integer("N", N, 1)
     blocks = [
         sp.kron(sp.identity(N * ts.M_k[k]), np.ones((1, k)), format="csr")
         for k in ts.factors[:-1]
@@ -181,6 +183,16 @@ def build_full_temporal_kernel(ts: TemporalStructure, N: int) -> sp.csr_matrix:
     """
     K = build_full_temporal_agg(ts, N)
     return sp.hstack([sp.identity(N * ts.k_star, format="csr"), -K], format="csr")
+
+
+def whole_cycles(values, n: int, ts: TemporalStructure, what: str) -> tuple[np.ndarray, int]:
+    """``(values, cycles)``: ``values`` as a finite float matrix
+    (:func:`require_finite`), and its number of cycles; a matrix that is not
+    ``n`` series by a whole number of cycles is :class:`DimensionMismatch`."""
+    values = np.atleast_2d(require_finite(values, what))
+    if values.ndim != 2 or values.shape[0] != n or values.shape[1] % ts.cycle_len:
+        raise DimensionMismatch(f"{what} must be n series by a whole number of cycles")
+    return values, values.shape[1] // ts.cycle_len
 
 
 def full_summing(ts: TemporalStructure, N: int) -> sp.csr_matrix:
