@@ -93,6 +93,8 @@ OCT_KINDS = (
     "oct-bdsam-l",
 )
 
+_STRUCTURES = ("identity", "diagonal", "block-diagonal", "low-rank", "full")
+
 # Relative ridge used to lift borderline sample matrices to the PD cone.
 _RIDGE = 1e-8
 
@@ -166,8 +168,11 @@ class CovarianceModel:
 
     A model has no solve: ``reconcile._normal_factor`` over the identity
     kernel factors ``W`` by the same rule and pivot gate as ``K W K'``.
-    A NaN or infinite entry in ``diag_values`` or ``matrix`` (dense,
-    sparse or the factor ``U``) raises :class:`InvalidEntry`.
+    The form is checked when built: an unknown ``structure`` is
+    :class:`InvalidInput`; ``diag_values`` of a length other than ``size``,
+    a ``matrix`` not ``size x size`` or a factor ``U`` without ``size`` rows
+    is :class:`DimensionMismatch`; and a NaN or infinite entry in
+    ``diag_values`` or ``matrix`` raises :class:`InvalidEntry`.
     """
 
     kind: str
@@ -179,18 +184,29 @@ class CovarianceModel:
     rho: dict | None = field(default=None)
 
     def __post_init__(self):
+        if self.structure not in _STRUCTURES:
+            raise InvalidInput(f"{self.kind}: unknown covariance structure {self.structure!r}")
         if self.diag_values is not None:
             d = np.array(require_finite(self.diag_values, f"{self.kind} diagonal"), order="C")
+            self._require_shape("diagonal", d.shape, (self.size,))
             d.flags.writeable = False
             object.__setattr__(self, "diag_values", d)
-        if isinstance(self.matrix, np.ndarray):
-            m = np.array(require_finite(self.matrix, f"{self.kind} matrix"), order="C")
+        m = self.matrix
+        if isinstance(m, np.ndarray) or sp.issparse(m):
+            cols = m.shape[1] if self.structure == "low-rank" and m.ndim == 2 else self.size
+            self._require_shape("matrix", m.shape, (self.size, cols))
+        if isinstance(m, np.ndarray):
+            m = np.array(require_finite(m, f"{self.kind} matrix"), order="C")
             m.flags.writeable = False
             if self.structure == "low-rank":
                 m = _LowRank(self.diag_values, m)
             object.__setattr__(self, "matrix", m)
-        elif sp.issparse(self.matrix):
-            require_finite(self.matrix.data, f"{self.kind} matrix")
+        elif sp.issparse(m):
+            require_finite(m.data, f"{self.kind} matrix")
+
+    def _require_shape(self, what: str, shape: tuple, expected: tuple) -> None:
+        if shape != expected:
+            raise DimensionMismatch(f"{self.kind} {what} has shape {shape}, expected {expected}")
 
     def apply(self, M):
         """Return ``W @ M`` without densifying structured payloads."""

@@ -242,13 +242,11 @@ def error_cube(
     actuals, n_total = whole_cycles(actuals, n, ts, "actuals")
     q = len(next(iter(outputs.values()), ()))  # no procedure: ErrorCube says so
     shape = (n, h * ts.cycle_len)
-    outputs = {
-        name: [require_finite(T, f"{name} tableau {t + 1}") for t, T in enumerate(tableaux)]
-        for name, tableaux in outputs.items()
-    }
     for name, tableaux in outputs.items():
-        if len(tableaux) != q or any(T.shape != shape for T in tableaux):
+        if len(tableaux) != q or any(np.shape(T) != shape for T in tableaux):
             raise DimensionMismatch(f"{name}: expected {q} tableaux of shape {shape}")
+        for t, T in enumerate(tableaux):
+            require_finite(T, f"{name} tableau {t + 1}")
     if start_cycle + q - 1 + h > n_total:
         raise InvalidInput(
             f"{q} origins of {h} cycles starting at cycle {start_cycle} do not "

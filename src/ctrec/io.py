@@ -24,6 +24,12 @@ appear as parent)::
     AA,A,1
     ...
 
+An edge list that repeats a ``node,parent`` pair, or whose edges form a
+cycle (a self-loop included), is a :class:`FormatError` naming the line
+or a node on the cycle; so is a cycle length or aggregation order that
+``build_temporal`` rejects.  The spec's header and config files share one
+``key = value`` line parser: keys ignore case and read ``-`` as ``_``.
+
 Values travel in long-format CSV with columns
 ``series,level_k,index_within_level,value`` (residual files add an
 ``origin_column`` before the value).  Keys define the position; row and
@@ -61,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import ResidualTableau
-from .errors import DimensionMismatch, InvalidInput
+from .errors import CtrecError, DimensionMismatch, InvalidInput
 from .hierarchy import CrossSectionalStructure, build_cross_sectional
 from .temporal import TemporalStructure, _divisors_desc, build_temporal, whole_cycles
 
@@ -118,37 +124,38 @@ def _key_value(path, lineno: int, line: str, keys) -> tuple[str, str]:
 # Hierarchy spec
 
 
-def _compile_edges(rows: list) -> tuple[np.ndarray, list]:
-    parents = {r[1] for r in rows}
+def _compile_edges(path, edges: dict) -> tuple[np.ndarray, list]:
+    """Aggregation matrix and labels of ``{(node, parent): weight}``."""
     children = {}
-    for node, parent, weight in rows:
+    for (node, parent), weight in edges.items():
         children.setdefault(parent, []).append((node, weight))
-    nodes = {r[0] for r in rows} | parents
-    bottoms = sorted(nodes - parents)
-    uppers = [n for n in nodes if n in parents]
+    child_nodes = {node for node, _ in edges}
+    bottoms = sorted(child_nodes - children.keys())
 
     # Order uppers top-down so totals come first.
-    roots = [n for n in uppers if all(n != r[0] for r in rows)]
-    ordered, queue = [], sorted(roots)
+    ordered, queue = [], sorted(children.keys() - child_nodes)
     seen = set(queue)
     while queue:
         cur = queue.pop(0)
         ordered.append(cur)
         for child, _ in sorted(children.get(cur, [])):
-            if child in parents and child not in seen:
+            if child in children and child not in seen:
                 seen.add(child)
                 queue.append(child)
-    ordered += sorted(set(uppers) - set(ordered))
+    ordered += sorted(children.keys() - set(ordered))
 
     idx = {b: i for i, b in enumerate(bottoms)}
     C = np.zeros((len(ordered), len(bottoms)))
 
-    def leaf_weights(node, weight, row):
+    def leaf_weights(node, weight, row, above=()):
+        # Every node on a cycle is an upper, so a walk from each finds it.
+        if node in above:
+            raise FormatError(f"{path}: edges form a cycle through {node!r}")
         if node in idx:
             row[idx[node]] += weight
             return
         for child, w in children.get(node, []):
-            leaf_weights(child, weight * w, row)
+            leaf_weights(child, weight * w, row, (*above, node))
 
     for j, upper in enumerate(ordered):
         leaf_weights(upper, 1.0, C[j])
@@ -161,7 +168,7 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
     factors = None
     section = None
     matrix_lines: list[str] = []
-    edge_rows: list[tuple] = []
+    edges: dict[tuple, float] = {}
     for lineno, line in _lines(path):
         if line.lower() in ("[matrix]", "[edges]"):
             section = line.lower()[1:-1]
@@ -187,15 +194,20 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
                 parts.append("1")
             if len(parts) != 3:
                 raise FormatError(f"{path}: line {lineno}: expected node,parent,weight")
+            if tuple(parts[:2]) in edges:
+                raise FormatError(f"{path}: line {lineno}: repeated edge {line!r}")
             try:
-                edge_rows.append((parts[0], parts[1], float(parts[2])))
+                edges[tuple(parts[:2])] = float(parts[2])
             except ValueError:
                 raise FormatError(
                     f"{path}: line {lineno}: weight {parts[2]!r} is not a number"
                 ) from None
     if m is None:
         raise FormatError(f"{path}: hierarchy spec is missing the 'm =' line")
-    ts = build_temporal(m, factors)
+    try:
+        ts = build_temporal(m, factors)
+    except CtrecError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if matrix_lines:
         try:
             (_, *bottoms), *rows = [[c.strip() for c in r] for r in csv.reader(matrix_lines)]
@@ -208,8 +220,8 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
         if C.shape[1] != len(bottoms):
             raise FormatError(f"{path}: matrix rows do not match the header width")
         cs = build_cross_sectional(C, uppers + bottoms)
-    elif edge_rows:
-        C, labels = _compile_edges(edge_rows)
+    elif edges:
+        C, labels = _compile_edges(path, edges)
         cs = build_cross_sectional(C, labels)
     else:
         raise FormatError(f"{path}: hierarchy spec has neither [matrix] nor [edges]")

@@ -14,6 +14,7 @@ from ctrec import (
     OCT_KINDS,
     T_KINDS,
     DegenerateSample,
+    DimensionMismatch,
     InvalidEntry,
     InvalidInput,
     OrderingMismatch,
@@ -659,6 +660,34 @@ def test_model_leaves_caller_arrays_writeable():
     CovarianceModel(kind="w", structure="full", size=3, matrix=A)
     CovarianceModel(kind="w", structure="low-rank", size=3, diag_values=d, matrix=U)
     assert d.flags.writeable and A.flags.writeable and U.flags.writeable
+
+
+MODEL_FORMS = {
+    "identity": dict(structure="identity"),
+    "diagonal": dict(structure="diagonal", diag_values=np.ones(3)),
+    "full": dict(structure="full", matrix=2.0 * np.eye(3)),
+    "block-diagonal": dict(structure="block-diagonal", matrix=sp.identity(3, format="csr")),
+    "low-rank": dict(structure="low-rank", diag_values=np.ones(3), matrix=np.ones((3, 2))),
+}
+BAD_MODEL_FORMS = {
+    "unknown structure": (InvalidInput, dict(structure="bogus")),
+    "diagonal length": (DimensionMismatch, dict(structure="diagonal", diag_values=np.ones(2))),
+    "dense matrix shape": (DimensionMismatch, dict(structure="full", matrix=np.eye(3)[:, :2])),
+    "sparse matrix shape": (
+        DimensionMismatch, dict(structure="block-diagonal", matrix=sp.identity(4, format="csr"))
+    ),
+    "low-rank factor rows": (
+        DimensionMismatch, dict(structure="low-rank", diag_values=np.ones(3), matrix=np.ones((2, 1)))
+    ),
+}
+
+
+def test_model_checks_its_form_when_built():
+    for form in MODEL_FORMS.values():  # every form is still accepted
+        assert CovarianceModel(kind="w", size=3, **form).dense().shape == (3, 3)
+    for error, form in BAD_MODEL_FORMS.values():
+        with pytest.raises(error, match="w.*(structure|shape)"):
+            CovarianceModel(kind="w", size=3, **form)
 
 
 NON_FINITE_PAYLOADS = {

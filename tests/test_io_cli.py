@@ -175,6 +175,15 @@ def test_residuals_round_trip(tmp_path, toy_file):
     np.testing.assert_array_equal(back.values, resid.values)
 
 
+def test_config_and_spec_keys_ignore_case_and_read_dash_as_underscore(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("Method = oct-wlsv\nMAX-ITER = 7\n")
+    assert read_config(cfg, ("method", "max_iter")) == {"method": "oct-wlsv", "max_iter": "7"}
+    spec = tmp_path / "spec.txt"
+    spec.write_text(TOY_SPEC.replace("m = 4", "M = 4\nFactors = 4,1"))
+    assert read_hierarchy(spec)[1].factors == (4, 1)
+
+
 def test_read_config(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("# comment\nmethod = oct-wlsv\nmax-iter = 7\n")
@@ -194,6 +203,32 @@ def test_cli_info(toy_file):
     assert result.exit_code == 0
     assert "H': 13 × 21" in result.output
     assert "k*=3" in result.output
+
+
+BAD_SPECS = {
+    "factor 0": ("m = 4\nfactors = 4,0,1\n[matrix]\n,W,Z\nX,1,1\n",
+                 "aggregation order must be an integer of at least 1, got 0"),
+    "factor -2": ("m = 4\nfactors = 4,-2,1\n[matrix]\n,W,Z\nX,1,1\n",
+                  "aggregation order must be an integer of at least 1, got -2"),
+    "factor 3 of m = 4": ("m = 4\nfactors = 4,3,1\n[matrix]\n,W,Z\nX,1,1\n",
+                          "3 does not divide the cycle length 4"),
+    "edge cycle": ("m = 4\n[edges]\nA,TOT\nB,TOT\nAA,A\nBA,B\nB,A\nA,B\n",
+                   "edges form a cycle through 'A'"),
+    "edge self-loop": ("m = 4\n[edges]\nA,TOT\nB,TOT\nTOT,TOT\n",
+                       "edges form a cycle through 'TOT'"),
+    "repeated edge": ("m = 4\n[edges]\nnode,parent\nA,TOT\nB,TOT\nA,TOT\n",
+                      "line 6: repeated edge 'A,TOT'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SPECS))
+def test_cli_info_rejects_a_bad_spec_naming_the_file(tmp_path, case):
+    spec, message = BAD_SPECS[case]
+    path = tmp_path / "spec.txt"
+    path.write_text(spec)
+    result = CliRunner().invoke(main, ["info", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {path}: {message}" in result.output
 
 
 def _write_forecasts(tmp_path, toy_file, seed=1):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -25,8 +26,12 @@ from ctrec import (
     coherence_report,
     cross_sectional_cov,
     cross_temporal_cov,
+    deduplicate_nodes,
+    error_cube,
+    generate_coherent,
     iterative,
     ka_two_step,
+    naive_base_forecasts,
     project,
     project_structural,
     reconcile_cross_sectional,
@@ -37,7 +42,7 @@ from ctrec import (
     temporal_cov,
     validate_raw_kernel,
 )
-from ctrec.io import read_hierarchy
+from ctrec.io import read_hierarchy, write_values
 from ctrec.reconcile import (
     _condition_estimate,
     _factor,
@@ -339,6 +344,14 @@ def _bad_summing(xts):
     return S
 
 
+def _actuals(xts, cycles=6, nan_at=None):
+    """Coherent actuals over ``cycles`` cycles, NaN at column ``nan_at``."""
+    A = generate_coherent(xts.cs, xts.ts, cycles, seed=0)[0]
+    if nan_at is not None:
+        A[1, nan_at] = np.nan
+    return A
+
+
 OLS_HEURISTIC = HeuristicConfig("t-ols", "cs-ols")
 NON_FINITE_CASES = {
     "reconcile_cross_temporal": lambda x: reconcile_cross_temporal(_nan_tableau(x), x),
@@ -373,6 +386,17 @@ NON_FINITE_CASES = {
         np.ones(x.size), identity_w(x.size), _bad_summing(x)
     ),
     "validate_raw_kernel": lambda x: validate_raw_kernel(_bad_kernel(x)),
+    "error_cube actuals": lambda x: error_cube(
+        _actuals(x, nan_at=-1), {"base": [np.ones((x.n, x.width))]}, x.cs, x.ts, 1, 5
+    ),
+    "error_cube outputs": lambda x: error_cube(
+        _actuals(x), {"base": [_nan_tableau(x)]}, x.cs, x.ts, 1, 5
+    ),
+    "write_values": lambda x: write_values(os.devnull, _nan_tableau(x), x.cs, x.ts),
+    # The last column is the raw level of cycle 6, after origin 3 plus h = 1.
+    "naive_base_forecasts after origin + h": lambda x: naive_base_forecasts(
+        _actuals(x, nan_at=-1), x.cs, x.ts, origin=3, h=1
+    ),
 }
 
 
@@ -410,6 +434,11 @@ NON_NUMERIC_CASES = {
     "cross_temporal_cov": lambda x: cross_temporal_cov(
         "oct-wlsv", x, [["a"] * 5] * (x.n * x.ts.cycle_len)
     ),
+    "xts.tableau": lambda x: x.tableau([["a"] * x.width] * x.n),
+    "project": lambda x: project(["a"] * x.size, identity_w(x.size), x.kernel),
+    "reconcile_cross_sectional": lambda x: reconcile_cross_sectional([["a"] * 4] * x.n, x.cs),
+    "build_cross_sectional": lambda x: build_cross_sectional([["a", 1.0]]),
+    "deduplicate_nodes": lambda x: deduplicate_nodes([["a", 1.0]]),
 }
 
 

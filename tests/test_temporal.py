@@ -5,9 +5,12 @@ from ctrec import (
     InvalidInput,
     NotAFactor,
     RaggedEdge,
+    ResidualTableau,
     aggregate_series,
+    build_cross_sectional,
     build_full_temporal_kernel,
     build_temporal,
+    generate_coherent,
 )
 from ctrec.temporal import full_summing, full_vector
 
@@ -171,3 +174,25 @@ def test_level_slices():
     assert ts.level_slice(2, cycles=3) == slice(3, 9)
     with pytest.raises(NotAFactor):
         ts.level_slice(3)
+
+
+QUARTERLY = build_temporal(4)
+COUNT_CASES = {
+    "build_temporal m True": lambda: build_temporal(True),
+    "build_temporal factor 0": lambda: build_temporal(4, [4, 0, 1]),
+    "build_temporal factor -2": lambda: build_temporal(4, [4, -2, 1]),
+    "build_temporal factor 2.5": lambda: build_temporal(4, [4, 2.5, 1]),
+    "generate_coherent n_cycles 2.5": lambda: generate_coherent(
+        build_cross_sectional([[1, 1]]), QUARTERLY, 2.5
+    ),
+    "build_full_temporal_kernel N 2.5": lambda: build_full_temporal_kernel(QUARTERLY, 2.5),
+    "aggregate_series k 2.0": lambda: aggregate_series(QUARTERLY, np.ones(8), 2.0),
+    "ResidualTableau n 0": lambda: ResidualTableau(np.ones((0, 3)), 0, QUARTERLY),
+    "ResidualTableau n 1.0": lambda: ResidualTableau(np.ones((7, 3)), 1.0, QUARTERLY),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNT_CASES))
+def test_counts_and_orders_must_be_integers_of_at_least_1(case):
+    with pytest.raises(InvalidInput, match="must be an integer of at least 1, got"):
+        COUNT_CASES[case]()
