@@ -93,7 +93,14 @@ OCT_KINDS = (
     "oct-bdsam-l",
 )
 
-_STRUCTURES = ("identity", "diagonal", "block-diagonal", "low-rank", "full")
+# Each covariance structure and the payload fields its form needs.
+_PAYLOADS = {
+    "identity": (),
+    "diagonal": ("diag_values",),
+    "block-diagonal": ("matrix",),
+    "low-rank": ("diag_values", "matrix"),
+    "full": ("matrix",),
+}
 
 # Relative ridge used to lift borderline sample matrices to the PD cone.
 _RIDGE = 1e-8
@@ -168,11 +175,12 @@ class CovarianceModel:
 
     A model has no solve: ``reconcile._normal_factor`` over the identity
     kernel factors ``W`` by the same rule and pivot gate as ``K W K'``.
-    The form is checked when built: an unknown ``structure`` is
-    :class:`InvalidInput`; ``diag_values`` of a length other than ``size``,
-    a ``matrix`` not ``size x size`` or a factor ``U`` without ``size`` rows
-    is :class:`DimensionMismatch`; and a NaN or infinite entry in
-    ``diag_values`` or ``matrix`` raises :class:`InvalidEntry`.
+    The form is checked when built: an unknown ``structure``, or a form
+    without its payload, is :class:`InvalidInput`; ``diag_values`` of a
+    length other than ``size``, a ``matrix`` not ``size x size`` or a factor
+    ``U`` without ``size`` rows is :class:`DimensionMismatch`; and a NaN or
+    infinite entry in ``diag_values`` or ``matrix`` raises
+    :class:`InvalidEntry`.
     """
 
     kind: str
@@ -184,8 +192,11 @@ class CovarianceModel:
     rho: dict | None = field(default=None)
 
     def __post_init__(self):
-        if self.structure not in _STRUCTURES:
+        if self.structure not in _PAYLOADS:
             raise InvalidInput(f"{self.kind}: unknown covariance structure {self.structure!r}")
+        for payload in _PAYLOADS[self.structure]:
+            if getattr(self, payload) is None:
+                raise InvalidInput(f"{self.kind}: a {self.structure} structure needs {payload}")
         if self.diag_values is not None:
             d = np.array(require_finite(self.diag_values, f"{self.kind} diagonal"), order="C")
             self._require_shape("diagonal", d.shape, (self.size,))

@@ -214,12 +214,13 @@ def _checked_kernel(kernel, size: int | None = None, name: str = "kernel"):
     2-D with ``size`` columns when that is given (else
     :class:`DimensionMismatch`), and no NaN or infinite entry (else
     :class:`InvalidEntry`)."""
-    K = kernel if sp.issparse(kernel) else np.asarray(kernel, dtype=float)
+    K = kernel if sp.issparse(kernel) else require_finite(kernel, name)
     if K.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {K.shape}")
     if size is not None and K.shape[1] != size:
         raise DimensionMismatch(f"{name} has {K.shape[1]} columns, expected {size}")
-    require_finite(sp.coo_matrix(K).data if sp.issparse(K) else K, name)
+    if sp.issparse(K):
+        require_finite(sp.coo_matrix(K).data, name)
     return K
 
 
@@ -248,7 +249,7 @@ def bottom_up(B_hat_hf, structure: CrossTemporalStructure) -> ForecastTableau:
     Aggregates the ``n_b x h*m`` bottom block cross-sectionally and
     temporally; the result satisfies every constraint by construction.
     """
-    B = np.atleast_2d(np.asarray(B_hat_hf, dtype=float))
+    B = np.atleast_2d(require_finite(B_hat_hf, "bottom forecasts"))
     cs, ts, h = structure.cs, structure.ts, structure.h
     if B.shape != (cs.n_b, h * ts.m):
         raise DimensionMismatch(

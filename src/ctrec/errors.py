@@ -12,6 +12,22 @@ from numbers import Integral
 
 import numpy as np
 
+__all__ = [
+    "CtrecError",
+    "DimensionMismatch",
+    "InvalidEntry",
+    "InvalidInput",
+    "RaggedEdge",
+    "NotAFactor",
+    "DegenerateSample",
+    "SingularCovariance",
+    "SingularSystem",
+    "OrderingMismatch",
+    "NonConvergence",
+    "BenchmarkZero",
+    "EmptySelection",
+]
+
 
 class CtrecError(Exception):
     """Base class for all errors raised by this package."""

@@ -306,7 +306,7 @@ def rolling_harness(
     names = ["base"] + [p for p in procedures if p != "base"]
     outputs = {name: [] for name in names}
     for Y_hat, residuals in base_forecasts:
-        Y_hat = np.atleast_2d(np.asarray(Y_hat, dtype=float))
+        Y_hat = np.atleast_2d(require_finite(Y_hat, "base forecasts"))
         outputs["base"].append(Y_hat)
         for name in names[1:]:
             proc = procedures[name]

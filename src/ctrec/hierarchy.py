@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEntry, InvalidInput, require_finite
+from .errors import DimensionMismatch, InvalidInput, require_finite
 
 __all__ = [
     "CrossSectionalStructure",
@@ -172,13 +172,13 @@ def coherent_subspace_check(
 
     The test is ``max |U' Y| <= tol * (1 + max |Y|)``.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = np.atleast_2d(require_finite(Y, "Y"))
     if Y.shape[0] != structure.n:
         raise DimensionMismatch(
             f"Y has {Y.shape[0]} rows, structure has {structure.n} series"
         )
     if tol < 0:
-        raise InvalidEntry("tolerance must be nonnegative")
+        raise InvalidInput(f"tolerance must be nonnegative, got {tol!r}")
     resid = structure.kernel @ Y
     scale = 1.0 + (np.max(np.abs(Y)) if Y.size else 0.0)
     return bool(np.max(np.abs(resid), initial=0.0) <= tol * scale)

@@ -63,7 +63,7 @@ class ForecastTableau:
     def from_vec_by_variable(
         cls, vec, structure: "CrossTemporalStructure", provenance: str = "base"
     ) -> "ForecastTableau":
-        vec = np.asarray(vec, dtype=float).ravel()
+        vec = require_finite(vec, "forecast vector").ravel()
         if vec.size != structure.size:
             raise DimensionMismatch(
                 f"vector length {vec.size} does not match structure size "

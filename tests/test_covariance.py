@@ -671,6 +671,11 @@ MODEL_FORMS = {
 }
 BAD_MODEL_FORMS = {
     "unknown structure": (InvalidInput, dict(structure="bogus")),
+    "diagonal without values": (InvalidInput, dict(structure="diagonal")),
+    "low-rank without values": (InvalidInput, dict(structure="low-rank", matrix=np.ones((3, 2)))),
+    "full without matrix": (InvalidInput, dict(structure="full")),
+    "block-diagonal without matrix": (InvalidInput, dict(structure="block-diagonal")),
+    "low-rank without factor": (InvalidInput, dict(structure="low-rank", diag_values=np.ones(3))),
     "diagonal length": (DimensionMismatch, dict(structure="diagonal", diag_values=np.ones(2))),
     "dense matrix shape": (DimensionMismatch, dict(structure="full", matrix=np.eye(3)[:, :2])),
     "sparse matrix shape": (

@@ -13,6 +13,7 @@ from ctrec import (
     iterative,
     ka_two_step,
     reconcile_cross_sectional_tableau,
+    reconcile_cross_temporal,
     reconcile_temporal,
 )
 from tests.conftest import grouped_structure, random_residuals, seeded_inputs
@@ -92,7 +93,6 @@ def test_two_step_vs_optimal(toy):
     rng = np.random.default_rng(3)
     res_tab = random_residuals(rng, toy)
     Y = rng.normal(loc=10.0, size=(3, 7))
-    from ctrec import reconcile_cross_temporal
 
     cfg = HeuristicConfig(temporal_kind="t-ols", cross_sectional_kind="cs-ols")
     heur_ols = ka_two_step(Y, toy, cfg)
@@ -240,3 +240,40 @@ def test_iterative_divergence_is_nonconvergence_with_the_trace():
     trace = err.value.trace
     assert 1 <= len(trace) < 100 and np.all(np.isfinite(trace))
     assert trace[-1][1] > 1e100
+
+
+@pytest.fixture(scope="module")
+def grouped_monthly():
+    xts = grouped_structure(32, 4, 12, 1)
+    y, residuals = seeded_inputs(xts)
+    return xts, y.reshape(xts.n, xts.width), residuals
+
+
+def iterative_gap(grouped_monthly, temporal_kind, cross_sectional_kind, oct_kind):
+    """Relative gap between the converged iterative heuristic and the
+    closed-form optimal cross-temporal solution."""
+    xts, Y, residuals = grouped_monthly
+    cfg = HeuristicConfig(temporal_kind, cross_sectional_kind, tolerance=1e-14)
+    heuristic = iterative(Y, xts, cfg, residuals)[0].y_tilde
+    optimal = reconcile_cross_temporal(Y, xts, oct_kind, residuals).y_tilde
+    return np.max(np.abs(heuristic - optimal)) / np.max(np.abs(optimal))
+
+
+@pytest.mark.parametrize(
+    "temporal_kind, cross_sectional_kind, oct_kind",
+    [("t-wlsv", "cs-wls", "oct-wlsv"), ("t-ols", "cs-ols", "oct-ols"),
+     ("t-struc", "cs-struc", "oct-struc")],
+)
+def test_iterative_converges_to_the_closed_form_for_separable_diagonal_weights(
+    grouped_monthly, temporal_kind, cross_sectional_kind, oct_kind
+):
+    """When the cross-temporal ``W`` is diagonal and each single-dimension
+    step uses that diagonal's own weights, the alternating projections
+    converge to the optimal solution itself."""
+    assert iterative_gap(grouped_monthly, temporal_kind, cross_sectional_kind, oct_kind) <= 1e-12
+
+
+def test_iterative_differs_from_the_closed_form_when_its_weights_do_not_match(grouped_monthly):
+    # t-wlsh weights each position of a level by its own variance; oct-wlsv
+    # pools the positions, so the steps no longer use W's own weights.
+    assert iterative_gap(grouped_monthly, "t-wlsh", "cs-wls", "oct-wlsv") >= 1e-8

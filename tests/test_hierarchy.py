@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ctrec import (
     DimensionMismatch,
     InvalidEntry,
+    InvalidInput,
     build_cross_sectional,
     coherent_subspace_check,
     deduplicate_nodes,
@@ -147,6 +148,11 @@ def test_coherent_subspace_check(toy):
     assert coherent_subspace_check(np.zeros((cs.n, 4)), cs, tol=0.0)
     with pytest.raises(DimensionMismatch):
         coherent_subspace_check(np.zeros((cs.n + 1, 4)), cs)
+    Y_bad[0, 0] = np.nan
+    with pytest.raises(InvalidEntry, match="NaN"):
+        coherent_subspace_check(Y_bad, cs)
+    with pytest.raises(InvalidInput, match="tolerance"):
+        coherent_subspace_check(Y, cs, tol=-1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ from ctrec import (
     T_KINDS,
     CovarianceModel,
     DimensionMismatch,
+    ForecastTableau,
     HeuristicConfig,
     InvalidEntry,
     ResidualTableau,
@@ -24,6 +25,7 @@ from ctrec import (
     build_cross_temporal,
     build_temporal,
     coherence_report,
+    coherent_subspace_check,
     cross_sectional_cov,
     cross_temporal_cov,
     deduplicate_nodes,
@@ -39,6 +41,7 @@ from ctrec import (
     reconcile_cross_temporal,
     reconcile_temporal,
     reconciled_covariance,
+    rolling_harness,
     temporal_cov,
     validate_raw_kernel,
 )
@@ -439,6 +442,15 @@ NON_NUMERIC_CASES = {
     "reconcile_cross_sectional": lambda x: reconcile_cross_sectional([["a"] * 4] * x.n, x.cs),
     "build_cross_sectional": lambda x: build_cross_sectional([["a", 1.0]]),
     "deduplicate_nodes": lambda x: deduplicate_nodes([["a", 1.0]]),
+    "coherent_subspace_check": lambda x: coherent_subspace_check([["a"] * 4] * x.n, x.cs),
+    "bottom_up": lambda x: bottom_up([["a"] * 4] * x.cs.n_b, x),
+    "from_vec_by_variable": lambda x: ForecastTableau.from_vec_by_variable(["a"] * x.size, x),
+    "project kernel": lambda x: project(np.ones(x.size), identity_w(x.size), [["a"] * x.size]),
+    "projector kernel": lambda x: projector([["a"] * x.size], identity_w(x.size)),
+    "validate_raw_kernel": lambda x: validate_raw_kernel([["a"] * x.size]),
+    "rolling_harness": lambda x: rolling_harness(
+        np.ones((x.n, x.width)), [([["a"] * x.width] * x.n, None)], {}, x, 0
+    ),
 }
 
 
