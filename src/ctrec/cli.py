@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from . import io as fio
 from .covariance import CS_KINDS, OCT_KINDS, T_KINDS
 from .crosstemporal import bottom_up, build_cross_temporal, coherence_report
@@ -102,7 +103,7 @@ def _heuristic_settings(cfg: dict) -> dict:
 
 
 @click.group()
-@click.version_option(package_name="ctrec")
+@click.version_option(__version__, prog_name="ctrec")
 def main():
     """Cross-temporal forecast reconciliation."""
 

@@ -253,20 +253,16 @@ def error_cube(
             f"fit into {n_total} observed cycles"
         )
     horizons = {k: h * ts.M_k[k] for k in ts.factors}
-    errors = {
-        name: {k: np.zeros((n, q, horizons[k])) for k in ts.factors}
-        for name in outputs
-    }
-    for t in range(q):
-        target = np.empty((n, h * ts.cycle_len))
-        for k in ts.factors:
-            src = ts.level_slice(k, n_total)
-            lo = src.start + (start_cycle + t) * ts.M_k[k]
-            target[:, ts.level_slice(k, h)] = actuals[:, lo : lo + horizons[k]]
-        for name, tableaux in outputs.items():
-            err = target - tableaux[t]
-            for k in ts.factors:
-                errors[name][k][:, t, :] = err[:, ts.level_slice(k, h)]
+    # target[:, t] is the level-blocked tableau of the cycles origin t forecasts.
+    target = np.concatenate([
+        actuals[:, ts.level_slice(k, n_total).start
+                + (start_cycle + np.arange(q)[:, None]) * ts.M_k[k] + np.arange(horizons[k])]
+        for k in ts.factors
+    ], axis=2)
+    errors = {}
+    for name, tableaux in outputs.items():
+        err = target - np.reshape(tableaux, (q, *shape)).transpose(1, 0, 2)
+        errors[name] = {k: err[:, :, ts.level_slice(k, h)] for k in ts.factors}
     return ErrorCube(
         procedures=tuple(outputs),
         series_labels=tuple(cs.labels),

@@ -150,19 +150,11 @@ def deduplicate_nodes(
 
     integral = np.allclose(C, np.round(C), atol=0.0)
     tol = 0.0 if integral else _DUP_TOL
-    keep = []
-    removed = []
-    for j in range(n_a):
-        row = C[j]
-        nz = np.flatnonzero(np.abs(row) > tol)
-        is_unit = nz.size == 1 and abs(row[nz[0]] - 1.0) <= tol
-        if is_unit:
-            removed.append(labels[j])
-        else:
-            keep.append(j)
-    C_red = C[keep]
-    labels_red = [labels[j] for j in keep] + labels[n_a:]
-    return C_red, labels_red, removed
+    # The one nonzero entry of a unit row is its entry within tol of 1.
+    unit = (np.sum(np.abs(C) > tol, axis=1) == 1) & np.any(np.abs(C - 1.0) <= tol, axis=1)
+    removed = [labels[j] for j in np.flatnonzero(unit)]
+    labels_red = [labels[j] for j in np.flatnonzero(~unit)] + labels[n_a:]
+    return C[~unit], labels_red, removed
 
 
 def coherent_subspace_check(

@@ -53,7 +53,7 @@ come from the series blocks of one model of every series.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -516,10 +516,9 @@ def _as_tableau(Y_hat, xts: CrossTemporalStructure) -> ForecastTableau:
 
 
 def _tableau_result(
-    base: ForecastTableau, out: ForecastTableau, diagnostics: dict, condition=None
+    base: ForecastTableau, out: ForecastTableau, diagnostics: dict
 ) -> ReconciliationResult:
-    """Result of a solve that maps the tableau ``base`` to ``out``;
-    ``condition`` computes its condition estimate, if it has one."""
+    """Result of a heuristic that maps the tableau ``base`` to ``out``."""
     y = base.vec_by_variable
     return ReconciliationResult(
         y_tilde=out.vec_by_variable,
@@ -527,7 +526,6 @@ def _tableau_result(
         coherency_errors_before=-np.asarray(base.structure.kernel @ y).ravel(),
         diagnostics=diagnostics,
         tableau=out,
-        _condition=condition,
     )
 
 
@@ -639,4 +637,4 @@ def reconcile_cross_temporal(
     out = tableau.with_values(
         res.y_tilde.reshape(xts.n, xts.width), provenance=f"reconciled:{W.kind}"
     )
-    return _tableau_result(tableau, out, res.diagnostics, res._condition)
+    return replace(res, tableau=out)

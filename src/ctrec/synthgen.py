@@ -57,24 +57,24 @@ def generate_coherent(
         season = noise.season_amplitude * np.sin(
             2 * np.pi * (t % ts.m) / max(ts.m, 2) + phase
         )
-        # Seasonal random walk: each season follows its own random walk.
+        # Seasonal random walk: each season follows its own random walk,
+        # from zero in the first cycle.
         shocks = noise.sigma * rng.standard_normal(T)
-        walk = np.zeros(T)
-        for j in range(ts.m, T):
-            walk[j] = walk[j - ts.m] + shocks[j]
+        shocks[: ts.m] = 0.0
+        walk = np.cumsum(shocks.reshape(n_cycles, ts.m), axis=0).ravel()
         bottoms[i] = noise.level + noise.drift * t + season + walk
     full = bottoms @ full_summing(ts, n_cycles).T
     actuals = np.vstack([cs.agg_matrix @ full, full])
     return actuals, bottoms
 
 
-def _damped_seasonal_fit(v: np.ndarray, period: int) -> float:
-    """Least-squares carry-over coefficient of the one-season-back value."""
-    past, cur = v[:-period], v[period:]
-    denom = float(np.dot(past, past))
-    if denom == 0.0:
-        return 1.0
-    return float(np.dot(past, cur) / denom)
+def _lsq_coefficients(x: np.ndarray, y: np.ndarray, default: float) -> np.ndarray:
+    """Per row, the least-squares coefficient ``x . y / x . x`` of ``y`` on
+    ``x``, or ``default`` for an all-zero row."""
+    def dots(a, b):  # a (1 x L) @ (L x 1) matmul rounds as np.dot; einsum does not
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    denom = dots(x, x)
+    return np.divide(dots(x, y), denom, out=np.full(len(x), default), where=denom != 0.0)
 
 
 def naive_base_forecasts(
@@ -98,8 +98,8 @@ def naive_base_forecasts(
     """
     if scheme not in ("seasonal-naive", "mean"):
         raise InvalidInput(f"unknown scheme {scheme!r}")
-    actuals, n_total = whole_cycles(actuals, cs.n, ts, "actuals")
-    cl = ts.cycle_len
+    n = cs.n
+    actuals, n_total = whole_cycles(actuals, n, ts, "actuals")
     require_integer("h", h, 1)
     require_integer("origin", origin, 2)  # two training cycles at least
     if origin + h > n_total:
@@ -107,37 +107,22 @@ def naive_base_forecasts(
             f"origin {origin} plus horizon {h} exceeds the {n_total} cycles"
         )
 
-    n = cs.n
-    Y_hat = np.empty((n, h * cl))
-    resid = np.empty((n * cl, origin - 1))
-    for i in range(n):
-        col = 0
-        for k in ts.factors:
-            Mk = ts.M_k[k]
-            src = ts.level_slice(k, n_total)
-            series = actuals[i, src]
-            train = series[: origin * Mk]
-            if scheme == "seasonal-naive":
-                phi = _damped_seasonal_fit(train, Mk)
-                fitted = phi * train[:-Mk]
-                fc = np.empty(h * Mk)
-                last = train[-Mk:]
-                for j in range(h * Mk):
-                    fc[j] = phi ** (j // Mk + 1) * last[j % Mk]
-            else:
-                mean = float(np.mean(train))
-                dev = train - mean
-                denom = float(np.dot(dev[:-1], dev[:-1]))
-                rho = float(np.dot(dev[:-1], dev[1:]) / denom) if denom else 0.0
-                rho = min(0.999, max(-0.999, rho))
-                fitted = mean + rho * dev[:-1]
-                steps = np.arange(1, h * Mk + 1)
-                fc = mean + rho**steps * dev[-1]
-                fitted = fitted[Mk - 1 :]  # align to full cycles from cycle 2
-            errors = train[Mk:] - fitted[-(origin - 1) * Mk :]
-            err_cycles = errors.reshape(origin - 1, Mk).T
-            off = ts.level_slice(k).start
-            resid[i * cl + off : i * cl + off + Mk] = err_cycles
-            Y_hat[i, col : col + h * Mk] = fc
-            col += h * Mk
-    return Y_hat, ResidualTableau(resid, n, ts)
+    Y_hat, resid = np.empty((n, h * ts.cycle_len)), np.empty((n, ts.cycle_len, origin - 1))
+    for k in ts.factors:
+        Mk = ts.M_k[k]
+        train = actuals[:, ts.level_slice(k, n_total)][:, : origin * Mk]
+        if scheme == "seasonal-naive":
+            # Damped carry-over of the value one season back.
+            phi = _lsq_coefficients(train[:, :-Mk], train[:, Mk:], 1.0)[:, None]
+            fitted = phi * train[:, :-Mk]
+            fc = phi ** (np.arange(h * Mk) // Mk + 1) * np.tile(train[:, -Mk:], h)
+        else:
+            mean = np.mean(train, axis=1)[:, None]
+            dev = train - mean
+            rho = np.clip(_lsq_coefficients(dev[:, :-1], dev[:, 1:], 0.0), -0.999, 0.999)[:, None]
+            fitted = (mean + rho * dev[:, :-1])[:, Mk - 1 :]  # full cycles from cycle 2
+            fc = mean + rho ** np.arange(1, h * Mk + 1) * dev[:, -1:]
+        Y_hat[:, ts.level_slice(k, h)] = fc
+        errors = (train[:, Mk:] - fitted).reshape(n, origin - 1, Mk)  # cycles 2 .. origin
+        resid[:, ts.level_slice(k)] = errors.transpose(0, 2, 1)
+    return Y_hat, ResidualTableau(resid.reshape(n * ts.cycle_len, origin - 1), n, ts)

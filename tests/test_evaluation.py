@@ -23,6 +23,7 @@ from ctrec import (
 )
 from ctrec.evaluation import format_report
 from ctrec.synthgen import generate_coherent, naive_base_forecasts
+from tests.conftest import grouped_structure
 
 
 def small_cube(base_errors, cand_errors, factors=(2, 1), n_a=1, labels=("T", "B1")):
@@ -268,3 +269,48 @@ def test_rolling_harness_checks_start_cycle_before_running(toy):
     origins = [(np.zeros((toy.n, toy.width)), None)]
     with pytest.raises(InvalidInput, match="start_cycle must be an integer"):
         rolling_harness(actuals, origins, {"p": never}, toy, start_cycle=2.0)
+
+
+def loop_error_cube(actuals, outputs, cs, ts, h, start_cycle):
+    """Reference: the errors one origin at a time, level by level."""
+    n_total = actuals.shape[1] // ts.cycle_len
+    q = len(next(iter(outputs.values())))
+    horizons = {k: h * ts.M_k[k] for k in ts.factors}
+    errors = {
+        name: {k: np.zeros((cs.n, q, horizons[k])) for k in ts.factors}
+        for name in outputs
+    }
+    for t in range(q):
+        target = np.empty((cs.n, h * ts.cycle_len))
+        for k in ts.factors:
+            lo = ts.level_slice(k, n_total).start + (start_cycle + t) * ts.M_k[k]
+            target[:, ts.level_slice(k, h)] = actuals[:, lo : lo + horizons[k]]
+        for name, tableaux in outputs.items():
+            err = target - tableaux[t]
+            for k in ts.factors:
+                errors[name][k][:, t, :] = err[:, ts.level_slice(k, h)]
+    return ErrorCube(tuple(outputs), tuple(cs.labels), cs.n_a, tuple(ts.factors),
+                     horizons, errors)
+
+
+@pytest.mark.parametrize("q", [0, 1, 3])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 12])
+@pytest.mark.parametrize("n_b, g", [(4, 2), (9, 3)])
+def test_error_cube_matches_the_per_origin_loop(n_b, g, m, h, q):
+    xts = grouped_structure(n_b, g, m, h)
+    actuals, _ = generate_coherent(xts.cs, xts.ts, 8, seed=m * h)
+    rng = np.random.default_rng(q)
+    outputs = {
+        name: [rng.normal(size=(xts.n, xts.width)) for _ in range(q)]
+        for name in ("base", "p1", "p2")
+    }
+    start = 8 - h - max(q - 1, 0)
+    cube = error_cube(actuals, outputs, xts.cs, xts.ts, h, start)
+    ref = loop_error_cube(actuals, outputs, xts.cs, xts.ts, h, start)
+    assert cube.n_origins == q and cube.horizons == ref.horizons
+    for name in outputs:
+        for k in xts.ts.factors:
+            np.testing.assert_array_equal(cube.errors[name][k], ref.errors[name][k])
+    if q:
+        assert avgrel_table(cube) == avgrel_table(ref)

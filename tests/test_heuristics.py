@@ -16,6 +16,7 @@ from ctrec import (
     reconcile_cross_temporal,
     reconcile_temporal,
 )
+from ctrec.heuristics import _DIVERGENCE_GROWTH
 from tests.conftest import grouped_structure, random_residuals, seeded_inputs
 
 
@@ -231,15 +232,39 @@ def test_t_sam_iterative_with_weighted_cross_sectional_steps_diverges(
         assert np.all(np.isfinite(trace)) and np.all(np.diff(trace[:, 0]) > 0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_iterative_divergence_is_nonconvergence_with_the_trace():
+def test_iterative_divergence_stops_before_the_iterates_overflow():
+    """``t-sam`` with ``cs-sam`` grows the incoherence ~4e4x per pass and
+    overflowed after 69 passes; the growth stop ends it at the second."""
     xts = grouped_structure(32, 4, 12, 1)
     y, residuals = seeded_inputs(xts, origin=40)
     with pytest.raises(NonConvergence, match="diverged") as err:
         iterative(y.reshape(xts.n, xts.width), xts, HeuristicConfig("t-sam", "cs-sam"), residuals)
     trace = err.value.trace
-    assert 1 <= len(trace) < 100 and np.all(np.isfinite(trace))
-    assert trace[-1][1] > 1e100
+    assert len(trace) == 2 and np.all(np.isfinite(trace))
+    assert trace[1][1] > _DIVERGENCE_GROWTH * trace[0][1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_iterative_overflow_is_nonconvergence_with_the_trace(toy):
+    with pytest.raises(NonConvergence, match="non-finite values after 0 iterations") as err:
+        iterative(np.full((toy.n, toy.width), 1e308), toy, HeuristicConfig("t-ols", "cs-ols"))
+    assert err.value.trace == []
+
+
+@pytest.mark.parametrize("cs_kind", ["cs-wls", "cs-shr"])
+@pytest.mark.parametrize("order", ["tcs", "cst"])
+def test_iterative_stops_at_the_first_pass_whose_discrepancy_grows_tenfold(
+    rank_deficient_t_sam, cs_kind, order
+):
+    """These runs grow 6-16x per pass and used to run all 100 passes."""
+    xts, tab, residuals = rank_deficient_t_sam
+    config = HeuristicConfig("t-sam", cs_kind, order=order)
+    with pytest.raises(NonConvergence, match="diverged") as err:
+        iterative(tab, xts, config, residuals)
+    d = np.asarray(err.value.trace)[:, 1 if order == "tcs" else 0]
+    assert 2 <= len(d) <= 4
+    assert d[-1] > _DIVERGENCE_GROWTH * d[-2]
+    assert np.all(d[1:-1] <= _DIVERGENCE_GROWTH * d[:-2])
 
 
 @pytest.fixture(scope="module")

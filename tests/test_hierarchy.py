@@ -175,3 +175,36 @@ def test_deduplicate_nodes_rejects_a_wrong_label_count(count):
     C = [[1, 1, 1], [0, 1, 0]]  # five nodes
     with pytest.raises(DimensionMismatch, match=f"expected 5 labels, got {count}"):
         deduplicate_nodes(C, [f"L{i}" for i in range(count)])
+
+
+def loop_deduplicate_nodes(C, labels):
+    """Reference: the unit-row test one upper row at a time."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    n_a = C.shape[0]
+    tol = 0.0 if np.allclose(C, np.round(C), atol=0.0) else 1e-12
+    keep, removed = [], []
+    for j in range(n_a):
+        nz = np.flatnonzero(np.abs(C[j]) > tol)
+        if nz.size == 1 and abs(C[j, nz[0]] - 1.0) <= tol:
+            removed.append(labels[j])
+        else:
+            keep.append(j)
+    return C[keep], [labels[j] for j in keep] + list(labels[n_a:]), removed
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_deduplicate_nodes_matches_the_row_loop(seed, weighted):
+    rng = np.random.default_rng(seed)
+    n_b = int(rng.integers(2, 7))
+    rows = [rng.integers(0, 3, n_b), np.eye(n_b)[rng.integers(n_b)], np.zeros(n_b),
+            2.0 * np.eye(n_b)[0], -np.eye(n_b)[0], np.eye(n_b)[0] + np.eye(n_b)[-1]]
+    if weighted:
+        rows += [np.eye(n_b)[0] * (1.0 + 5e-13), np.eye(n_b)[1] * (1.0 + 5e-12),
+                 np.eye(n_b)[0] + 5e-13 * np.eye(n_b)[1], rng.uniform(0, 1, n_b)]
+    C = np.array(rows, dtype=float)[rng.permutation(len(rows))]
+    labels = [f"N{i}" for i in range(C.shape[0] + n_b)]
+    C_red, labels_red, removed = deduplicate_nodes(C, labels)
+    ref_C, ref_labels, ref_removed = loop_deduplicate_nodes(C, labels)
+    np.testing.assert_array_equal(C_red, ref_C)
+    assert (labels_red, removed) == (ref_labels, ref_removed) and removed

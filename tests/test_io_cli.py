@@ -197,6 +197,14 @@ def test_read_config(tmp_path):
 # CLI
 
 
+def test_cli_version_is_the_package_version():
+    """``--version`` prints the package literal; no installed distribution
+    is needed, so it also works from a source checkout."""
+    result = CliRunner().invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"ctrec, version {ctrec.__version__}\n"
+
+
 def test_cli_info(toy_file):
     runner = CliRunner()
     result = runner.invoke(main, ["info", str(toy_file)])
