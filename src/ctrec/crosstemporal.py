@@ -44,11 +44,8 @@ def commutation_indices(r: int, c: int) -> np.ndarray:
     """Permutation ``perm`` with ``vec(X')[i] = vec(X)[perm[i]]`` for X (r x c)."""
     require_integer("r", r, 1)
     require_integer("c", c, 1)
-    # vec(X)[i + j*r] = X[i, j]; vec(X')[j + i*c] = X[i, j]
-    i, j = np.meshgrid(np.arange(r), np.arange(c), indexing="ij")
-    perm = np.empty(r * c, dtype=np.intp)
-    perm[(j + i * c).ravel()] = (i + j * r).ravel()
-    return perm
+    # vec(X')[j + i*c] = X[i, j] = vec(X)[i + j*r]
+    return np.arange(r * c).reshape(c, r).T.ravel()
 
 
 def _perm_matrix(perm: np.ndarray) -> sp.csr_matrix:

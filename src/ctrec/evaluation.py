@@ -237,6 +237,7 @@ def error_cube(
     start_cycle : int
         0-based index of the first forecasted cycle of the first origin.
     """
+    require_integer("h", h, 1)
     require_integer("start_cycle", start_cycle, 0)
     n = cs.n
     actuals, n_total = whole_cycles(actuals, n, ts, "actuals")

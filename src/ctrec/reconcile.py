@@ -17,12 +17,12 @@ densified and Cholesky-factored.  A third path, ``two-stage``, serves the
 cross-temporal kernel ``[K_c ; I_n (x) Z]`` when its structure comes with
 it, ``G`` has at least ``_SPARSE_MIN_RANK`` rows and ``W`` is
 block-diagonal by series (the ``ols``, ``struc``, ``wlsh``, ``wlsv`` and
-``acov`` kinds): block elimination of the temporal rows, one batched
-Cholesky of the per-series ``Z W_i Z'``, then one factorization of the
-cross-sectional Schur complement.  That complement is assembled from the
-per-series blocks by one sparse-dense product with the pairwise products
-of the cross-sectional kernel's columns, not by a sparse triple product
-(:func:`_schur_complement`).  It is exact, the counterpart of the
+``acov`` kinds): block elimination of the temporal rows, the inverse
+Cholesky factors of the per-series ``Z W_i Z'``, then one factorization of
+the cross-sectional Schur complement, a block-sparse matrix of the
+per-series blocks weighted by one sparse-dense product with the pairwise
+products of the cross-sectional kernel's columns, not a sparse triple
+product (:func:`_schur_complement`).  It is exact, the counterpart of the
 temporal-first two-step heuristic; a diagonal ``W`` stays a stack of
 diagonals there and scales the columns of ``Z``.  A diagonal-plus-low-rank
 ``W = D + U U'`` (the shrinkage kinds with fewer residual cycles than
@@ -33,21 +33,21 @@ matrix without being formed.  Every factor passes one positive-definiteness
 gate: dense Cholesky factors come from :func:`ctrec.covariance._cholesky_gate`
 (SciPy's ``cho_solve`` solves with them), and a sparse LU meets its pivot
 rule on ``diag(U)``.  Every path has the same 1-norm condition estimate
-(:func:`_condition_estimate`), which the result of :func:`project`
-computes on first access.  The equivalent structural form solves the
-generalized least-squares problem on the bottom coordinates and
-re-aggregates; it factors ``W`` by the same core, as ``K W K'`` over the
-identity kernel.  :func:`reconciled_covariance` gives the covariance of
-the reconciliation error on demand.  The public entry points reject a
-kernel that is not 2-D, of another width than ``W``, or with a NaN or
-infinite entry.
+(:func:`_condition_estimate`, SciPy's ``onenormest`` with one column),
+which the result of :func:`project` computes on first access.  The
+equivalent structural form solves the generalized least-squares problem
+on the bottom coordinates and re-aggregates; it factors ``W`` by the same
+core, as ``K W K'`` over the identity kernel.  :func:`reconciled_covariance`
+gives the covariance of the reconciliation error on demand.  The public
+entry points reject a kernel that is not 2-D, of another width than ``W``,
+or with a NaN or infinite entry.
 
 The cross-temporal wrapper projects once globally.  The cross-sectional
 (per level) and temporal (per series) wrappers and the heuristics apply
-materialized projectors, built by :func:`_projectors` as one stack: one
-batched dense Cholesky of every ``K W_i K'`` (the helper the two-stage path
-uses), gated slice by slice, and no condition estimate.  The temporal ones
-come from the series blocks of one model of every series.
+materialized projectors, built by :func:`_projectors` as one stack from
+the inverse Cholesky factors of every ``K W_i K'`` (the helper the two-stage
+path uses), gated slice by slice, and no condition estimate.  The temporal
+ones come from the series blocks of one model of every series.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .covariance import (
     cross_temporal_cov,
     temporal_cov,
 )
-from .crosstemporal import CrossTemporalStructure, _checked_kernel
+from .crosstemporal import CrossTemporalStructure, _checked_kernel, commutation_indices
 from .errors import DimensionMismatch, SingularSystem, require_finite
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau
@@ -165,40 +165,19 @@ def _gated(L, passed: bool, context: str):
     return L
 
 
-def _norm1_estimate(apply, r: int) -> float:
-    """Estimate the 1-norm of a symmetric ``r x r`` operator from its
-    products: ``||A^{-1}||_1`` when ``apply`` solves with ``A``, ``||A||_1``
-    when it multiplies by ``A``.
-
-    This is Hager's method with Higham's alternating-sign test vector, the
-    algorithm of LAPACK's ``dlacn2`` that ``dpocon`` runs; it is
-    deterministic and takes at most eleven products.
-    """
-    x = np.full(r, 1.0 / r)
-    est = 0.0
-    for _ in range(5):
-        y = apply(x)
-        if np.abs(y).sum() <= est:
-            break
-        est = np.abs(y).sum()
-        z = apply(np.where(y >= 0.0, 1.0, -1.0))
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= z @ x:
-            break
-        x = np.zeros(r)
-        x[j] = 1.0
-    alt = (-1.0) ** np.arange(r) * (1.0 + np.arange(r) / max(r - 1, 1))
-    return float(max(est, 2.0 * np.abs(apply(alt)).sum() / (3.0 * r)))
-
-
 def _condition_estimate(K, W: CovarianceModel, solve) -> float:
-    """The 1-norm condition estimate of ``G = K W K'`` on every path:
-    :func:`_norm1_estimate` over products with ``G`` times the same over
-    ``solve``, a solver of ``G``; 1.0 for an empty ``G``."""
+    """The 1-norm condition estimate of ``G = K W K'`` on every path: SciPy's
+    ``onenormest`` with one column (Hager's method, no random columns) over
+    products with the symmetric ``G``, times the same over ``solve``, a
+    solver of ``G``; 1.0 for an empty ``G``."""
     r = K.shape[0]
     if r == 0:
         return 1.0
-    return _norm1_estimate(lambda b: K @ W.apply(K.T @ b), r) * _norm1_estimate(solve, r)
+
+    def norm1(apply):  # symmetric: apply is its own adjoint
+        return spla.onenormest(spla.LinearOperator((r, r), apply, apply, dtype=float), t=1)
+
+    return float(norm1(lambda b: K @ W.apply(K.T @ b)) * norm1(solve))
 
 
 def _cholesky(A, context: str):
@@ -262,12 +241,15 @@ def _woodbury(solve, V, context: str):
 
 
 def _batched_cholesky(K: np.ndarray, blocks: np.ndarray, context: str):
-    """``(K W, L)`` for the dense kernel ``K`` and a stack of blocks ``W_i``,
-    or of their diagonals, as :func:`_series_blocks` gives them: the lower
-    Cholesky factors of every ``K W_i K'`` by the one SPD gate, each matrix
-    gated against its own largest pivot."""
+    """``(K W, L^{-1})`` for the dense kernel ``K`` and a stack of blocks
+    ``W_i``, or of their diagonals, as :func:`_series_blocks` gives them: by
+    ``dtrtri``, the inverses of the lower Cholesky factors of every ``K W_i
+    K' = L_i L_i'``, each gated against its own largest pivot by the SPD gate."""
     KW = K * blocks[:, None, :] if blocks.ndim == 2 else K @ blocks
-    return KW, _gated(*_cholesky_gate(KW @ K.T), context)
+    L = _gated(*_cholesky_gate(KW @ K.T), context)
+    # dtrtri never fails on a gated factor, but rejects an empty one.
+    Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if len(K) else L
+    return KW, Linv
 
 
 def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
@@ -299,8 +281,9 @@ def _schur_complement(kappa: np.ndarray, M: np.ndarray) -> sp.csr_matrix:
     The rows ``kappa[a, i] kappa[b, i]`` of the column outer products, one
     per pair ``(a, b)`` that shares a column, come from the nonzeros of
     ``kappa`` and multiply ``M`` as ``n x hf^2`` in one sparse-dense
-    product.  The blocks are scattered into a sparse matrix without its
-    zeros, the pattern of the sparse product ``K_h blkdiag(M_i) K_h'``.
+    product.  The blocks form a block-sparse matrix in ``(a, t)`` order,
+    permuted once into ``(t, a)`` order and stored without its zeros: the
+    pattern of the sparse product ``K_h blkdiag(M_i) K_h'``.
     """
     n_a, (n, hf, _) = kappa.shape[0], M.shape
     col = sp.csc_matrix(kappa)
@@ -320,18 +303,10 @@ def _schur_complement(kappa: np.ndarray, M: np.ndarray) -> sp.csr_matrix:
     )
     blocks = (outer @ M.reshape(n, hf * hf)).reshape(-1, hf, hf)
     a, b = np.divmod(pairs, n_a)
-    # Row (t, a) holds blocks[p, t, t'] of the pairs p = (a, b) at the columns
-    # (t', b), t' first: one gather, the same for every t, keeps them sorted.
-    tp, p = np.divmod(np.arange(hf * pairs.size), pairs.size)
-    gather = np.argsort(a[p], kind="stable")  # by a, then t', then p
-    S = sp.csr_matrix(
-        (
-            blocks.transpose(1, 2, 0).reshape(hf, -1)[:, gather].ravel(),
-            np.tile((tp * n_a + b[p])[gather], hf),
-            np.r_[0, np.cumsum(np.tile(np.bincount(a, minlength=n_a) * hf, hf))],
-        ),
-        shape=(hf * n_a, hf * n_a),
-    )
+    indptr = np.r_[0, np.cumsum(np.bincount(a, minlength=n_a))]
+    perm = commutation_indices(hf, n_a)  # row (t, a) of S is row (a, t) of the blocks
+    S = sp.bsr_matrix((blocks, b, indptr), shape=(n_a * hf, n_a * hf)).tocsr()[perm][:, perm]
+    S.sort_indices()
     S.eliminate_zeros()
     return S
 
@@ -342,31 +317,29 @@ def _two_stage(xts: CrossTemporalStructure, blocks, context: str):
     the stack ``blocks`` of the ``W_i`` or, for a diagonal ``W``, of their
     diagonals, by block elimination of the temporal rows.
 
-    Stage one factors every ``B_i = Z W_i Z'`` by one batched Cholesky,
-    inverts the factors, and keeps ``B_i^{-1}``, ``P_i = B_i^{-1} Z W_i[:,
-    hf]`` and the temporally reconciled ``M_i = W_i[hf, hf] - W_i[hf, :] Z'
-    P_i`` on the ``hf`` highest-frequency columns, the only ones ``K_c``
-    reads.  A diagonal ``W_i`` scales the columns of ``Z`` and is added to
-    the diagonal of ``M_i``.  Stage two factors the Schur complement ``S =
-    K_h blkdiag(M_i) K_h'`` by :func:`_factor`, where ``K_h`` is ``K_c`` on
-    those columns; :func:`_schur_complement` assembles ``S`` as a sparse
-    matrix from ``M`` and the cross-sectional kernel, so the rank and fill
-    rule sees the matrix the sparse product would give.  ``G [x1; x2] =
-    [b1; b2]`` is then solved by ``y2 = B^{-1} b2``, ``x1 = S^{-1} (b1 -
-    K_h P' b2)`` and ``x2 = y2 - P K_h' x1``: batched products, one ``S``
-    solve and two sparse products.
+    Stage one factors every ``B_i = Z W_i Z' = L_i L_i'`` by
+    :func:`_batched_cholesky`, which gives the inverse factors, and keeps
+    them, ``V_i = L_i^{-1} Z W_i[:, hf]`` and the temporally reconciled
+    ``M_i = W_i[hf, hf] - V_i' V_i`` on the ``hf`` highest-frequency
+    columns, the only ones ``K_c`` reads.  A diagonal ``W_i`` scales the
+    columns of ``Z`` and is added to the diagonal of ``M_i``.  Stage two
+    factors the Schur complement ``S = K_h blkdiag(M_i) K_h'`` by
+    :func:`_factor`, where ``K_h`` is ``K_c`` on those columns;
+    :func:`_schur_complement` assembles ``S`` as a sparse matrix from ``M``
+    and the cross-sectional kernel, so the rank and fill rule sees the
+    matrix the sparse product would give.  ``G [x1; x2] = [b1; b2]`` is then
+    solved by ``y = L^{-1} b2``, ``x1 = S^{-1} (b1 - K_h V' y)`` and ``x2 =
+    L^{-T} (y - V K_h' x1)``: batched products, one ``S`` solve and two
+    sparse products.
     """
     K, n, q = xts.kernel, xts.n, xts.width
     Z = _as_dense(xts.temporal_kernel)
     rz, hf = Z.shape[0], xts.h * xts.ts.m
     hf_cols = slice(q - hf, q)  # the last h m values of every series
-    ZW, L = _batched_cholesky(Z, blocks, f"{context}, temporal stage")
-    # dtrtri never fails on a gated factor, but rejects an empty one.
-    Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if rz else L
-    V = Linv @ ZW[:, :, hf_cols]  # L_i^{-1} Z W_i[:, hf]
-    Linv_t = np.swapaxes(Linv, 1, 2)
-    B_inv, P = Linv_t @ Linv, Linv_t @ V
-    M = -(np.swapaxes(V, 1, 2) @ V)
+    ZW, Linv = _batched_cholesky(Z, blocks, f"{context}, temporal stage")
+    V = Linv @ ZW[:, :, hf_cols]
+    V_t, Linv_t = np.swapaxes(V, 1, 2), np.swapaxes(Linv, 1, 2)
+    M = -(V_t @ V)
     if blocks.ndim == 2:  # diagonals
         M[:, np.arange(hf), np.arange(hf)] += blocks[:, hf_cols]
     else:
@@ -374,14 +347,13 @@ def _two_stage(xts: CrossTemporalStructure, blocks, context: str):
     rc = K.shape[0] - n * rz
     K_h = K[:rc][:, (q * np.arange(n)[:, None] + np.arange(q - hf, q)).ravel()]
     solve_s = _factor(_schur_complement(xts.cs.kernel, M), f"{context}, cross-sectional stage")[1]
-    P_t = np.swapaxes(P, 1, 2)
 
     def solve(b):
         b = np.asarray(b, dtype=float)
         k = b[0].size if b.ndim > 1 else 1
-        b2 = b[rc:].reshape(n, rz, k)
-        x1 = solve_s(b[:rc].reshape(rc, k) - K_h @ (P_t @ b2).reshape(n * hf, k))
-        x2 = B_inv @ b2 - P @ (K_h.T @ x1).reshape(n, hf, k)
+        y = Linv @ b[rc:].reshape(n, rz, k)
+        x1 = solve_s(b[:rc].reshape(rc, k) - K_h @ (V_t @ y).reshape(n * hf, k))
+        x2 = Linv_t @ (y - V @ (K_h.T @ x1).reshape(n, hf, k))
         return np.concatenate([x1, x2.reshape(n * rz, k)]).reshape(b.shape)
 
     return solve
@@ -481,14 +453,12 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 
 def _projectors(kernel, blocks: np.ndarray) -> np.ndarray:
     """The stack of dense projectors ``I - W_i K' (K W_i K')^{-1} K`` over one
-    ``r x s`` kernel for the ``blocks`` of :func:`_batched_cholesky`: one
-    batched Cholesky ``K W_i K' = L L'``, and ``I - (V W_i)' V`` with ``V =
-    L^{-1} K``.  No condition estimate is computed."""
+    ``r x s`` kernel for the ``blocks`` of :func:`_batched_cholesky`: ``I -
+    (L^{-1} K W_i)' (L^{-1} K)`` from its inverse factors.  No condition
+    estimate is computed."""
     K = _as_dense(kernel)
-    KW, L = _batched_cholesky(K, blocks, "projector")
-    B = np.concatenate([np.broadcast_to(K, KW.shape), KW], axis=-1)
-    V, VW = np.split(np.linalg.solve(L, B), 2, axis=-1)  # L^{-1} K, L^{-1} K W
-    return np.eye(K.shape[1]) - np.swapaxes(VW, -1, -2) @ V
+    KW, Linv = _batched_cholesky(K, blocks, "projector")
+    return np.eye(K.shape[1]) - np.swapaxes(Linv @ KW, -1, -2) @ (Linv @ K)
 
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:

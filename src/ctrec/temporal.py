@@ -161,17 +161,17 @@ def aggregate_series(ts: TemporalStructure, x: np.ndarray, k: int) -> np.ndarray
 def build_full_temporal_agg(ts: TemporalStructure, N: int) -> sp.csr_matrix:
     """Aggregation matrix over ``N`` cycles, shape ``(N k*, N m)``.
 
-    Stacks one ``I_{N M_k} (x) ones(1, k)`` block per non-unit factor,
-    descending order, matching the level-blocked vector layout.
+    Level ``k`` (non-unit factors, descending: the level-blocked layout) is
+    ``I_{N M_k} (x) ones(1, k)``: each row sums ``k`` consecutive raw values.
     """
     require_integer("N", N, 1)
-    blocks = [
-        sp.kron(sp.identity(N * ts.M_k[k]), np.ones((1, k)), format="csr")
-        for k in ts.factors[:-1]
-    ]
-    if not blocks:
-        return sp.csr_matrix((0, N * ts.m))
-    return sp.vstack(blocks, format="csr")
+    ks = np.array(ts.factors[:-1], dtype=int)
+    row_len = np.repeat(ks, N * ts.m // ks)
+    return sp.csr_matrix(
+        (np.ones(ks.size * N * ts.m), np.tile(np.arange(N * ts.m), ks.size),
+         np.r_[0, np.cumsum(row_len)]),
+        shape=(row_len.size, N * ts.m),
+    )
 
 
 def build_full_temporal_kernel(ts: TemporalStructure, N: int) -> sp.csr_matrix:

@@ -16,6 +16,7 @@ from ctrec import (
     build_cross_temporal,
     build_temporal,
     coherence_report,
+    commutation_indices,
     commutation_matrix,
     iterative,
     ka_two_step,
@@ -100,6 +101,24 @@ def test_commutation_identity_and_involution():
     np.testing.assert_array_equal((K @ K).toarray(), np.eye(9))
     K23 = commutation_matrix(2, 3)
     np.testing.assert_array_equal((K23.T @ K23).toarray(), np.eye(6))
+
+
+def meshgrid_commutation_indices(r, c):
+    """The commutation permutation from its index identity, element by
+    element: how :func:`commutation_indices` once built it."""
+    # vec(X)[i + j*r] = X[i, j]; vec(X')[j + i*c] = X[i, j]
+    i, j = np.meshgrid(np.arange(r), np.arange(c), indexing="ij")
+    perm = np.empty(r * c, dtype=np.intp)
+    perm[(j + i * c).ravel()] = (i + j * r).ravel()
+    return perm
+
+
+def test_commutation_indices_match_the_meshgrid_build():
+    for r in range(1, 7):
+        for c in range(1, 7):
+            np.testing.assert_array_equal(
+                commutation_indices(r, c), meshgrid_commutation_indices(r, c)
+            )
 
 
 @pytest.mark.parametrize("r, c", [(2.5, 2), (2, "3"), (True, 2), (0, 2)])

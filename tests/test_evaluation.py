@@ -261,6 +261,14 @@ def test_error_cube_names_bad_arguments(toy):
         error_cube(actuals, {"base": good, "p1": good[:1]}, cs, ts, 1, 2)
 
 
+@pytest.mark.parametrize("h", [0, -1, 1.5])
+def test_error_cube_rejects_a_horizon_that_is_not_a_positive_integer(toy, h):
+    actuals, _ = generate_coherent(toy.cs, toy.ts, 6, seed=4)
+    good = [np.zeros((toy.n, toy.width))] * 2
+    with pytest.raises(InvalidInput, match="h must be an integer of at least 1"):
+        error_cube(actuals, {"base": good}, toy.cs, toy.ts, h, 2)
+
+
 def test_rolling_harness_checks_start_cycle_before_running(toy):
     def never(*args):
         raise AssertionError("a procedure ran")

@@ -45,6 +45,7 @@ from ctrec import (
     temporal_cov,
     validate_raw_kernel,
 )
+from ctrec.covariance import _cholesky_gate
 from ctrec.io import read_hierarchy, write_values
 from ctrec.reconcile import (
     _condition_estimate,
@@ -546,7 +547,7 @@ def estimate_calls(monkeypatch):
         return run
 
     monkeypatch.setattr(
-        ctrec.reconcile, "_norm1_estimate", counted("norm1", ctrec.reconcile._norm1_estimate)
+        scipy.sparse.linalg, "onenormest", counted("norm1", scipy.sparse.linalg.onenormest)
     )
     monkeypatch.setattr(
         scipy.linalg.lapack, "dpocon", counted("dpocon", scipy.linalg.lapack.dpocon)
@@ -582,6 +583,65 @@ def test_condition_estimate_runs_once_on_first_read(estimate_calls, path):
     factored = _normal_factor(xts.kernel, W, "test", xts if through_structure else None)
     assert factored[0] == factorization
     assert _condition_estimate(xts.kernel, W, factored[1]) == first
+
+
+def hager_norm1_estimate(apply, r):
+    """Hager's 1-norm estimate of a symmetric ``r x r`` operator from its
+    products, with Higham's alternating-sign test vector (LAPACK's
+    ``dlacn2``): how :func:`_condition_estimate` once estimated each norm."""
+    x = np.full(r, 1.0 / r)
+    est = 0.0
+    for _ in range(5):
+        y = apply(x)
+        if np.abs(y).sum() <= est:
+            break
+        est = np.abs(y).sum()
+        z = apply(np.where(y >= 0.0, 1.0, -1.0))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(r)
+        x[j] = 1.0
+    alt = (-1.0) ** np.arange(r) * (1.0 + np.arange(r) / max(r - 1, 1))
+    return float(max(est, 2.0 * np.abs(apply(alt)).sum() / (3.0 * r)))
+
+
+def hager_condition_estimate(K, W, solve):
+    r = K.shape[0]
+    return hager_norm1_estimate(lambda b: K @ W.apply(K.T @ b), r) * hager_norm1_estimate(solve, r)
+
+
+# The kinds of test_condition_estimate_within_factor_two, then LAZY_PATHS.
+ESTIMATE_CASES = list(dict.fromkeys([
+    (kind, through, (32, 4, 12, 1))
+    for kind in ["oct-ols", "oct-struc", "oct-wlsv", "oct-acov", "oct-bdshr", "oct-shr"]
+    for through in (False, True)
+] + [(kind, through, shape) for _, kind, through, shape in LAZY_PATHS.values()]))
+
+
+@pytest.mark.parametrize("kind, through_structure, shape", ESTIMATE_CASES)
+def test_condition_estimate_matches_hagers_loop(kind, through_structure, shape):
+    xts = grouped_structure(*shape)
+    y, residuals = seeded_inputs(xts)
+    W = cross_temporal_cov(kind, xts, residuals)
+    res = reconcile_flat(y, xts, W) if through_structure else project(y, W, xts.kernel)
+    solve = _normal_factor(xts.kernel, W, "test", xts if through_structure else None)[1]
+    oracle = hager_condition_estimate(xts.kernel, W, solve)
+    assert abs(res.condition_estimate - oracle) <= 1e-12 * oracle
+
+
+def test_condition_estimate_leaves_the_global_random_state_alone():
+    xts = grouped_structure(32, 4, 12, 1)
+    y, residuals = seeded_inputs(xts)
+    np.random.seed(5)
+    before = np.random.get_state()
+    for kind in ("oct-wlsv", "oct-shr"):
+        W = cross_temporal_cov(kind, xts, residuals)
+        for res in (project(y, W, xts.kernel), reconcile_flat(y, xts, W)):
+            assert res.condition_estimate > 1.0
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    np.testing.assert_array_equal(before[1], after[1])
 
 
 def test_results_without_a_normal_solve_have_no_condition_estimate(toy, estimate_calls):
@@ -876,6 +936,15 @@ def test_schur_complement_of_weighted_edges_matches_the_sparse_product(tmp_path,
         assert_schur_complements_match_the_sparse_product(xts, W, monkeypatch, exact=False)
 
 
+def test_schur_complement_is_in_canonical_form():
+    rng = np.random.default_rng(301)
+    cs = random_hierarchy(rng, n_max=9)
+    for hf in (1, 4, 12):
+        M = rng.standard_normal((cs.n, hf, hf))
+        S = _schur_complement(cs.kernel, M @ np.swapaxes(M, 1, 2) + np.eye(hf))
+        assert S.format == "csr" and S.has_canonical_format and S.shape == (cs.n_a * hf,) * 2
+
+
 @pytest.mark.parametrize(
     "shape, factorization",
     [
@@ -1119,6 +1188,32 @@ def test_stacked_projectors_scale_each_tolerance():
     single = projector(Z, W)
     for P in projs:  # W and c W give the same projector
         np.testing.assert_allclose(P, single, rtol=1e-10, atol=1e-12)
+
+
+def solve_projectors(kernel, blocks):
+    """The projector stack by batched solves with the lower Cholesky
+    factors: how :func:`_projectors` once built it."""
+    K = np.asarray(kernel.todense() if sp.issparse(kernel) else kernel, dtype=float)
+    KW = K * blocks[:, None, :] if blocks.ndim == 2 else K @ blocks
+    L = _cholesky_gate(KW @ K.T)[0]
+    B = np.concatenate([np.broadcast_to(K, KW.shape), KW], axis=-1)
+    V, VW = np.split(np.linalg.solve(L, B), 2, axis=-1)  # L^{-1} K, L^{-1} K W
+    return np.eye(K.shape[1]) - np.swapaxes(VW, -1, -2) @ V
+
+
+@pytest.mark.parametrize("shape", sorted({shape for *_, shape in ESTIMATE_CASES}))
+def test_projector_stacks_match_the_batched_solves(shape):
+    xts = grouped_structure(*shape)
+    _, residuals = seeded_inputs(xts)
+    for kind in T_KINDS:
+        blocks = _series_blocks(temporal_cov(kind, xts.ts, residuals, xts.h), xts.n)
+        got = _projectors(xts.temporal_kernel, blocks)
+        assert relative_gap(got, solve_projectors(xts.temporal_kernel, blocks)) <= 1e-13, kind
+    for kind in CS_KINDS:
+        E = [residuals.level_matrix(k) for k in xts.ts.factors]
+        blocks = np.stack([cross_sectional_cov(kind, xts.cs, Ek).dense() for Ek in E])
+        got = _projectors(xts.cs.kernel, blocks)
+        assert relative_gap(got, solve_projectors(xts.cs.kernel, blocks)) <= 1e-13, kind
 
 
 def per_series_loop(xts, kind, residuals):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ctrec import (
     InvalidInput,
@@ -12,7 +13,7 @@ from ctrec import (
     build_temporal,
     generate_coherent,
 )
-from ctrec.temporal import full_summing, full_vector
+from ctrec.temporal import build_full_temporal_agg, full_summing, full_vector
 
 QUARTERLY_K1 = np.array(
     [
@@ -196,3 +197,27 @@ COUNT_CASES = {
 def test_counts_and_orders_must_be_integers_of_at_least_1(case):
     with pytest.raises(InvalidInput, match="must be an integer of at least 1, got"):
         COUNT_CASES[case]()
+
+
+def kron_temporal_agg(ts, N):
+    """One ``I_{N M_k} (x) ones(1, k)`` per non-unit factor, stacked: how
+    :func:`build_full_temporal_agg` once built the matrix."""
+    blocks = [
+        sp.kron(sp.identity(N * ts.M_k[k]), np.ones((1, k)), format="csr")
+        for k in ts.factors[:-1]
+    ]
+    return sp.vstack(blocks, format="csr") if blocks else sp.csr_matrix((0, N * ts.m))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 40])
+@pytest.mark.parametrize(
+    "m, factors",
+    [(1, None), (2, None), (3, None), (4, None), (6, None), (7, None), (12, None), (24, None),
+     (12, [12, 3, 1]), (12, [12, 6, 4, 1]), (24, [24, 8, 2, 1])],
+)
+def test_full_temporal_agg_matches_the_kron_build(m, factors, N):
+    ts = build_temporal(m, factors)
+    got, ref = build_full_temporal_agg(ts, N), kron_temporal_agg(ts, N)
+    assert got.shape == ref.shape and got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
