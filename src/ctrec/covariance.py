@@ -50,6 +50,7 @@ from .errors import (
     SingularCovariance,
     require_finite,
     require_integer,
+    require_real,
 )
 from .hierarchy import CrossSectionalStructure
 from .temporal import TemporalStructure, build_temporal
@@ -353,6 +354,26 @@ def _block_diagonal(kind: str, pairs, ts: TemporalStructure, h: int, n: int, **k
     return CovarianceModel(kind, "block-diagonal", pos.size, matrix=A, **kw)
 
 
+def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
+    """The diagonal blocks ``W_i`` of a ``W`` that is block-diagonal by
+    series (``q = W.size / n`` values each): the ``(n, q)`` stack of their
+    diagonals for an identity or diagonal ``W``, else the ``(n, q, q)``
+    stack of the blocks, decoded from :func:`_block_diagonal`'s matrix.
+    ``None`` when ``W`` is low-rank, full, or stores an entry between two
+    series."""
+    q = W.size // n
+    if W.structure in ("identity", "diagonal"):
+        return W.diagonal().reshape(n, q)
+    if W.structure != "block-diagonal":
+        return None
+    A = sp.coo_matrix(W.matrix)
+    series = A.row // q
+    if np.any(A.col // q != series):
+        return None
+    flat = (series * q + A.row % q) * q + A.col % q
+    return np.bincount(flat, weights=A.data, minlength=n * q * q).reshape(n, q, q)
+
+
 # ---------------------------------------------------------------------------
 # Moment estimators
 
@@ -434,8 +455,8 @@ def shrink(
         if residuals.shape[0] != sample.shape[0]:
             raise DimensionMismatch("residual rows do not match the sample matrix")
         lam = _shrink_intensity(residuals, d, sample)
-    elif not np.isfinite(lam):
-        raise InvalidInput(f"shrinkage intensity must be finite, got {lam!r}")
+    else:
+        require_real("shrinkage intensity", lam)
     lam = float(min(1.0, max(0.0, lam)))
     combined = lam * np.diag(d) + (1.0 - lam) * sample
     np.fill_diagonal(combined, d)  # keep the diagonal bit-exact

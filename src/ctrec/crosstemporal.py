@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, SingularSystem, require_finite, require_integer
+from .errors import DimensionMismatch, SingularSystem, require_finite, require_integer, require_real
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau, tableau_values
 from .temporal import TemporalStructure, build_full_temporal_kernel, full_summing
@@ -66,13 +66,12 @@ def commutation_matrix(r: int, c: int) -> sp.csr_matrix:
 
 def numerical_rank(A, rtol: float = 1e-9) -> int:
     """Rank via pivoted QR, counting pivots above ``rtol`` relative size."""
+    require_real("rtol", rtol, 0)
     A = np.asarray(A.todense() if sp.issparse(A) else A, dtype=float)
     if A.size == 0:
         return 0
     R = scipy.linalg.qr(A, mode="r", pivoting=True)[0]
-    d = np.abs(np.diag(R))
-    if d.size == 0 or d[0] == 0.0:
-        return 0
+    d = np.abs(np.diag(R))  # non-increasing: all zero when d[0] is
     return int(np.count_nonzero(d > rtol * d[0]))
 
 

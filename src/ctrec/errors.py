@@ -1,14 +1,15 @@
 """Exception types shared across the package, and its input rules.
 
 Each input rule has one helper that every entry point goes through:
-:func:`require_finite` for numeric arrays, :func:`require_integer` for
-counts and aggregation orders, ``temporal.whole_cycles`` for ``n`` series
-by whole cycles, ``tableau.tableau_values`` for a tableau's shape and
-entries, ``hierarchy._labels`` for series labels and ``io._key_value`` for
-``key = value`` lines.
+:func:`require_finite` for arrays, :func:`require_integer` for counts,
+orders and horizons, :func:`require_real` for other scalars,
+``temporal.whole_cycles`` for ``n`` series by whole cycles,
+``tableau.tableau_values`` for a tableau's shape and entries,
+``hierarchy._labels`` for labels, ``io._key_value`` for ``key = value`` lines.
 """
 
-from numbers import Integral
+import sys
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,6 +53,16 @@ def require_integer(name: str, value, minimum: int) -> None:
         raise InvalidInput(
             f"{name} must be an integer of at least {minimum}, got {value!r}"
         )
+
+
+def require_real(name: str, value, minimum: float | None = None) -> None:
+    """Raise :class:`InvalidInput` unless ``value`` is a real number (a bool
+    is not) in the float range, so finite, of at least ``minimum`` if given."""
+    low = -sys.float_info.max if minimum is None else minimum
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not low <= value <= sys.float_info.max):  # NaN fails too
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise InvalidInput(f"{name} must be finite, a real number{bound}, got {value!r}")
 
 
 def require_finite(A, what: str) -> np.ndarray:

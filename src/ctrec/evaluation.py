@@ -178,7 +178,9 @@ def _selection(cube: ErrorCube, series, levels, horizons):
             lo, hi = horizons.get(k, (1, cube.horizons[k]))
         else:
             lo, hi = horizons
-        blocks.append((k, np.arange(max(1, lo), min(hi, cube.horizons[k]) + 1) - 1))
+        for bound in (lo, hi):
+            require_integer("horizons", bound, 1)
+        blocks.append((k, np.arange(lo, min(hi, cube.horizons[k]) + 1) - 1))
     return np.asarray(rows, dtype=np.intp), blocks
 
 

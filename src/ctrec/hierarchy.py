@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, require_finite
+from .errors import DimensionMismatch, InvalidInput, require_finite, require_real
 
 __all__ = [
     "CrossSectionalStructure",
@@ -169,8 +169,7 @@ def coherent_subspace_check(
         raise DimensionMismatch(
             f"Y has {Y.shape[0]} rows, structure has {structure.n} series"
         )
-    if tol < 0:
-        raise InvalidInput(f"tolerance must be nonnegative, got {tol!r}")
+    require_real("tolerance", tol, 0)
     resid = structure.kernel @ Y
     scale = 1.0 + (np.max(np.abs(Y)) if Y.size else 0.0)
     return bool(np.max(np.abs(resid), initial=0.0) <= tol * scale)

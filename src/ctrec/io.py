@@ -412,14 +412,6 @@ def _level_key(ts: TemporalStructure, col: int, cycles: int = 1) -> tuple:
             return k, col - slc.start + 1
 
 
-def _check_finite(fault, series: list, ints: np.ndarray, value: np.ndarray):
-    """Raise ``fault`` naming the key of the first non-finite value."""
-    finite = np.isfinite(value)
-    if not finite.all():
-        r = int(np.argmin(finite))
-        raise fault(f"non-finite value at {(series[r], *ints[:, r].tolist())}")
-
-
 def _coverage(index: np.ndarray) -> tuple[bool, int]:
     """Whether the non-negative ``index`` repeats a value and, if it does
     not, the smallest non-negative integer that it lacks.  No array larger
@@ -427,6 +419,24 @@ def _coverage(index: np.ndarray) -> tuple[bool, int]:
     index = np.sort(index)
     gaps = np.flatnonzero(index != np.arange(index.size))
     return bool((index[1:] == index[:-1]).any()), int(gaps[0]) if gaps.size else index.size
+
+
+def _scatter(fault, key, series: list, ints, value, index, total: int) -> np.ndarray:
+    """``value`` placed at ``index`` of ``total`` cells, from rows that passed
+    their own checks; else ``fault`` for a repeated key, for the first missing
+    cell, named by the string ``key(cell)``, or for a non-finite value."""
+    repeated, missing = _coverage(index)
+    if repeated:
+        raise fault("duplicate key")  # which one, _row_fault names
+    if missing < total:
+        raise fault(f"missing key {key(missing)}")
+    finite = np.isfinite(value)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise fault(f"non-finite value at {(series[r], *ints[:, r].tolist())}")
+    cells = np.empty(total)
+    cells[index] = value
+    return cells
 
 
 _VALUE_INTS = ("level_k", "index_within_level")
@@ -468,17 +478,13 @@ def read_values(
             f"({series[r]}, {level[r]})"
         )
     width = cycles * ts.cycle_len
-    index = row * width + start + pos - 1
-    repeated, missing = _coverage(index)
-    if repeated:
-        raise fault("duplicate key")  # which one, _row_fault names
-    if missing < cs.n * width:
-        i, col = divmod(missing, width)
-        raise fault("missing key ({}, {}, {})".format(
-            cs.labels[i], *_level_key(ts, col, cycles)))
-    _check_finite(fault, series, ints, value)
-    values = np.empty(cs.n * width)
-    values[index] = value
+
+    def key(cell):
+        i, col = divmod(cell, width)
+        return "({}, {}, {})".format(cs.labels[i], *_level_key(ts, col, cycles))
+
+    values = _scatter(fault, key, series, ints, value, row * width + start + pos - 1,
+                      cs.n * width)
     return values.reshape(cs.n, width), cycles
 
 
@@ -516,33 +522,24 @@ def read_residuals(
     cl = ts.cycle_len
     row = _series_index(cs, series)
     M, start = _level_tables(ts, level)
-    valid = (row >= 0) & (pos >= 1) & (pos <= M)
-    position = row * cl + start + pos - 1
-    if n_cols > value.size:
-        # More origin columns than rows: keys are missing from the first
-        # position on, and the linear index below could overflow.
-        present = set(origin[valid & (position == 0)].tolist())
-        tau = next(t for t in range(1, n_cols + 1) if t not in present)
-        raise fault("missing key ({}, {}, {}, {})".format(
-            cs.labels[0], *_level_key(ts, 0), tau))
-    index = (position * n_cols + origin - 1)[valid]
-    total = cs.n * cl * n_cols
-    repeated, missing = _coverage(index)
-    if repeated:
-        raise fault("duplicate key")  # which one, _row_fault names
-    if value.size != total and missing < total:
-        r, tau = divmod(missing, n_cols)
-        i, within = divmod(r, cl)
-        raise fault("missing key ({}, {}, {}, {})".format(
-            cs.labels[i], *_level_key(ts, within), tau + 1))
-    if not valid.all():
-        r = np.argmin(valid)
+    bad = (row < 0) | (pos < 1) | (pos > M)
+    if bad.any():
+        r = np.argmax(bad)
         if row[r] < 0:
             raise fault(f"unknown series {series[r]!r}")
         raise fault(f"bad level/index ({series[r]}, {level[r]}, {pos[r]})")
-    _check_finite(fault, series, ints, value)
-    values = np.empty(total)
-    values[index] = value
+
+    def key(cell):
+        r, tau = divmod(cell, n_cols)
+        i, within = divmod(r, cl)
+        return "({}, {}, {}, {})".format(cs.labels[i], *_level_key(ts, within), tau + 1)
+
+    position = row * cl + start + pos - 1
+    # With more origin columns than rows, a key of the first position is
+    # missing; only its rows are indexed, as the others' index could overflow.
+    first = position == 0 if n_cols > value.size else slice(None)
+    values = _scatter(fault, key, series, ints, value,
+                      position[first] * n_cols + origin[first] - 1, cs.n * cl * n_cols)
     return ResidualTableau(values.reshape(cs.n * cl, n_cols), cs.n, ts)
 
 

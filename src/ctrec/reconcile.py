@@ -66,6 +66,7 @@ from .covariance import (
     ResidualTableau,
     _cholesky_gate,
     _pivots_pass,
+    _series_blocks,
     cross_sectional_cov,
     cross_temporal_cov,
     temporal_cov,
@@ -134,10 +135,6 @@ class ReconciliationResult:
     diagnostics: dict = field(default_factory=dict)
     tableau: ForecastTableau | None = None
     _condition: Callable[[], float] | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def reconciled(self):
-        return self.tableau if self.tableau is not None else self.y_tilde
 
     @cached_property
     def condition_estimate(self) -> float | None:
@@ -250,26 +247,6 @@ def _batched_cholesky(K: np.ndarray, blocks: np.ndarray, context: str):
     # dtrtri never fails on a gated factor, but rejects an empty one.
     Linv = np.stack([scipy.linalg.lapack.dtrtri(Li, lower=1)[0] for Li in L]) if len(K) else L
     return KW, Linv
-
-
-def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
-    """The diagonal blocks ``W_i`` of a ``W`` that is block-diagonal by
-    series (``q = W.size / n`` values each): the ``(n, q)`` stack of their
-    diagonals for an identity or diagonal ``W``, else the ``(n, q, q)``
-    stack of the blocks.  ``None`` when ``W`` is low-rank, full, or stores
-    an entry between two series (read from the COO indices of a
-    block-diagonal ``W``)."""
-    q = W.size // n
-    if W.structure in ("identity", "diagonal"):
-        return W.diagonal().reshape(n, q)
-    if W.structure != "block-diagonal":
-        return None
-    A = sp.coo_matrix(W.matrix)
-    series = A.row // q
-    if np.any(A.col // q != series):
-        return None
-    flat = (series * q + A.row % q) * q + A.col % q
-    return np.bincount(flat, weights=A.data, minlength=n * q * q).reshape(n, q, q)
 
 
 def _schur_complement(kappa: np.ndarray, M: np.ndarray) -> sp.csr_matrix:
@@ -563,12 +540,9 @@ def _per_series_temporal_projectors(
     residuals: ResidualTableau | None,
 ) -> np.ndarray:
     """The ``(n, w, w)`` stack of each series' temporal projector, from the
-    series blocks of one model; for a kind that reads no residuals, one
-    projector repeated."""
+    series blocks of one model; without residuals, one projector repeated."""
     if residuals is not None and residuals.n != xts.n:
         raise DimensionMismatch(f"residuals cover {residuals.n} series, not {xts.n}")
-    if kind in ("t-ols", "t-struc"):
-        residuals = None
     n = 1 if residuals is None else xts.n
     W = temporal_cov(kind, xts.ts, residuals, xts.h)
     return np.repeat(_projectors(xts.temporal_kernel, _series_blocks(W, n)), xts.n // n, 0)

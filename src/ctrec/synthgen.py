@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ResidualTableau
-from .errors import InvalidInput, require_integer
+from .errors import InvalidInput, require_integer, require_real
 from .hierarchy import CrossSectionalStructure
 from .temporal import TemporalStructure, full_summing, whole_cycles
 
@@ -30,6 +30,10 @@ class NoiseSpec:
     season_amplitude: float = 4.0
     drift: float = 0.05
     sigma: float = 1.0
+
+    def __post_init__(self):
+        for name in ("level", "season_amplitude", "drift", "sigma"):
+            require_real(name, getattr(self, name), 0 if name == "sigma" else None)
 
 
 def generate_coherent(

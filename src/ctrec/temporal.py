@@ -199,9 +199,3 @@ def full_summing(ts: TemporalStructure, N: int) -> sp.csr_matrix:
     """Summing matrix over ``N`` cycles, shape ``(N(k*+m), N m)``."""
     K = build_full_temporal_agg(ts, N)
     return sp.vstack([K, sp.identity(N * ts.m, format="csr")], format="csr")
-
-
-def full_vector(ts: TemporalStructure, x: np.ndarray) -> np.ndarray:
-    """Stack all temporal aggregates of ``x`` in the level-blocked layout."""
-    return np.concatenate([aggregate_series(ts, x, k) for k in ts.factors])
-

@@ -80,7 +80,7 @@ def test_shrink_forced_lambda():
     assert lam == 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "0.5"])
 def test_shrink_rejects_a_non_finite_intensity(bad):
     with pytest.raises(InvalidInput, match="shrinkage intensity must be finite"):
         shrink(np.array([[2.0, 1.0], [1.0, 2.0]]), lam=bad)

@@ -181,6 +181,18 @@ def test_pure_cross_sectional_reduction():
     np.testing.assert_array_equal(xts.kernel.toarray(), [[1.0, -1.0]])
 
 
+@pytest.mark.parametrize("rtol", [np.nan, np.inf, -1e-9, True])
+def test_numerical_rank_rtol_is_a_finite_nonnegative_real(rtol):
+    """NaN and True counted no pivot above them: rank 0."""
+    with pytest.raises(InvalidInput, match="rtol must be finite"):
+        numerical_rank(np.eye(3), rtol=rtol)
+
+
+def test_numerical_rank_of_a_zero_matrix_is_zero():
+    assert numerical_rank(np.zeros((3, 4))) == 0 == numerical_rank(np.zeros((0, 4)))
+    assert numerical_rank(np.diag([2.0, 1e-12, 0.0])) == 1
+
+
 def test_rank_formula_small():
     cs = build_cross_sectional([[1, 1]])
     ts = build_temporal(2)

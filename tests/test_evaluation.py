@@ -152,6 +152,13 @@ def test_scale_invariance(scale, seed):
         assert a == pytest.approx(b, rel=1e-9)
 
 
+@pytest.mark.parametrize("horizons", [(1.5, 2), (np.nan, 2), (1, 2.0), (0, 2), {1: (1, True)}])
+def test_horizon_bounds_are_integers_of_at_least_one(horizons):
+    """(1.5, 2) raised a bare IndexError, and (nan, 2) was read as (1, 2)."""
+    with pytest.raises(InvalidInput, match="horizons must be an integer"):
+        avg_rel_index(constant_cube(), "mse", "cand", horizons=horizons)
+
+
 def test_empty_selection():
     cube = constant_cube()
     with pytest.raises(EmptySelection):

@@ -33,6 +33,9 @@ def test_config_validation():
         HeuristicConfig(tolerance=-1e-6)
     with pytest.raises(InvalidInput):  # bool is an int, but not a tolerance
         HeuristicConfig(tolerance=True)
+    with pytest.raises(InvalidInput, match="tolerance must be finite"):
+        HeuristicConfig(tolerance=float("nan"))
+    assert HeuristicConfig(tolerance=np.float64(5e-324)).tolerance > 0
     with pytest.raises(InvalidInput):
         HeuristicConfig(max_iterations=0)
     with pytest.raises(InvalidInput):
@@ -256,15 +259,19 @@ def test_iterative_overflow_is_nonconvergence_with_the_trace(toy):
 def test_iterative_stops_at_the_first_pass_whose_discrepancy_grows_tenfold(
     rank_deficient_t_sam, cs_kind, order
 ):
-    """These runs grow 6-16x per pass and used to run all 100 passes."""
+    """These runs grow 6-16x per pass and used to run all 100 passes.  Each
+    stops at its first pass whose discrepancy exceeds ten times the smallest
+    before it: ``cst`` with ``cs-shr`` at its third, 62x its first but 9.9x
+    its second."""
     xts, tab, residuals = rank_deficient_t_sam
     config = HeuristicConfig("t-sam", cs_kind, order=order)
     with pytest.raises(NonConvergence, match="diverged") as err:
         iterative(tab, xts, config, residuals)
     d = np.asarray(err.value.trace)[:, 1 if order == "tcs" else 0]
-    assert 2 <= len(d) <= 4
-    assert d[-1] > _DIVERGENCE_GROWTH * d[-2]
-    assert np.all(d[1:-1] <= _DIVERGENCE_GROWTH * d[:-2])
+    least = np.minimum.accumulate(d)
+    assert 2 <= len(d) <= 3
+    assert d[-1] > _DIVERGENCE_GROWTH * least[-2]
+    assert np.all(d[1:-1] <= _DIVERGENCE_GROWTH * least[:-2])
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +303,15 @@ def test_iterative_converges_to_the_closed_form_for_separable_diagonal_weights(
     step uses that diagonal's own weights, the alternating projections
     converge to the optimal solution itself."""
     assert iterative_gap(grouped_monthly, temporal_kind, cross_sectional_kind, oct_kind) <= 1e-12
+
+
+def test_iterative_converges_to_the_closed_form_above_3000_values():
+    """Grouped (200, 10, 12, 2): 11816 stacked values, where ``oct-wlsv``
+    takes the two-stage solve and no dense oracle reaches."""
+    xts = grouped_structure(200, 10, 12, 2)
+    y, residuals = seeded_inputs(xts)
+    inputs = (xts, y.reshape(xts.n, xts.width), residuals)
+    assert iterative_gap(inputs, "t-wlsv", "cs-wls", "oct-wlsv") <= 1e-12
 
 
 def test_iterative_differs_from_the_closed_form_when_its_weights_do_not_match(grouped_monthly):

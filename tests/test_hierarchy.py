@@ -155,6 +155,14 @@ def test_coherent_subspace_check(toy):
         coherent_subspace_check(Y, cs, tol=-1e-12)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, True, "1e-12"])
+def test_coherent_subspace_check_tolerance_is_a_finite_real(toy, tol):
+    """NaN returned False, and infinity True for any ``Y``."""
+    Y = np.ones((toy.cs.n, 2))
+    with pytest.raises(InvalidInput, match="tolerance must be finite"):
+        coherent_subspace_check(Y, toy.cs, tol=tol)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_a=st.integers(1, 20),

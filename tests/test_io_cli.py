@@ -806,6 +806,11 @@ _FAULTS = {
         _drop_column("value")(_set(2, "level_k", "1" * 200000)(lines))
     ),
     "short row without series": _series_last_then_short,
+    # A bad row is named before the key that its file then lacks.
+    "unknown series in a short file": lambda lines: _set(1, "series", "Q")(lines)[:-1],
+    "unknown level in a short file": lambda lines: _set(1, "level_k", "3")(lines)[:-1],
+    # More origin columns than rows, and a linear index beyond int64.
+    "largest origin_column": _set(2, "origin_column", "9223372036854775807"),
 }
 
 _VALUE_COLUMNS = "['index_within_level', 'level_k', 'series', 'value']"
@@ -841,6 +846,7 @@ _RESIDUAL_COLUMNS = (
         ("values", "missing header column and a long field",
          f"expected columns {_VALUE_COLUMNS}"),
         ("values", "short row without series", "line 2: series is missing"),
+        ("values", "unknown series in a short file", "unknown series 'Q'"),
         ("residuals", "duplicate key", "duplicate key ('X', 4, 1, 1)"),
         ("residuals", "missing key", "missing key (X, 2, 2, 1)"),
         ("residuals", "unknown series", "unknown series 'Q'"),
@@ -871,6 +877,9 @@ _RESIDUAL_COLUMNS = (
         ("residuals", "missing header column and a long field",
          f"expected columns {_RESIDUAL_COLUMNS}"),
         ("residuals", "short row without series", "line 2: series is missing"),
+        ("residuals", "unknown series in a short file", "unknown series 'Q'"),
+        ("residuals", "unknown level in a short file", "bad level/index (X, 3, 1)"),
+        ("residuals", "largest origin_column", "missing key (X, 4, 1, 2)"),
     ],
 )
 def test_long_format_fault_messages(

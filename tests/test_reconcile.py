@@ -45,7 +45,7 @@ from ctrec import (
     temporal_cov,
     validate_raw_kernel,
 )
-from ctrec.covariance import _cholesky_gate
+from ctrec.covariance import _cholesky_gate, _series_blocks
 from ctrec.io import read_hierarchy, write_values
 from ctrec.reconcile import (
     _condition_estimate,
@@ -54,7 +54,6 @@ from ctrec.reconcile import (
     _per_series_temporal_projectors,
     _projectors,
     _schur_complement,
-    _series_blocks,
     _two_stage,
     projector,
 )

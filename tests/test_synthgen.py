@@ -21,6 +21,17 @@ def toy_parts():
     return cs, ts
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("sigma", np.nan), ("sigma", -1.0), ("level", np.inf), ("drift", -np.inf),
+     ("season_amplitude", True), ("level", "20"), ("drift", 2**1024)],
+)
+def test_noise_spec_fields_are_finite_reals(field, bad):
+    """NaN or infinite noise made NaN or infinite actuals."""
+    with pytest.raises(InvalidInput, match=f"{field} must be finite"):
+        NoiseSpec(**{field: bad})
+
+
 def test_deterministic_reruns(toy_parts):
     cs, ts = toy_parts
     a1, b1 = generate_coherent(cs, ts, 10, seed=42)

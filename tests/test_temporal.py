@@ -13,7 +13,13 @@ from ctrec import (
     build_temporal,
     generate_coherent,
 )
-from ctrec.temporal import build_full_temporal_agg, full_summing, full_vector
+from ctrec.temporal import build_full_temporal_agg, full_summing
+
+
+def full_vector(ts, x):
+    """Stack all temporal aggregates of ``x`` in the level-blocked layout."""
+    return np.concatenate([aggregate_series(ts, x, k) for k in ts.factors])
+
 
 QUARTERLY_K1 = np.array(
     [
