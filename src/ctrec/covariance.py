@@ -647,20 +647,18 @@ def _estimate(
         raise SingularCovariance(f"{kind}: zero variance on a node")
     pairs, lams, rho = [], [], {}
     for k, rows, E in _levels(res):
-        if family == "acov":  # per series, over its level-k positions
-            pairs.append((rows, _lift_to_pd(sample_mse(E), kind)))
-        elif family == "bdsam-l":  # per position, over the series
-            pairs.append((rows.T, _lift_to_pd(sample_mse(E.transpose(1, 0, 2)), kind)))
-        elif family in ("bdsam", "bdshr"):  # per level, at each of its positions
-            B, lam = _sample_estimate(kind, res.level_matrix(k)[None], family == "bdshr")
-            pairs.append((rows.T, B))
-            lams.append(lam)
-        else:  # Markov: per series, AR(1) correlations scaled by sqrt(d)
+        if family in _MARKOV_SCALE:  # per series, AR(1) correlations scaled by sqrt(d)
             rho[k] = _lag1_autocorr(res.level_matrix(k))
             lag = np.abs(rows[0] - rows[0][:, None])
             r = np.sqrt(d[rows])
             # With |rho| < 1 the blocks are PD; the diagonal scaling keeps them so.
             pairs.append((rows, r[:, :, None] * rho[k][:, None, None] ** lag * r[:, None, :]))
+        else:  # acov per series, bdsam-l per position, bdsam and bdshr per level
+            X = (E if family == "acov" else E.transpose(1, 0, 2) if family == "bdsam-l"
+                 else res.level_matrix(k)[None])
+            B, lam = _sample_estimate(kind, X, family == "bdshr")
+            pairs.append((rows if family == "acov" else rows.T, B))
+            lams.append(lam)
     return _block_diagonal(
         kind, pairs, ts, h, n, lam=float(np.mean(lams)) if family == "bdshr" else None,
         rho={k: float(rho[k][0]) if n == 1 else tuple(rho[k].tolist())

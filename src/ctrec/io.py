@@ -13,9 +13,9 @@ explicit aggregation matrix::
 
 The matrix block is CSV, so a label that holds a comma or a quote is
 quoted as ``csv.writer`` quotes it; cells are stripped of spaces.  The
-other form is a parent-child edge list, compiled to the matrix by
-accumulating weights along paths (bottoms are the nodes that never
-appear as parent)::
+other form is a parent-child edge list of CSV records.  Bottoms are the
+nodes that never appear as parent; each upper's row, the weighted sum of
+its children's rows, is computed once, in a walk without recursion::
 
     m = 4
     [edges]
@@ -132,33 +132,34 @@ def _compile_edges(path, edges: dict) -> tuple[np.ndarray, list]:
     child_nodes = {node for node, _ in edges}
     bottoms = sorted(child_nodes - children.keys())
 
-    # Order uppers top-down so totals come first.
-    ordered, queue = [], sorted(children.keys() - child_nodes)
-    seen = set(queue)
-    while queue:
-        cur = queue.pop(0)
-        ordered.append(cur)
-        for child, _ in sorted(children.get(cur, [])):
+    # Order uppers top-down so totals come first; ``ordered`` is the BFS queue.
+    ordered = sorted(children.keys() - child_nodes)
+    seen = set(ordered)
+    for cur in ordered:
+        for child, _ in sorted(children[cur]):
             if child in children and child not in seen:
                 seen.add(child)
-                queue.append(child)
-    ordered += sorted(children.keys() - set(ordered))
+                ordered.append(child)
+    ordered += sorted(children.keys() - seen)
 
+    # A depth-first walk fills each upper's row, the weighted sum of its
+    # children's rows, as it leaves the upper; a child on the walk closes a cycle.
     idx = {b: i for i, b in enumerate(bottoms)}
     C = np.zeros((len(ordered), len(bottoms)))
-
-    def leaf_weights(node, weight, row, above=()):
-        # Every node on a cycle is an upper, so a walk from each finds it.
-        if node in above:
-            raise FormatError(f"{path}: edges form a cycle through {node!r}")
-        if node in idx:
-            row[idx[node]] += weight
-            return
-        for child, w in children.get(node, []):
-            leaf_weights(child, weight * w, row, (*above, node))
-
-    for j, upper in enumerate(ordered):
-        leaf_weights(upper, 1.0, C[j])
+    rows, done = dict(zip(ordered, C)), set(bottoms)
+    for upper in ordered:
+        walk = {} if upper in done else {upper: iter(children[upper])}
+        while walk:
+            node, rest = next(reversed(walk.items()))
+            child = next((c for c, _ in rest if c not in done), None)
+            if child in walk:
+                raise FormatError(f"{path}: edges form a cycle through {child!r}")
+            if child is not None:
+                walk[child] = iter(children[child])
+                continue
+            for c, w in children[node]:  # a bottom adds w at its column, an upper w * row
+                rows[node][idx.get(c, slice(None))] += w * rows.get(c, 1.0)
+            done.add(walk.popitem()[0])
     return C, ordered + bottoms
 
 
@@ -187,20 +188,22 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
         elif section == "matrix":
             matrix_lines.append(line)
         else:
-            parts = [c.strip() for c in line.split(",")]
+            try:
+                parts = [c.strip() for c in next(csv.reader([line]))]
+            except csv.Error as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
             if parts[0].lower() == "node":
                 continue
-            if len(parts) == 2:
-                parts.append("1")
-            if len(parts) != 3:
+            if len(parts) not in (2, 3):
                 raise FormatError(f"{path}: line {lineno}: expected node,parent,weight")
-            if tuple(parts[:2]) in edges:
+            node, parent, weight = (*parts, "1")[:3]
+            if (node, parent) in edges:
                 raise FormatError(f"{path}: line {lineno}: repeated edge {line!r}")
             try:
-                edges[tuple(parts[:2])] = float(parts[2])
+                edges[node, parent] = float(weight)
             except ValueError:
                 raise FormatError(
-                    f"{path}: line {lineno}: weight {parts[2]!r} is not a number"
+                    f"{path}: line {lineno}: weight {weight!r} is not a number"
                 ) from None
     if m is None:
         raise FormatError(f"{path}: hierarchy spec is missing the 'm =' line")

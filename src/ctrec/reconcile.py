@@ -540,12 +540,14 @@ def _per_series_temporal_projectors(
     residuals: ResidualTableau | None,
 ) -> np.ndarray:
     """The ``(n, w, w)`` stack of each series' temporal projector, from the
-    series blocks of one model; without residuals, one projector repeated."""
+    series blocks of one model; one repeated when all blocks are equal."""
     if residuals is not None and residuals.n != xts.n:
         raise DimensionMismatch(f"residuals cover {residuals.n} series, not {xts.n}")
-    n = 1 if residuals is None else xts.n
     W = temporal_cov(kind, xts.ts, residuals, xts.h)
-    return np.repeat(_projectors(xts.temporal_kernel, _series_blocks(W, n)), xts.n // n, 0)
+    blocks = _series_blocks(W, 1 if residuals is None else xts.n)
+    if np.all(blocks == blocks[0]):
+        blocks = blocks[:1]
+    return np.repeat(_projectors(xts.temporal_kernel, blocks), xts.n // len(blocks), 0)
 
 
 def _apply_temporal(vals: np.ndarray, projs: np.ndarray) -> np.ndarray:

@@ -81,13 +81,8 @@ class TemporalStructure:
         """Column range of level ``k`` in the level-blocked layout."""
         if k not in self.M_k:
             raise NotAFactor(f"{k} is not an aggregation order of this structure")
-        off = 0
-        for kk in self.factors:
-            width = cycles * self.M_k[kk]
-            if kk == k:
-                return slice(off, off + width)
-            off += width
-        raise NotAFactor(f"{k} is not an aggregation order of this structure")
+        start = cycles * sum(self.M_k[kk] for kk in self.factors if kk > k)
+        return slice(start, start + cycles * self.M_k[k])
 
 
 def build_temporal(m: int, factors: Sequence[int] | None = None) -> TemporalStructure:

@@ -58,13 +58,19 @@ def toy_file(tmp_path):
 
 
 def test_hierarchy_matrix_and_edges_agree(tmp_path, toy_file):
-    cs1, ts1 = read_hierarchy(toy_file)
-    edge = tmp_path / "edges.txt"
-    edge.write_text(EDGE_SPEC)
-    cs2, ts2 = read_hierarchy(edge)
-    assert cs1.labels == cs2.labels == ("X", "W", "Z")
-    np.testing.assert_array_equal(cs1.agg_matrix, cs2.agg_matrix)
-    assert ts1.m == ts2.m == 4
+    quoted = tmp_path / "quoted.txt"  # a bottom label that holds a comma
+    quoted.write_text(TOY_SPEC.replace(",W,", ',"W, 1",'))
+    for matrix, edges, bottom in (
+        (toy_file, EDGE_SPEC, "W"),
+        (quoted, EDGE_SPEC.replace("\nW,", '\n"W, 1",'), "W, 1"),
+    ):
+        cs1, ts1 = read_hierarchy(matrix)
+        edge = tmp_path / "edges.txt"
+        edge.write_text(edges)
+        cs2, ts2 = read_hierarchy(edge)
+        assert cs1.labels == cs2.labels == ("X", bottom, "Z")
+        np.testing.assert_array_equal(cs1.agg_matrix, cs2.agg_matrix)
+        assert ts1.m == ts2.m == 4
 
 
 def test_hierarchy_round_trip(tmp_path):
@@ -128,6 +134,57 @@ BB,B,1
         cs.agg_matrix,
         [[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]],
     )
+
+
+def test_hierarchy_edge_field_over_csv_limit_names_the_line(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text("m = 2\n[edges]\n" + "a" * 200000 + ",T\nb,T\n")
+    with pytest.raises(FormatError, match="line 3: field larger than field limit"):
+        read_hierarchy(path)
+
+
+def test_weighted_multi_parent_edges_match_their_matrix_form(tmp_path):
+    # y has two parents; A2 sits two levels below T.
+    edges, matrix = tmp_path / "edges.txt", tmp_path / "matrix.txt"
+    edges.write_text(
+        "m = 4\n[edges]\nnode,parent,weight\nA,T,0.5\nB,T,2\nx,A,1\ny,A,0.25\n"
+        "y,B,3\nz,B,1\nA2,A,1.5\nq,A2,1\nr,A2,2\n"
+    )
+    matrix.write_text(
+        "m = 4\n[matrix]\n,q,r,x,y,z\nT,0.75,1.5,0.5,6.125,2\nA,1.5,3,1,0.25,0\n"
+        "B,0,0,0,3,1\nA2,1,2,0,0,0\n"
+    )
+    cs1, _ = read_hierarchy(edges)
+    cs2, _ = read_hierarchy(matrix)
+    assert cs1.labels == cs2.labels == ("T", "A", "B", "A2", "q", "r", "x", "y", "z")
+    np.testing.assert_array_equal(cs1.agg_matrix, cs2.agg_matrix)
+
+
+def test_layered_edge_dag_counts_every_path(tmp_path):
+    # 18 layers of two nodes, each below both nodes of the layer above: 2^17
+    # paths lead from the total to each bottom.
+    lines = ["m = 4", "[edges]", "L1a,TOT", "L1b,TOT"]
+    lines += [f"L{i}{c},L{i - 1}{p}" for i in range(2, 19) for c in "ab" for p in "ab"]
+    path = tmp_path / "layered.txt"
+    path.write_text("\n".join(lines) + "\n")
+    cs, _ = read_hierarchy(path)
+    assert cs.labels[0] == "TOT" and cs.labels[-2:] == ("L18a", "L18b")
+    np.testing.assert_array_equal(cs.agg_matrix[0], [2.0**17, 2.0**17])
+
+
+def test_a_chain_of_1100_nested_uppers_reads(tmp_path):
+    chain = "m = 4\n[edges]\n" + "".join(f"U{i + 1},U{i}\n" for i in range(1100))
+    path = tmp_path / "chain.txt"
+    path.write_text(chain + "x,U1100\ny,U1100\n")
+    cs, _ = read_hierarchy(path)
+    assert cs.labels[:3] == ("U0", "U1", "U2") and cs.n_a == 1101
+    np.testing.assert_array_equal(cs.agg_matrix, np.ones((1101, 2)))
+    result = CliRunner().invoke(main, ["info", str(path)])
+    assert result.exit_code == 0, result.output
+    path.write_text(chain + "x,U1100\nU1,U1100\n")  # closed 1100 uppers down
+    result = CliRunner().invoke(main, ["info", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {path}: edges form a cycle through 'U1'" in result.output
 
 
 def test_values_round_trip_bit_identical(tmp_path, toy_file):

@@ -1119,6 +1119,30 @@ def test_oct_shr_builds_no_dense_w(h):
     assert peak < 8 * xts.size**2  # one dense size x size array
 
 
+@settings(max_examples=3, deadline=None)
+@given(m=st.sampled_from([4, 12]), h=st.sampled_from([1, 2]), g=st.integers(2, 6),
+       data=st.data())
+def test_reconciles_of_3000_to_6000_values_agree_and_are_idempotent(m, h, g, data):
+    """Grouped structures beyond the dense oracles' reach: the bare kernel
+    and the structure's own path agree, both leave no constraint residual,
+    and reconciling again moves nothing."""
+    w = build_temporal(m).cycle_len * h  # values per series
+    xts = grouped_structure(data.draw(st.integers(-(-3000 // w), 6000 // w)) - 1 - g, g, m, h)
+    y, residuals = seeded_inputs(xts)
+    for kind in ("oct-wlsv", "oct-shr"):
+        W = cross_temporal_cov(kind, xts, residuals)
+        bare, res = project(y, W, xts.kernel), reconcile_flat(y, xts, W)
+        if kind == "oct-shr":
+            for r in (bare, res):
+                assert r.diagnostics["factorization"] == "woodbury"
+        assert relative_gap(res.y_tilde, bare.y_tilde) <= 1e-10
+        for y_tilde in (bare.y_tilde, res.y_tilde):
+            assert np.max(np.abs(xts.kernel @ y_tilde)) <= 1e-10 * np.max(np.abs(y))
+        again = reconcile_flat(res.y_tilde, xts, W)
+        scale = np.max(np.abs(res.y_tilde))
+        assert np.max(np.abs(again.y_tilde - res.y_tilde)) <= 1e-10 * scale
+
+
 # ---------------------------------------------------------------------------
 # Stacked single-dimension projectors
 
@@ -1236,6 +1260,21 @@ def test_temporal_projectors_match_the_per_series_loop(kind, h):
     for xts, residuals in cases:
         got = _per_series_temporal_projectors(xts, kind, residuals)
         np.testing.assert_array_equal(got, per_series_loop(xts, kind, residuals))
+
+
+@pytest.mark.parametrize("kind, stack", [("t-ols", 1), ("t-struc", 1), ("t-wlsv", 37)])
+def test_equal_series_blocks_factor_one_temporal_projector(monkeypatch, kind, stack):
+    xts = grouped_structure(32, 4, 12, 1)  # 37 series
+    residuals = seeded_inputs(xts)[1]
+    stacks = []
+
+    def spy(kernel, blocks):
+        stacks.append(len(blocks))
+        return _projectors(kernel, blocks)
+
+    monkeypatch.setattr(ctrec.reconcile, "_projectors", spy)
+    assert len(_per_series_temporal_projectors(xts, kind, residuals)) == xts.n
+    assert stacks == [stack]
 
 
 @pytest.mark.parametrize("kind", ["t-ols", "t-wlsv"])
