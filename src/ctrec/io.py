@@ -157,8 +157,9 @@ def _compile_edges(path, edges: dict) -> tuple[np.ndarray, list]:
             if child is not None:
                 walk[child] = iter(children[child])
                 continue
-            for c, w in children[node]:  # a bottom adds w at its column, an upper w * row
-                rows[node][idx.get(c, slice(None))] += w * rows.get(c, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C is rejected later
+                for c, w in children[node]:  # a bottom adds w at its column, an upper w * row
+                    rows[node][idx.get(c, slice(None))] += w * rows.get(c, 1.0)
             done.add(walk.popitem()[0])
     return C, ordered + bottoms
 
@@ -207,10 +208,14 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
                 ) from None
     if m is None:
         raise FormatError(f"{path}: hierarchy spec is missing the 'm =' line")
-    try:
-        ts = build_temporal(m, factors)
-    except CtrecError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+
+    def build(builder, *args):  # a structure's own errors, naming the file
+        try:
+            return builder(*args)
+        except CtrecError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+
+    ts = build(build_temporal, m, factors)
     if matrix_lines:
         try:
             (_, *bottoms), *rows = [[c.strip() for c in r] for r in csv.reader(matrix_lines)]
@@ -222,13 +227,12 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
             raise FormatError(f"{path}: matrix block has no aggregate rows")
         if C.shape[1] != len(bottoms):
             raise FormatError(f"{path}: matrix rows do not match the header width")
-        cs = build_cross_sectional(C, uppers + bottoms)
+        labels = uppers + bottoms
     elif edges:
         C, labels = _compile_edges(path, edges)
-        cs = build_cross_sectional(C, labels)
     else:
         raise FormatError(f"{path}: hierarchy spec has neither [matrix] nor [edges]")
-    return cs, ts
+    return build(build_cross_sectional, C, labels), ts
 
 
 def write_hierarchy(path, cs: CrossSectionalStructure, ts: TemporalStructure):

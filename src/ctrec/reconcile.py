@@ -42,12 +42,12 @@ gives the covariance of the reconciliation error on demand.  The public
 entry points reject a kernel that is not 2-D, of another width than ``W``,
 or with a NaN or infinite entry.
 
-The cross-temporal wrapper projects once globally.  The cross-sectional
-(per level) and temporal (per series) wrappers and the heuristics apply
-materialized projectors, built by :func:`_projectors` as one stack from
-the inverse Cholesky factors of every ``K W_i K'`` (the helper the two-stage
-path uses), gated slice by slice, and no condition estimate.  The temporal
-ones come from the series blocks of one model of every series.
+The cross-temporal wrapper projects once globally.  The per-level and
+per-series wrappers and the heuristics apply materialized projectors, one
+stack by :func:`_projectors` (the temporal ones from the series blocks of
+one model), with no condition estimate.  Its inverse Cholesky factors of
+every ``K W_i K'``, gated slice by slice, come from the two-stage path's
+helper, :func:`_batched_cholesky`, which factors a stack of equal blocks once.
 """
 
 from __future__ import annotations
@@ -241,7 +241,9 @@ def _batched_cholesky(K: np.ndarray, blocks: np.ndarray, context: str):
     """``(K W, L^{-1})`` for the dense kernel ``K`` and a stack of blocks
     ``W_i``, or of their diagonals, as :func:`_series_blocks` gives them: by
     ``dtrtri``, the inverses of the lower Cholesky factors of every ``K W_i
-    K' = L_i L_i'``, each gated against its own largest pivot by the SPD gate."""
+    K' = L_i L_i'``, each gated against its own largest pivot by the SPD gate;
+    stacks of one, from the first block alone, when every block equals it."""
+    blocks = blocks[:1] if (blocks == blocks[:1]).all() else blocks
     KW = K * blocks[:, None, :] if blocks.ndim == 2 else K @ blocks
     L = _gated(*_cholesky_gate(KW @ K.T), context)
     # dtrtri never fails on a gated factor, but rejects an empty one.
@@ -295,11 +297,11 @@ def _two_stage(xts: CrossTemporalStructure, blocks, context: str):
     diagonals, by block elimination of the temporal rows.
 
     Stage one factors every ``B_i = Z W_i Z' = L_i L_i'`` by
-    :func:`_batched_cholesky`, which gives the inverse factors, and keeps
-    them, ``V_i = L_i^{-1} Z W_i[:, hf]`` and the temporally reconciled
-    ``M_i = W_i[hf, hf] - V_i' V_i`` on the ``hf`` highest-frequency
-    columns, the only ones ``K_c`` reads.  A diagonal ``W_i`` scales the
-    columns of ``Z`` and is added to the diagonal of ``M_i``.  Stage two
+    :func:`_batched_cholesky`, which gives the inverse factors (one, for
+    every series, when all ``W_i`` are equal), and keeps them, ``V_i =
+    L_i^{-1} Z W_i[:, hf]`` and the temporally reconciled ``M_i = W_i[hf,
+    hf] - V_i' V_i`` on the ``hf`` highest-frequency columns, the only ones
+    ``K_c`` reads.  A diagonal ``W_i`` scales the columns of ``Z``.  Stage two
     factors the Schur complement ``S = K_h blkdiag(M_i) K_h'`` by
     :func:`_factor`, where ``K_h`` is ``K_c`` on those columns;
     :func:`_schur_complement` assembles ``S`` as a sparse matrix from ``M``
@@ -316,11 +318,8 @@ def _two_stage(xts: CrossTemporalStructure, blocks, context: str):
     ZW, Linv = _batched_cholesky(Z, blocks, f"{context}, temporal stage")
     V = Linv @ ZW[:, :, hf_cols]
     V_t, Linv_t = np.swapaxes(V, 1, 2), np.swapaxes(Linv, 1, 2)
-    M = -(V_t @ V)
-    if blocks.ndim == 2:  # diagonals
-        M[:, np.arange(hf), np.arange(hf)] += blocks[:, hf_cols]
-    else:
-        M += blocks[:, hf_cols, hf_cols]
+    Whf = blocks[:, hf_cols, None] * np.eye(hf) if blocks.ndim == 2 else blocks[:, hf_cols, hf_cols]
+    M = Whf - V_t @ V
     rc = K.shape[0] - n * rz
     K_h = K[:rc][:, (q * np.arange(n)[:, None] + np.arange(q - hf, q)).ravel()]
     solve_s = _factor(_schur_complement(xts.cs.kernel, M), f"{context}, cross-sectional stage")[1]
@@ -431,11 +430,12 @@ def project_structural(y_hat, W: CovarianceModel, summing) -> ReconciliationResu
 def _projectors(kernel, blocks: np.ndarray) -> np.ndarray:
     """The stack of dense projectors ``I - W_i K' (K W_i K')^{-1} K`` over one
     ``r x s`` kernel for the ``blocks`` of :func:`_batched_cholesky`: ``I -
-    (L^{-1} K W_i)' (L^{-1} K)`` from its inverse factors.  No condition
-    estimate is computed."""
+    (L^{-1} K W_i)' (L^{-1} K)`` from its inverse factors, one repeated for
+    equal blocks.  No condition estimate is computed."""
     K = _as_dense(kernel)
     KW, Linv = _batched_cholesky(K, blocks, "projector")
-    return np.eye(K.shape[1]) - np.swapaxes(Linv @ KW, -1, -2) @ (Linv @ K)
+    P = np.eye(K.shape[1]) - np.swapaxes(Linv @ KW, -1, -2) @ (Linv @ K)
+    return P if len(P) == len(blocks) else np.repeat(P, len(blocks), 0)
 
 
 def projector(kernel, W: CovarianceModel) -> np.ndarray:
@@ -540,13 +540,11 @@ def _per_series_temporal_projectors(
     residuals: ResidualTableau | None,
 ) -> np.ndarray:
     """The ``(n, w, w)`` stack of each series' temporal projector, from the
-    series blocks of one model; one repeated when all blocks are equal."""
+    series blocks of one model, which without residuals has one block."""
     if residuals is not None and residuals.n != xts.n:
         raise DimensionMismatch(f"residuals cover {residuals.n} series, not {xts.n}")
     W = temporal_cov(kind, xts.ts, residuals, xts.h)
     blocks = _series_blocks(W, 1 if residuals is None else xts.n)
-    if np.all(blocks == blocks[0]):
-        blocks = blocks[:1]
     return np.repeat(_projectors(xts.temporal_kernel, blocks), xts.n // len(blocks), 0)
 
 

@@ -1,6 +1,7 @@
 import csv
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -283,6 +284,13 @@ BAD_SPECS = {
                        "edges form a cycle through 'TOT'"),
     "repeated edge": ("m = 4\n[edges]\nnode,parent\nA,TOT\nB,TOT\nA,TOT\n",
                       "line 6: repeated edge 'A,TOT'"),
+    "NaN edge weight": ("m = 4\n[edges]\nA,T,nan\nB,T\n",
+                        "aggregation matrix contains NaN or infinite entries"),
+    "NaN matrix cell": ("m = 4\n[matrix]\n,W,Z\nX,nan,1\n",
+                        "aggregation matrix contains NaN or infinite entries"),
+    "overflowing weights": ("m = 4\n[edges]\nA,T,1e308\nB,A,1e308\nC,T\n",
+                            "aggregation matrix contains NaN or infinite entries"),
+    "repeated bottom label": ("m = 4\n[matrix]\n,W,W\nX,1,1\n", "labels contain duplicates"),
 }
 
 
@@ -294,6 +302,15 @@ def test_cli_info_rejects_a_bad_spec_naming_the_file(tmp_path, case):
     result = CliRunner().invoke(main, ["info", str(path)])
     assert result.exit_code == 2, result.output
     assert f"error: {path}: {message}" in result.output
+
+
+def test_cli_info_on_overflowing_edge_weights_warns_nothing(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text(BAD_SPECS["overflowing weights"][0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would exit 1
+        result = CliRunner().invoke(main, ["info", str(path)])
+    assert result.exit_code == 2, result.output
 
 
 def _write_forecasts(tmp_path, toy_file, seed=1):

@@ -51,6 +51,7 @@ from ctrec.reconcile import (
     _condition_estimate,
     _factor,
     _normal_factor,
+    _per_level_projectors,
     _per_series_temporal_projectors,
     _projectors,
     _schur_complement,
@@ -1129,12 +1130,14 @@ def test_reconciles_of_3000_to_6000_values_agree_and_are_idempotent(m, h, g, dat
     w = build_temporal(m).cycle_len * h  # values per series
     xts = grouped_structure(data.draw(st.integers(-(-3000 // w), 6000 // w)) - 1 - g, g, m, h)
     y, residuals = seeded_inputs(xts)
-    for kind in ("oct-wlsv", "oct-shr"):
+    for kind in ("oct-ols", "oct-wlsv", "oct-acov", "oct-shr"):
         W = cross_temporal_cov(kind, xts, residuals)
         bare, res = project(y, W, xts.kernel), reconcile_flat(y, xts, W)
         if kind == "oct-shr":
             for r in (bare, res):
                 assert r.diagnostics["factorization"] == "woodbury"
+        else:
+            assert res.diagnostics["factorization"] == "two-stage"
         assert relative_gap(res.y_tilde, bare.y_tilde) <= 1e-10
         for y_tilde in (bare.y_tilde, res.y_tilde):
             assert np.max(np.abs(xts.kernel @ y_tilde)) <= 1e-10 * np.max(np.abs(y))
@@ -1262,19 +1265,33 @@ def test_temporal_projectors_match_the_per_series_loop(kind, h):
         np.testing.assert_array_equal(got, per_series_loop(xts, kind, residuals))
 
 
-@pytest.mark.parametrize("kind, stack", [("t-ols", 1), ("t-struc", 1), ("t-wlsv", 37)])
+@pytest.mark.parametrize("kind, stack", [
+    ("t-ols", 1), ("t-struc", 1), ("t-wlsv", 37),
+    ("cs-ols", 1), ("cs-struc", 1), ("cs-shr", 6),
+    ("oct-ols", 1), ("oct-wlsv", 37),
+])
 def test_equal_series_blocks_factor_one_temporal_projector(monkeypatch, kind, stack):
-    xts = grouped_structure(32, 4, 12, 1)  # 37 series
-    residuals = seeded_inputs(xts)[1]
+    """A stack of equal blocks reaches the SPD gate as one block: the
+    temporal projectors of every series, the cross-sectional projectors of
+    every level, and stage one of the two-stage solve."""
+    xts = grouped_structure(32, 4, 12, 1)  # 37 series, 6 levels
+    y, residuals = seeded_inputs(xts)
     stacks = []
 
-    def spy(kernel, blocks):
-        stacks.append(len(blocks))
-        return _projectors(kernel, blocks)
+    def spy(A):
+        stacks.append(A.shape[:-2])
+        return _cholesky_gate(A)
 
-    monkeypatch.setattr(ctrec.reconcile, "_projectors", spy)
-    assert len(_per_series_temporal_projectors(xts, kind, residuals)) == xts.n
-    assert stacks == [stack]
+    monkeypatch.setattr(ctrec.reconcile, "_cholesky_gate", spy)
+    if kind.startswith("t-"):
+        assert len(_per_series_temporal_projectors(xts, kind, residuals)) == xts.n
+    elif kind.startswith("cs-"):
+        assert len(_per_level_projectors(xts, kind, residuals)) == len(xts.ts.factors)
+    else:
+        res = reconcile_cross_temporal(y.reshape(xts.n, xts.width), xts, kind, residuals)
+        assert res.diagnostics["factorization"] == "two-stage"
+        assert stacks.pop() == ()  # stage two: the dense Schur complement
+    assert stacks == [(stack,)]
 
 
 @pytest.mark.parametrize("kind", ["t-ols", "t-wlsv"])
