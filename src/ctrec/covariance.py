@@ -36,7 +36,7 @@ when built, and :func:`sample_mse` moments that overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +53,7 @@ from .errors import (
     require_real,
 )
 from .hierarchy import CrossSectionalStructure
-from .temporal import TemporalStructure, build_temporal
+from .temporal import TemporalStructure, _cycle_positions, _per_level, build_temporal
 
 __all__ = [
     "ResidualTableau",
@@ -508,23 +508,6 @@ def _require(cond: bool, kind: str, condition: str, detail: str):
         raise SingularCovariance(f"{kind} requires {condition} ({detail})")
 
 
-def _per_level(ts: TemporalStructure, values) -> np.ndarray:
-    """Within-cycle vector holding ``values[j]`` at every position of level
-    ``ts.factors[j]``."""
-    return np.repeat(values, [ts.M_k[k] for k in ts.factors])
-
-
-def _cycle_positions(ts: TemporalStructure, h: int, n: int) -> np.ndarray:
-    """``(h, n (k*+m))``: where value ``v`` of one cycle's series-major
-    layout sits, in cycle ``c``, in the level-blocked layout of ``h`` cycles."""
-    cl = ts.cycle_len
-    start = _per_level(ts, [ts.level_slice(k).start for k in ts.factors])
-    M = _per_level(ts, [ts.M_k[k] for k in ts.factors])
-    # Value u of cycle c sits at u + (h-1) start(u) + c M(u) of its series.
-    pos = np.arange(cl) + (h - 1) * start + np.arange(h)[:, None] * M
-    return (pos[:, None, :] + h * cl * np.arange(n)[:, None]).reshape(h, -1)
-
-
 def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
     """Extend a diagonal (1-D) or a tall factor ``U`` of ``U U'`` over ``n``
     series, series-major, each in the within-cycle layout, to ``h`` cycles:
@@ -541,6 +524,45 @@ def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
     out = np.zeros((pos.size, h * q))
     out[pos[:, :, None], np.arange(h * q).reshape(h, 1, q)] = A
     return out
+
+
+def _one_cycle(W: CovarianceModel, ts: TemporalStructure, h: int, n: int):
+    """The model ``W1`` of one cycle of ``n`` series when ``W`` is ``h`` equal
+    copies of it with no entry between two cycles, as :func:`_extend` and
+    :func:`_block_diagonal` build every model; ``None`` for any other ``W``,
+    and for a full one.  ``W1`` keeps the kind, ``lam`` and ``rho`` of ``W``."""
+    pos = _cycle_positions(ts, h, n)
+    size = pos.shape[1]
+    if W.structure == "identity":
+        return replace(W, size=size)
+    if W.structure in ("diagonal", "low-rank"):
+        d = W.diag_values[pos]
+        if not (d == d[0]).all():
+            return None
+        if W.structure == "diagonal":
+            return replace(W, size=size, diag_values=d[0])
+        # Cycle c's rows of U hold U1 in column block c, and U nothing else.
+        U, q = W.matrix.U, W.matrix.U.shape[1] // h
+        U1 = U[pos[0], :q]
+        if q * h != U.shape[1] or np.count_nonzero(U) != h * np.count_nonzero(U1) or any(
+            not np.array_equal(U[pos[c], c * q : (c + 1) * q], U1) for c in range(1, h)
+        ):
+            return None
+        return replace(W, size=size, diag_values=d[0], matrix=U1)
+    if W.structure != "block-diagonal":
+        return None
+    # Cycle c's rows, each column renumbered to its place in cycle c.  Every
+    # row of pos increases, so the blocks stay canonical CSR, and equal blocks
+    # store equal arrays.  An entry between cycles lands at size or above in
+    # cycle 0, where the last cycle has no column, so the arrays then differ.
+    where = np.empty(pos.size, dtype=np.int64)
+    where[pos.ravel()] = np.arange(pos.size)
+    A = sp.csr_matrix(W.matrix)
+    copies = [(B.data, where[B.indices] - c * size, B.indptr)
+              for c, B in enumerate(A[rows] for rows in pos)]
+    if any(not np.array_equal(x, x0) for B in copies[1:] for x, x0 in zip(B, copies[0])):
+        return None
+    return replace(W, size=size, matrix=sp.csr_matrix(copies[0], shape=(size, size)))
 
 
 def _residual_tableau(kind: str, residuals, n: int, ts: TemporalStructure):

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, SingularSystem, require_finite, require_integer, require_real
 from .hierarchy import CrossSectionalStructure
 from .tableau import ForecastTableau, tableau_values
-from .temporal import TemporalStructure, build_full_temporal_kernel, full_summing
+from .temporal import TemporalStructure, _cycle_positions, build_full_temporal_kernel, full_summing
 
 __all__ = [
     "CrossTemporalStructure",
@@ -97,7 +97,8 @@ class CrossTemporalStructure:
         aggregated columns, and the two column sets are disjoint.
 
     Derived on first use: ``kernel_redundant``, ``temporal_summing``,
-    ``commutation``, ``struct_perm``, ``struct_summing`` and ``struct_agg``.
+    ``commutation``, ``struct_perm``, ``struct_summing`` and ``struct_agg``;
+    and, for the solves at ``h > 1``, ``cycle_rows`` and ``one_cycle``.
     """
 
     cs: CrossSectionalStructure
@@ -169,6 +170,30 @@ class CrossTemporalStructure:
         return sp.csr_matrix(self.struct_perm.T @ S)
 
     @cached_property
+    def cycle_rows(self) -> np.ndarray:
+        """``(h, rank / h)``: the kernel rows of each forecast cycle.  Rows
+        ``cycle_rows[c]`` read only the values of cycle ``c``, at
+        ``temporal._cycle_positions(ts, h, n)[c]``, where they equal the
+        one-cycle kernel: the cross-sectional rows at the cycle's ``m``
+        highest-frequency points, then every series' temporal rows."""
+        h, m, k_star = self.h, self.ts.m, self.ts.k_star
+        cs_rows = self.cs.n_a * m
+        # Row j of Z is the constraint of the aggregated value in column j.
+        aggregated = _cycle_positions(self.ts, h, 1)[:, :k_star]
+        temporal = h * cs_rows + h * k_star * np.arange(self.n)[:, None] + aggregated[:, None]
+        return np.hstack([cs_rows * np.arange(h)[:, None] + np.arange(cs_rows),
+                          temporal.reshape(h, -1)])
+
+    @cached_property
+    def one_cycle(self) -> CrossTemporalStructure:
+        """The structure of one forecast cycle, its kernels sliced from this
+        structure's: rows ``cycle_rows[0]`` on the values of cycle 0."""
+        own = _cycle_positions(self.ts, self.h, 1)[0]
+        Z = self.temporal_kernel[own[: self.ts.k_star]][:, own]
+        K = self.kernel[self.cycle_rows[0]][:, _cycle_positions(self.ts, self.h, self.n)[0]]
+        return CrossTemporalStructure(self.cs, self.ts, 1, sp.csr_matrix(Z), sp.csr_matrix(K))
+
+    @cached_property
     def struct_agg(self) -> sp.csr_matrix:
         """Top block of ``struct_summing`` above the bottom identity."""
         n_a_star = self.cs.n_a * self.width + self.cs.n_b * self.h * self.ts.k_star
@@ -185,7 +210,10 @@ def build_cross_temporal(
 
     ``h`` forecast cycles are handled exactly like ``h`` observation
     cycles: every per-cycle matrix is block-extended, so the single-cycle
-    formulas hold verbatim for ``h = 1``.
+    formulas hold verbatim for ``h = 1``.  So no kernel row reads two
+    cycles, and on the values of each cycle its rows (``cycle_rows``) are
+    the one-cycle kernel, whose structure ``one_cycle`` is sliced from this
+    one on first use: the solves factor one cycle's ``K W K'`` for all ``h``.
     """
     require_integer("h", h, 1)
     q = h * ts.cycle_len

@@ -27,8 +27,11 @@ its children's rows, is computed once, in a walk without recursion::
 An edge list that repeats a ``node,parent`` pair, or whose edges form a
 cycle (a self-loop included), is a :class:`FormatError` naming the line
 or a node on the cycle; so is a cycle length or aggregation order that
-``build_temporal`` rejects.  The spec's header and config files share one
-``key = value`` line parser: keys ignore case and read ``-`` as ``_``.
+``build_temporal`` rejects.  A spec holds one structure section: a second
+``[matrix]`` or ``[edges]`` line is a :class:`FormatError` naming it.  The
+spec's header and config files share one ``key = value`` line parser: keys
+ignore case and read ``-`` as ``_``, and a key given twice is a
+:class:`FormatError` naming the line and the key.
 
 Values travel in long-format CSV with columns
 ``series,level_k,index_within_level,value`` (residual files add an
@@ -107,9 +110,10 @@ def _lines(path):
             yield lineno, line
 
 
-def _key_value(path, lineno: int, line: str, keys) -> tuple[str, str]:
+def _key_value(path, lineno: int, line: str, keys, first: dict) -> tuple[str, str]:
     """``(key, value)`` of a ``key = value`` line, both stripped; the key
-    ignores case and reads ``-`` as ``_``, and one outside ``keys`` is a
+    ignores case and reads ``-`` as ``_``.  A key outside ``keys``, or one
+    in ``first``, the line of each key of the file read so far, is a
     :class:`FormatError`."""
     if "=" not in line:
         raise FormatError(f"{path}: line {lineno}: expected key = value, got {line!r}")
@@ -117,6 +121,11 @@ def _key_value(path, lineno: int, line: str, keys) -> tuple[str, str]:
     key = key.strip().lower().replace("-", "_")
     if key not in keys:
         raise FormatError(f"{path}: line {lineno}: unknown key {key!r}")
+    if key in first:
+        raise FormatError(
+            f"{path}: line {lineno}: repeated key {key!r}, first given on line {first[key]}"
+        )
+    first[key] = lineno
     return key, value.strip()
 
 
@@ -171,12 +180,16 @@ def read_hierarchy(path) -> tuple[CrossSectionalStructure, TemporalStructure]:
     section = None
     matrix_lines: list[str] = []
     edges: dict[tuple, float] = {}
+    first: dict[str, int] = {}
     for lineno, line in _lines(path):
         if line.lower() in ("[matrix]", "[edges]"):
+            if section is not None:
+                raise FormatError(f"{path}: line {lineno}: second structure section {line}; "
+                                  "a spec holds one [matrix] or [edges] section")
             section = line.lower()[1:-1]
             continue
         if section is None:
-            key, value = _key_value(path, lineno, line, ("m", "factors"))
+            key, value = _key_value(path, lineno, line, ("m", "factors"), first)
             try:
                 if key == "m":
                     m = int(value)
@@ -555,5 +568,7 @@ def read_residuals(
 
 
 def read_config(path, keys) -> dict:
-    """Parse a ``key = value`` config file; a key outside ``keys`` is a FormatError."""
-    return dict(_key_value(path, lineno, line, keys) for lineno, line in _lines(path))
+    """Parse a ``key = value`` config file; a key outside ``keys``, or one
+    given twice, is a FormatError."""
+    first: dict[str, int] = {}
+    return dict(_key_value(path, lineno, line, keys, first) for lineno, line in _lines(path))

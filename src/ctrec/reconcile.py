@@ -29,10 +29,17 @@ diagonals there and scales the columns of ``Z``.  A diagonal-plus-low-rank
 values) is ``woodbury``, a composition: the dispatch factors ``G0 = K D
 K'``, by the two-stage path where that applies, and ``G = G0 + (K U)(K
 U)'`` is solved through the Cholesky factor of the small capacitance
-matrix without being formed.  Every factor passes one positive-definiteness
-gate: dense Cholesky factors come from :func:`ctrec.covariance._cholesky_gate`
-(SciPy's ``cho_solve`` solves with them), and a sparse LU meets its pivot
-rule on ``diag(U)``.  Every path has the same 1-norm condition estimate
+matrix without being formed.  Over ``h > 1`` forecast cycles, a ``W`` of
+``h`` equal copies of one cycle's model with no entry between cycles (every
+model the estimators build) makes ``G`` a row permutation of ``I_h (x)
+G1``: the structure's one-cycle ``G1 = K1 W1 K1'`` is factored by the same
+dispatch, a composition like ``woodbury``, and one call of its solver takes
+the right-hand sides of every cycle side by side (:func:`_per_cycle`).  The
+bare kernel of :func:`project` keeps the whole-``G`` rules.  Every factor
+passes one positive-definiteness gate: dense Cholesky factors come from
+:func:`ctrec.covariance._cholesky_gate` (SciPy's ``cho_solve`` solves with
+them), and a sparse LU meets its pivot rule on ``diag(U)``.  Every path has
+the same 1-norm condition estimate over the whole ``G``
 (:func:`_condition_estimate`, SciPy's ``onenormest`` with one column),
 which the result of :func:`project` computes on first access.  The
 equivalent structural form solves the generalized least-squares problem
@@ -65,6 +72,7 @@ from .covariance import (
     CovarianceModel,
     ResidualTableau,
     _cholesky_gate,
+    _one_cycle,
     _pivots_pass,
     _series_blocks,
     cross_sectional_cov,
@@ -118,8 +126,9 @@ class ReconciliationResult:
     (``"factorization"``: ``"two-stage"`` for a large cross-temporal
     solve with a ``W`` block-diagonal by series, ``"woodbury"`` for a
     diagonal-plus-low-rank ``W``, ``"sparse-lu"`` for a large, sparse ``K
-    W K'``, else ``"cholesky"``) and the post-solve maximum constraint
-    violation (``"constraint_residual"``).
+    W K'``, else ``"cholesky"``; for a solve per forecast cycle, that of one
+    cycle's ``K W K'``) and the post-solve maximum constraint violation
+    (``"constraint_residual"``).
 
     ``condition_estimate`` is the 1-norm condition estimate of the
     normal-equations matrix by :func:`_condition_estimate`, the same rule
@@ -335,21 +344,50 @@ def _two_stage(xts: CrossTemporalStructure, blocks, context: str):
     return solve
 
 
+def _per_cycle(solve, rows: np.ndarray):
+    """Solver of ``G`` from a solver of ``G1``, where the rows ``rows[c]`` of
+    ``G`` meet as ``G1`` within every cycle ``c`` and not at all across
+    cycles: the right-hand sides of all cycles go side by side, as ``(r1,
+    h k)``, to one call."""
+    rows = rows.T
+
+    def solve_cycles(b):
+        b = np.asarray(b, dtype=float)
+        x = np.empty_like(b)
+        x[rows] = solve(b[rows].reshape(len(rows), -1)).reshape(rows.shape + b.shape[1:])
+        return x
+
+    return solve_cycles
+
+
 def _normal_factor(kernel, W: CovarianceModel, context: str, xts=None):
     """Factor ``G = K W K'``; over ``K = I`` this factors ``W`` itself.
 
-    The one dispatch of every solve.  A low-rank ``W = D + U U'`` over a
-    non-empty kernel is ``woodbury``: ``G0 = K D K'`` is factored by this
-    dispatch, ``xts`` included, and :func:`_woodbury` solves ``G = G0 + KU
-    (KU)'`` without forming it.  Otherwise, when ``kernel`` comes with its
+    The one dispatch of every solve.  When ``kernel`` comes with its
+    :class:`CrossTemporalStructure` ``xts`` over ``h > 1`` forecast cycles
+    and ``W`` is ``h`` equal copies of one cycle's model ``W1`` with no entry
+    between cycles (:func:`ctrec.covariance._one_cycle`), ``G`` is ``I_h (x)
+    G1`` up to a permutation of its rows: ``G1 = K1 W1 K1'`` over the
+    structure's ``one_cycle`` is factored by this dispatch, and
+    :func:`_per_cycle` solves every cycle through it.  A low-rank ``W = D +
+    U U'`` over a non-empty kernel is ``woodbury``: ``G0 = K D K'`` is
+    factored by this dispatch, ``xts`` included, and :func:`_woodbury`
+    solves ``G = G0 + KU (KU)'`` without forming it.  Otherwise, when ``kernel`` comes with its
     :class:`CrossTemporalStructure` ``xts``, has at least
     ``_SPARSE_MIN_RANK`` rows and ``W`` stores no entry between two series,
     ``G`` is factored by :func:`_two_stage`; else it is assembled and
     factored by :func:`_factor`.
 
-    Returns ``(factorization, solve)``, as :func:`_factor`.
+    Returns ``(factorization, solve)``, as :func:`_factor`; a solve per
+    cycle reports the factorization of ``G1``.
     """
     r = kernel.shape[0]
+    if xts is not None and xts.h > 1:
+        W1 = _one_cycle(W, xts.ts, xts.h, xts.n)
+        if W1 is not None:
+            one = xts.one_cycle
+            factorization, solve = _normal_factor(one.kernel, W1, context, one)
+            return factorization, _per_cycle(solve, xts.cycle_rows)
     if W.structure == "low-rank" and r:
         D = CovarianceModel(W.kind, "diagonal", W.size, diag_values=W.diag_values)
         solve = _normal_factor(kernel, D, context, xts)[1]

@@ -180,6 +180,23 @@ def build_full_temporal_kernel(ts: TemporalStructure, N: int) -> sp.csr_matrix:
     return sp.hstack([sp.identity(N * ts.k_star, format="csr"), -K], format="csr")
 
 
+def _per_level(ts: TemporalStructure, values) -> np.ndarray:
+    """Within-cycle vector holding ``values[j]`` at every position of level
+    ``ts.factors[j]``."""
+    return np.repeat(values, [ts.M_k[k] for k in ts.factors])
+
+
+def _cycle_positions(ts: TemporalStructure, h: int, n: int) -> np.ndarray:
+    """``(h, n (k*+m))``: where value ``v`` of one cycle's series-major
+    layout sits, in cycle ``c``, in the level-blocked layout of ``h`` cycles."""
+    cl = ts.cycle_len
+    start = _per_level(ts, [ts.level_slice(k).start for k in ts.factors])
+    M = _per_level(ts, [ts.M_k[k] for k in ts.factors])
+    # Value u of cycle c sits at u + (h-1) start(u) + c M(u) of its series.
+    pos = np.arange(cl) + (h - 1) * start + np.arange(h)[:, None] * M
+    return (pos[:, None, :] + h * cl * np.arange(n)[:, None]).reshape(h, -1)
+
+
 def whole_cycles(values, n: int, ts: TemporalStructure, what: str) -> tuple[np.ndarray, int]:
     """``(values, cycles)``: ``values`` as a finite float matrix
     (:func:`require_finite`), and its number of cycles; a matrix that is not

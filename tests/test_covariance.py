@@ -30,7 +30,7 @@ from ctrec import (
     shrink,
     temporal_cov,
 )
-from ctrec.covariance import _lift_to_pd, _shrink_intensity
+from ctrec.covariance import _lift_to_pd, _one_cycle, _shrink_intensity
 from ctrec.reconcile import _normal_factor
 from tests.conftest import (
     grouped_structure,
@@ -352,6 +352,22 @@ def test_every_model_extends_its_one_cycle_model(C, m, h):
         )
         assert (Wh.lam, Wh.rho) == (W1.lam, W1.rho)
         assert Wh.structure == {"full": "block-diagonal"}.get(W1.structure, W1.structure)
+        # and back: one cycle of the extension, in the extension's form
+        back = _one_cycle(Wh, ts, h, n)
+        np.testing.assert_array_equal(back.dense(), W1.dense(), err_msg=W1.kind)
+        assert (back.kind, back.structure, back.lam, back.rho) == (
+            W1.kind, Wh.structure, W1.lam, W1.rho)
+
+
+def test_one_cycle_is_none_unless_w_is_equal_copies_of_one_cycle():
+    cs, ts, h = build_cross_sectional([[1, 1]]), build_temporal(4), 2
+    xts = build_cross_temporal(cs, ts, h)
+    rng = np.random.default_rng(4)
+    E = rng.standard_normal((xts.size, 5))
+    low_rank = CovarianceModel("w", "low-rank", xts.size, diag_values=np.ones(xts.size), matrix=E)
+    full = CovarianceModel("w", "full", xts.size, matrix=E @ E.T + np.eye(xts.size))
+    for W in (low_rank, full):  # an odd column count; no full W is split
+        assert _one_cycle(W, ts, h, cs.n) is None
 
 
 def toy_xts(h=1):

@@ -251,6 +251,27 @@ def test_read_config(tmp_path):
         read_config(p, ("method",))
 
 
+def test_read_config_rejects_a_repeated_key_naming_the_file_and_both_lines(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("method = cs-ols\nmax_iter = 7\n\nMethod = bu\n")
+    with pytest.raises(FormatError) as err:
+        read_config(p, ("method", "max_iter"))
+    assert str(err.value) == f"{p}: line 4: repeated key 'method', first given on line 1"
+
+
+def test_specs_with_one_section_read_as_before(tmp_path):
+    """Blank lines, comments and a node,parent header inside the one section
+    are kept as they were; only a second section line is new."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text("# header\nm = 4\n\n[EDGES]\nnode,parent\n# a comment\nA,T\n\nB,T,2\n")
+    cs, ts = read_hierarchy(spec)
+    assert cs.labels == ("T", "A", "B") and ts.m == 4
+    np.testing.assert_array_equal(cs.agg_matrix, [[1.0, 2.0]])
+    spec.write_text("m = 4\nfactors = 4,1\n[matrix]\n,W,Z\n\nX,1,1\n")
+    cs, ts = read_hierarchy(spec)
+    assert cs.labels == ("X", "W", "Z") and ts.factors == (4, 1)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -291,6 +312,19 @@ BAD_SPECS = {
     "overflowing weights": ("m = 4\n[edges]\nA,T,1e308\nB,A,1e308\nC,T\n",
                             "aggregation matrix contains NaN or infinite entries"),
     "repeated bottom label": ("m = 4\n[matrix]\n,W,W\nX,1,1\n", "labels contain duplicates"),
+    "repeated m": ("m = 4\nm = 2\n[matrix]\n,W,Z\nX,1,1\n",
+                   "line 2: repeated key 'm', first given on line 1"),
+    "repeated factors": ("# quarters\nfactors = 4,1\nm = 4\nFactors = 4,2,1\n[edges]\nA,T\nB,T\n",
+                         "line 4: repeated key 'factors', first given on line 2"),
+    "matrix, then edges": ("m = 4\n[matrix]\n,W,Z\nX,1,1\n[edges]\nA,T\n",
+                           "line 5: second structure section [edges]; a spec holds one "
+                           "[matrix] or [edges] section"),
+    "two matrices": ("m = 4\n[matrix]\n,W,Z\nX,1,1\n[Matrix]\n,P,Q\nY,1,1\n",
+                     "line 5: second structure section [Matrix]; a spec holds one "
+                     "[matrix] or [edges] section"),
+    "edges, then matrix": ("m = 4\n[edges]\nA,T\nB,T\n\n[matrix]\n,W,Z\nX,1,1\n",
+                           "line 6: second structure section [matrix]; a spec holds one "
+                           "[matrix] or [edges] section"),
 }
 
 
@@ -482,7 +516,8 @@ def test_cli_config_file(tmp_path, toy_file):
 @pytest.mark.parametrize("command", [["heuristic"], ["reconcile", "--method", "bu"]])
 @pytest.mark.parametrize(
     "line, message",
-    [("temporl = t-ols", "unknown key 'temporl'"), ("temporal t-ols", "expected key = value")],
+    [("temporl = t-ols", "unknown key 'temporl'"), ("temporal t-ols", "expected key = value"),
+     ("order = cst", "repeated key 'order', first given on line 2")],
 )
 def test_cli_bad_config_line_exits_2_naming_file_and_line(
     tmp_path, toy_file, command, line, message
