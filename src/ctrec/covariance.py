@@ -19,8 +19,10 @@ Three menus are provided, one per reconciliation dimension:
 
 One estimator, :func:`_estimate`, serves all three menus.  It reads every
 residual input as a :class:`ResidualTableau`, level by level through
-:func:`_levels`, builds each model once per cycle (series-major), extended
-to ``h`` forecast cycles, and assembles block-diagonal ones in one place.
+:func:`_levels`, builds the model of one cycle (series-major), and
+assembles block-diagonal ones in one place.  One function,
+:func:`_over_cycles`, extends a one-cycle model to ``h`` forecast cycles
+and records it on the extension as ``one_cycle``, which the solves read.
 
 A model multiplies (``apply``) and densifies (``dense``) but does not
 solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
@@ -176,12 +178,17 @@ class CovarianceModel:
 
     A model has no solve: ``reconcile._normal_factor`` over the identity
     kernel factors ``W`` by the same rule and pivot gate as ``K W K'``.
-    The form is checked when built: an unknown ``structure``, or a form
-    without its payload, is :class:`InvalidInput`; ``diag_values`` of a
-    length other than ``size``, a ``matrix`` not ``size x size`` or a factor
-    ``U`` without ``size`` rows is :class:`DimensionMismatch`; and a NaN or
-    infinite entry in ``diag_values`` or ``matrix`` raises
+    The form is checked when built: a ``size`` that is not an integer of at
+    least 1, an unknown ``structure``, a form without its payload, or a
+    factor ``U`` that is not a dense array is :class:`InvalidInput`;
+    ``diag_values`` of a length other than ``size``, a ``matrix`` not ``size
+    x size`` or a factor ``U`` not ``size x k`` is :class:`DimensionMismatch`;
+    and a NaN or infinite entry in ``diag_values`` or ``matrix`` raises
     :class:`InvalidEntry`.
+
+    ``one_cycle`` is the model of one forecast cycle when an estimator built
+    this one as ``h > 1`` copies of it (:func:`_over_cycles`), else ``None``.
+    It is not set by ``__init__``, and ``dataclasses.replace`` drops it.
     """
 
     kind: str
@@ -191,8 +198,10 @@ class CovarianceModel:
     matrix: object = None
     lam: float | tuple[float, ...] | None = None
     rho: dict | None = field(default=None)
+    one_cycle: CovarianceModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_integer("size", self.size, 1)
         if self.structure not in _PAYLOADS:
             raise InvalidInput(f"{self.kind}: unknown covariance structure {self.structure!r}")
         for payload in _PAYLOADS[self.structure]:
@@ -204,9 +213,16 @@ class CovarianceModel:
             d.flags.writeable = False
             object.__setattr__(self, "diag_values", d)
         m = self.matrix
-        if isinstance(m, np.ndarray) or sp.issparse(m):
-            cols = m.shape[1] if self.structure == "low-rank" and m.ndim == 2 else self.size
-            self._require_shape("matrix", m.shape, (self.size, cols))
+        if self.structure == "low-rank":
+            m = m.U if isinstance(m, _LowRank) else m  # wrapped anew with this diagonal
+            if not isinstance(m, np.ndarray):
+                raise InvalidInput(f"{self.kind}: a low-rank structure needs a dense factor U, "
+                                   f"got {type(m).__name__}")
+            if m.ndim != 2 or m.shape[0] != self.size:
+                raise DimensionMismatch(
+                    f"{self.kind} low-rank factor has shape {m.shape}, expected ({self.size}, k)")
+        elif isinstance(m, np.ndarray) or sp.issparse(m):
+            self._require_shape("matrix", m.shape, (self.size, self.size))
         if isinstance(m, np.ndarray):
             m = np.array(require_finite(m, f"{self.kind} matrix"), order="C")
             m.flags.writeable = False
@@ -316,10 +332,6 @@ def _require_pd(A: np.ndarray, label: str) -> None:
         raise SingularCovariance(f"{label}: matrix is not positive definite")
 
 
-def _identity(kind: str, size: int) -> CovarianceModel:
-    return CovarianceModel(kind=kind, structure="identity", size=size)
-
-
 def _diagonal(kind: str, d: np.ndarray, **kw) -> CovarianceModel:
     d = np.asarray(d, dtype=float)
     model = CovarianceModel(
@@ -336,22 +348,56 @@ def _full(kind: str, A: np.ndarray, **kw) -> CovarianceModel:
     return CovarianceModel(kind=kind, structure="full", size=A.shape[0], matrix=A, **kw)
 
 
-def _block_diagonal(kind: str, pairs, ts: TemporalStructure, h: int, n: int, **kw):
-    """Block-diagonal CSR model of ``n`` series over ``h`` cycles from
-    ``(rows, blocks)`` pairs: ``blocks`` (``b x s x s``, or broadcast to it)
-    sit on the rows and columns ``rows`` (``b x s``) of one cycle's
-    series-major layout, in every cycle.  Zeros are not stored."""
-    pos = _cycle_positions(ts, h, n)
+def _block_diagonal(kind: str, pairs, size: int, **kw) -> CovarianceModel:
+    """Block-diagonal CSR model of ``size`` values from ``(rows, blocks)``
+    pairs: ``blocks`` (``b x s x s``, or broadcast to it) sit on the rows and
+    columns ``rows`` (``b x s``).  Zeros are not stored."""
     coo = []
     for rows, blocks in pairs:
-        R = pos[:, rows]  # (h, b, s)
-        shape = R.shape + R.shape[-1:]
+        shape = rows.shape + rows.shape[-1:]
         coo.append([np.broadcast_to(x, shape).ravel()
-                    for x in (blocks, R[..., :, None], R[..., None, :])])
+                    for x in (blocks, rows[..., :, None], rows[..., None, :])])
     data, r, c = map(np.concatenate, zip(*coo))
-    A = sp.csr_matrix((data, (r, c)), shape=(pos.size, pos.size))
+    A = sp.csr_matrix((data, (r, c)), shape=(size, size))
     A.eliminate_zeros()
-    return CovarianceModel(kind, "block-diagonal", pos.size, matrix=A, **kw)
+    return CovarianceModel(kind, "block-diagonal", size, matrix=A, **kw)
+
+
+def _over_cycles(W1: CovarianceModel, ts: TemporalStructure, h: int, n: int) -> CovarianceModel:
+    """The model of ``h`` forecast cycles of ``n`` series whose every cycle is
+    ``W1``, with nothing between cycles: the series-major, level-blocked form
+    of ``I_h (x) W1``, recorded as its ``one_cycle``; for ``h = 1``, ``W1``.
+
+    A diagonal is scattered to :func:`temporal._cycle_positions`, a factor
+    ``U`` with one column block per cycle.  A block-diagonal or full ``W1``
+    becomes one CSR gathered from its canonical rows: every row of the
+    positions increases, so the copied rows stay sorted."""
+    if h == 1:
+        return W1
+    pos = _cycle_positions(ts, h, n)
+    kw = {"size": pos.size}
+    if W1.diag_values is not None:
+        kw["diag_values"] = np.empty(pos.size)
+        kw["diag_values"][pos] = W1.diag_values
+    if W1.structure == "low-rank":
+        U1 = W1.matrix.U
+        q = U1.shape[1]
+        kw["matrix"] = np.zeros((pos.size, h * q))
+        kw["matrix"][pos[:, :, None], np.arange(h * q).reshape(h, 1, q)] = U1
+    elif W1.matrix is not None:
+        A = sp.csr_matrix(W1.matrix)
+        # Stacked row c size + v is row v of W1 in cycle c; it sits at pos[c, v].
+        stacked = sp.csr_matrix(
+            (np.tile(A.data, h), pos[:, A.indices].ravel(),
+             np.r_[0, np.cumsum(np.tile(np.diff(A.indptr), h))]),
+            shape=(pos.size, pos.size),
+        )
+        where = np.empty(pos.size, dtype=np.int64)
+        where[pos.ravel()] = np.arange(pos.size)
+        kw.update(structure="block-diagonal", matrix=stacked[where])
+    Wh = replace(W1, **kw)
+    object.__setattr__(Wh, "one_cycle", W1)
+    return Wh
 
 
 def _series_blocks(W: CovarianceModel, n: int) -> np.ndarray | None:
@@ -508,63 +554,6 @@ def _require(cond: bool, kind: str, condition: str, detail: str):
         raise SingularCovariance(f"{kind} requires {condition} ({detail})")
 
 
-def _extend(A, ts: TemporalStructure, h: int, n: int = 1):
-    """Extend a diagonal (1-D) or a tall factor ``U`` of ``U U'`` over ``n``
-    series, series-major, each in the within-cycle layout, to ``h`` cycles:
-    the series-major, level-blocked form of ``I_h (x) A``, with a factor's
-    rows scattered and one column block per cycle; for ``h = 1``, ``A`` itself."""
-    if h == 1:
-        return A
-    pos = _cycle_positions(ts, h, n)
-    if np.ndim(A) == 1:
-        out = np.empty(pos.size)
-        out[pos] = A
-        return out
-    q = A.shape[1]
-    out = np.zeros((pos.size, h * q))
-    out[pos[:, :, None], np.arange(h * q).reshape(h, 1, q)] = A
-    return out
-
-
-def _one_cycle(W: CovarianceModel, ts: TemporalStructure, h: int, n: int):
-    """The model ``W1`` of one cycle of ``n`` series when ``W`` is ``h`` equal
-    copies of it with no entry between two cycles, as :func:`_extend` and
-    :func:`_block_diagonal` build every model; ``None`` for any other ``W``,
-    and for a full one.  ``W1`` keeps the kind, ``lam`` and ``rho`` of ``W``."""
-    pos = _cycle_positions(ts, h, n)
-    size = pos.shape[1]
-    if W.structure == "identity":
-        return replace(W, size=size)
-    if W.structure in ("diagonal", "low-rank"):
-        d = W.diag_values[pos]
-        if not (d == d[0]).all():
-            return None
-        if W.structure == "diagonal":
-            return replace(W, size=size, diag_values=d[0])
-        # Cycle c's rows of U hold U1 in column block c, and U nothing else.
-        U, q = W.matrix.U, W.matrix.U.shape[1] // h
-        U1 = U[pos[0], :q]
-        if q * h != U.shape[1] or np.count_nonzero(U) != h * np.count_nonzero(U1) or any(
-            not np.array_equal(U[pos[c], c * q : (c + 1) * q], U1) for c in range(1, h)
-        ):
-            return None
-        return replace(W, size=size, diag_values=d[0], matrix=U1)
-    if W.structure != "block-diagonal":
-        return None
-    # Cycle c's rows, each column renumbered to its place in cycle c.  Every
-    # row of pos increases, so the blocks stay canonical CSR, and equal blocks
-    # store equal arrays.  An entry between cycles lands at size or above in
-    # cycle 0, where the last cycle has no column, so the arrays then differ.
-    where = np.empty(pos.size, dtype=np.int64)
-    where[pos.ravel()] = np.arange(pos.size)
-    A = sp.csr_matrix(W.matrix)
-    copies = [(B.data, where[B.indices] - c * size, B.indptr)
-              for c, B in enumerate(A[rows] for rows in pos)]
-    if any(not np.array_equal(x, x0) for B in copies[1:] for x, x0 in zip(B, copies[0])):
-        return None
-    return replace(W, size=size, matrix=sp.csr_matrix(copies[0], shape=(size, size)))
-
-
 def _residual_tableau(kind: str, residuals, n: int, ts: TemporalStructure):
     """Residuals of ``n`` series over ``ts`` as a checked tableau with at
     least two cycles; raw arrays are converted."""
@@ -605,11 +594,9 @@ def _lag1_autocorr(X: np.ndarray) -> np.ndarray:
 _MARKOV_SCALE = {"strar1": "struc", "sar1": "wlsv", "har1": "wlsh"}
 
 
-def _estimate(
-    kind: str, family: str, ts: TemporalStructure, h: int, d_series, residuals
-) -> CovarianceModel:
-    """Estimate ``family`` (a kind without its menu prefix) for the
-    ``n = len(d_series)`` series over ``ts``, extended to ``h`` cycles.
+def _estimate(kind: str, family: str, ts: TemporalStructure, d_series, residuals):
+    """Estimate ``family`` (a kind without its menu prefix) for one cycle of
+    the ``n = len(d_series)`` series over ``ts``.
 
     ``d_series`` holds each series' bottom count ``S 1``.  The model is
     series-major and labelled ``kind``.  Over several series, a ``t-``
@@ -617,7 +604,7 @@ def _estimate(
     """
     n, cl = len(d_series), ts.cycle_len
     if family == "ols":
-        return _identity(kind, n * cl * h)
+        return CovarianceModel(kind, "identity", n * cl)
     res = None if family == "struc" else _residual_tableau(kind, residuals, n, ts)
     scale = _MARKOV_SCALE.get(family, family)
     if scale == "struc":
@@ -629,7 +616,7 @@ def _estimate(
         for _, rows, E in _levels(res):
             d[rows] = np.mean(E**2, axis=(1, 2))[:, None]
     if family in ("struc", "wlsh", "wlsv"):
-        return _diagonal(kind, _extend(d, ts, h, n))
+        return _diagonal(kind, d)
 
     E, N = res.values, res.n_cycles  # E: n(k*+m) x N, series-major
     if family in ("shr", "sam"):
@@ -647,18 +634,16 @@ def _estimate(
             d = np.mean(E[0] * E[0], axis=1)
             lam = _shrink_intensity(E[0], d)
             if lam == 1.0:
-                return _diagonal(kind, _extend(d, ts, h, n), lam=lam)
+                return _diagonal(kind, d, lam=lam)
             if lam > 0.0:
                 return CovarianceModel(
-                    kind=kind, structure="low-rank", size=d.size * h,
-                    diag_values=_extend(lam * d, ts, h, n),
-                    matrix=_extend(np.sqrt((1.0 - lam) / N) * E[0], ts, h, n), lam=lam,
+                    kind=kind, structure="low-rank", size=d.size, diag_values=lam * d,
+                    matrix=np.sqrt((1.0 - lam) / N) * E[0], lam=lam,
                 )
         A, lam = _sample_estimate(kind, E, shrunk=family == "shr")
-        if h == 1 and g == 1:
+        if g == 1:
             return _full(kind, A[0], lam=lam)
-        # Copies of PD cycle blocks stay PD after extension.
-        return _block_diagonal(kind, [(np.arange(n * cl).reshape(g, p), A)], ts, h, n, lam=lam)
+        return _block_diagonal(kind, [(np.arange(n * cl).reshape(g, p), A)], n * cl, lam=lam)
 
     # One pass per level; each family's blocks cover that level's positions.
     if family == "acov":
@@ -682,7 +667,7 @@ def _estimate(
             pairs.append((rows if family == "acov" else rows.T, B))
             lams.append(lam)
     return _block_diagonal(
-        kind, pairs, ts, h, n, lam=float(np.mean(lams)) if family == "bdshr" else None,
+        kind, pairs, n * cl, lam=float(np.mean(lams)) if family == "bdshr" else None,
         rho={k: float(rho[k][0]) if n == 1 else tuple(rho[k].tolist())
              for k in ts.factors[1:]} if rho else None,
     )
@@ -702,7 +687,8 @@ def cross_temporal_cov(
     if kind not in OCT_KINDS:
         raise InvalidInput(f"unknown cross-temporal covariance kind {kind!r}")
     d_series = xts.cs.summing_matrix @ np.ones(xts.cs.n_b)
-    return _estimate(kind, kind[4:], xts.ts, xts.h, d_series, residuals)
+    W1 = _estimate(kind, kind[4:], xts.ts, d_series, residuals)
+    return _over_cycles(W1, xts.ts, xts.h, xts.n)
 
 
 _ONE_LEVEL = build_temporal(1)
@@ -721,7 +707,7 @@ def cross_sectional_cov(
         raise InvalidInput(f"unknown cross-sectional covariance kind {kind!r}")
     family = "wlsh" if kind == "cs-wls" else kind[3:]
     d_series = cs.summing_matrix @ np.ones(cs.n_b)
-    return _estimate(kind, family, _ONE_LEVEL, 1, d_series, residuals)
+    return _estimate(kind, family, _ONE_LEVEL, d_series, residuals)
 
 
 def temporal_cov(
@@ -736,11 +722,11 @@ def temporal_cov(
     ``residuals`` is the series' ``(k*+m) x N`` block (level-blocked rows,
     one column per cycle), or a :class:`ResidualTableau` of ``n`` series:
     then the model is their ``n`` models side by side, block-diagonal by
-    series.  The returned model covers ``h`` forecast cycles; matrices
-    estimated within one cycle are block-extended across cycles.
+    series.  The returned model covers ``h`` forecast cycles: the model
+    estimated for one cycle, extended by :func:`_over_cycles`.
     """
     if kind not in T_KINDS:
         raise InvalidInput(f"unknown temporal covariance kind {kind!r}")
     require_integer("h", h, 1)
     n = residuals.n if isinstance(residuals, ResidualTableau) else 1
-    return _estimate(kind, kind[2:], ts, h, np.ones(n), residuals)
+    return _over_cycles(_estimate(kind, kind[2:], ts, np.ones(n), residuals), ts, h, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from unittest import mock
 
@@ -26,11 +27,13 @@ from ctrec import (
     commutation_matrix,
     cross_sectional_cov,
     cross_temporal_cov,
+    project,
+    reconcile_cross_temporal,
     sample_mse,
     shrink,
     temporal_cov,
 )
-from ctrec.covariance import _lift_to_pd, _one_cycle, _shrink_intensity
+from ctrec.covariance import _lift_to_pd, _shrink_intensity
 from ctrec.reconcile import _normal_factor
 from tests.conftest import (
     grouped_structure,
@@ -352,11 +355,12 @@ def test_every_model_extends_its_one_cycle_model(C, m, h):
         )
         assert (Wh.lam, Wh.rho) == (W1.lam, W1.rho)
         assert Wh.structure == {"full": "block-diagonal"}.get(W1.structure, W1.structure)
-        # and back: one cycle of the extension, in the extension's form
-        back = _one_cycle(Wh, ts, h, n)
+        # and back: the one cycle the extension carries, in its own form
+        back = Wh.one_cycle
         np.testing.assert_array_equal(back.dense(), W1.dense(), err_msg=W1.kind)
         assert (back.kind, back.structure, back.lam, back.rho) == (
-            W1.kind, Wh.structure, W1.lam, W1.rho)
+            W1.kind, W1.structure, W1.lam, W1.rho)
+        assert W1.one_cycle is None
 
 
 def test_one_cycle_is_none_unless_w_is_equal_copies_of_one_cycle():
@@ -366,8 +370,22 @@ def test_one_cycle_is_none_unless_w_is_equal_copies_of_one_cycle():
     E = rng.standard_normal((xts.size, 5))
     low_rank = CovarianceModel("w", "low-rank", xts.size, diag_values=np.ones(xts.size), matrix=E)
     full = CovarianceModel("w", "full", xts.size, matrix=E @ E.T + np.eye(xts.size))
-    for W in (low_rank, full):  # an odd column count; no full W is split
-        assert _one_cycle(W, ts, h, cs.n) is None
+    for W in (CovarianceModel("w", "identity", xts.size), low_rank, full):  # hand-built
+        assert W.one_cycle is None
+    # A replaced estimator model drops the cycle model it no longer equals.
+    xts = grouped_structure(8, 2, 4, h)
+    y, residuals = seeded_inputs(xts)  # 39 residual cycles: oct-shr is low-rank
+    for kind in ("oct-wlsv", "oct-shr"):
+        W = cross_temporal_cov(kind, xts, residuals)
+        assert W.one_cycle is not None
+        W = dataclasses.replace(W, diag_values=rng.uniform(0.5, 2.0, xts.size) * W.diag_values)
+        assert W.one_cycle is None
+        if kind == "oct-shr":  # the factor now goes with the new diagonal
+            U = W.matrix.U
+            np.testing.assert_array_equal(W.dense(), U @ U.T + np.diag(W.diag_values))
+        res = reconcile_cross_temporal(y.reshape(xts.n, -1), xts, W=W)
+        bare = project(y, W, xts.kernel)
+        assert np.max(np.abs(res.y_tilde - bare.y_tilde)) <= 1e-10 * np.max(np.abs(bare.y_tilde))
 
 
 def toy_xts(h=1):
@@ -700,6 +718,11 @@ BAD_MODEL_FORMS = {
     "low-rank factor rows": (
         DimensionMismatch, dict(structure="low-rank", diag_values=np.ones(3), matrix=np.ones((2, 1)))
     ),
+    "low-rank 1-D factor": (
+        DimensionMismatch, dict(structure="low-rank", diag_values=np.ones(3), matrix=np.ones(3))
+    ),
+    "low-rank sparse factor": (InvalidInput, dict(
+        structure="low-rank", diag_values=np.ones(3), matrix=sp.csr_matrix(np.ones((3, 2))))),
 }
 
 
@@ -709,6 +732,11 @@ def test_model_checks_its_form_when_built():
     for error, form in BAD_MODEL_FORMS.values():
         with pytest.raises(error, match="w.*(structure|shape)"):
             CovarianceModel(kind="w", size=3, **form)
+    for size in (True, -3, 0, 2.0):
+        with pytest.raises(InvalidInput, match="size must be an integer of at least 1"):
+            CovarianceModel("w", "identity", size)
+    with pytest.raises(DimensionMismatch, match=r"factor has shape \(3,\), expected \(3, k\)"):
+        CovarianceModel("w", "low-rank", 3, diag_values=np.ones(3), matrix=np.ones(3))
 
 
 NON_FINITE_PAYLOADS = {

@@ -16,7 +16,7 @@ from ctrec import (
     reconcile_cross_temporal,
     reconcile_temporal,
 )
-from ctrec.heuristics import _DIVERGENCE_GROWTH
+from ctrec.heuristics import _DIVERGENCE_GROWTH, _STALL_PASSES
 from tests.conftest import grouped_structure, random_residuals, seeded_inputs
 
 
@@ -272,6 +272,21 @@ def test_iterative_stops_at_the_first_pass_whose_discrepancy_grows_tenfold(
     assert 2 <= len(d) <= 3
     assert d[-1] > _DIVERGENCE_GROWTH * least[-2]
     assert np.all(d[1:-1] <= _DIVERGENCE_GROWTH * least[:-2])
+
+
+def test_iterative_stops_a_run_that_stalls_at_the_rounding_floor():
+    """At tolerance 1e-14 this run wanders at the rounding floor, neither
+    converging nor growing tenfold, and used to run all 100 passes.  It stops
+    once ``_STALL_PASSES`` passes in a row set no new least discrepancy."""
+    xts = grouped_structure(32, 4, 2, 1)
+    y, residuals = seeded_inputs(xts)
+    config = HeuristicConfig("t-sam", "cs-struc", order="cst", tolerance=1e-14)
+    with pytest.raises(NonConvergence, match="the iterates stalled") as err:
+        iterative(y.reshape(xts.n, xts.width), xts, config, residuals)
+    d = np.asarray(err.value.trace)[:, 0]
+    least = int(np.argmin(d))  # the first pass at the least
+    assert len(d) == least + 1 + _STALL_PASSES < 100
+    assert np.all(d[least + 1 :] >= d[least])
 
 
 @pytest.fixture(scope="module")

@@ -46,7 +46,7 @@ from ctrec import (
     temporal_cov,
     validate_raw_kernel,
 )
-from ctrec.covariance import _cholesky_gate, _one_cycle, _series_blocks
+from ctrec.covariance import _cholesky_gate, _series_blocks
 from ctrec.io import read_hierarchy, write_values
 from ctrec.temporal import _cycle_positions
 from ctrec.reconcile import (
@@ -1163,7 +1163,7 @@ def test_every_oct_kind_solved_per_cycle_matches_the_bare_kernel(kind, h):
     wide = random_residuals(np.random.default_rng(h), xts)  # 87: oct-sam needs 78
     for residuals in [wide] if kind == "oct-sam" else [seeded, wide]:
         W = cross_temporal_cov(kind, xts, residuals)
-        assert _one_cycle(W, xts.ts, h, xts.n) is not None
+        assert W.one_cycle is not None
         res = reconcile_flat(y, xts, W)
         assert relative_gap(res.y_tilde, project(y, W, xts.kernel).y_tilde) <= 1e-10
         assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
@@ -1217,12 +1217,12 @@ def a_factor_that_mixes_cycles(W, pos):
     return CovarianceModel("w", "low-rank", W.size, diag_values=W.diag_values, matrix=U)
 
 
-# Each change, and the cycles of every K that the solve factors: a factor U
-# that mixes cycles leaves woodbury's K D K' to be solved per cycle.
+# Each change, and the cycles of every K that the solve factors: a hand-built
+# W carries no cycle model, so woodbury's K D K' takes the whole G too.
 @pytest.mark.parametrize("kind, change, factorization, cycles", [
     ("oct-acov", one_entry_between_cycles, "two-stage", [2]),
     ("oct-wlsv", a_diagonal_that_differs_in_one_cycle, "two-stage", [2]),
-    ("oct-shr", a_factor_that_mixes_cycles, "woodbury", [2, 2, 1]),
+    ("oct-shr", a_factor_that_mixes_cycles, "woodbury", [2, 2]),
 ])
 def test_models_that_are_not_equal_cycles_take_the_full_path(
     factored_ranks, kind, change, factorization, cycles
@@ -1230,10 +1230,24 @@ def test_models_that_are_not_equal_cycles_take_the_full_path(
     xts = grouped_structure(32, 4, 12, 2)
     y, residuals = seeded_inputs(xts)
     W = change(cross_temporal_cov(kind, xts, residuals), _cycle_positions(xts.ts, 2, xts.n))
-    assert _one_cycle(W, xts.ts, 2, xts.n) is None
+    assert W.one_cycle is None
     res = reconcile_flat(y, xts, W)
     assert factored_ranks == [xts.rank // 2 * c for c in cycles]
     assert res.diagnostics["factorization"] == factorization
+    assert relative_gap(res.y_tilde, project(y, W, xts.kernel).y_tilde) <= 1e-10
+    assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
+
+
+def test_a_model_of_another_cycle_size_takes_the_full_path(factored_ranks):
+    # 2 series at h = 3 and 3 series at h = 2 both have 42 values at m = 4.
+    ts = build_temporal(4)
+    residuals = ResidualTableau(np.random.default_rng(3).standard_normal((14, 30)), 2, ts)
+    W = temporal_cov("t-acov", ts, residuals, h=3)
+    xts = build_cross_temporal(build_cross_sectional([[1, 1]]), ts, 2)
+    assert W.size == xts.size and W.one_cycle.size != xts.one_cycle.size
+    y = np.random.default_rng(4).standard_normal(xts.size)
+    res = reconcile_flat(y, xts, W)
+    assert factored_ranks == [xts.rank]
     assert relative_gap(res.y_tilde, project(y, W, xts.kernel).y_tilde) <= 1e-10
     assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
 
