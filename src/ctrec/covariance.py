@@ -22,7 +22,7 @@ residual input as a :class:`ResidualTableau`, level by level through
 :func:`_levels`, builds the model of one cycle (series-major), and
 assembles block-diagonal ones in one place.  One function,
 :func:`_over_cycles`, extends a one-cycle model to ``h`` forecast cycles
-and records it on the extension as ``one_cycle``, which the solves read.
+and records it and its layout on the extension, which the solves read.
 
 A model multiplies (``apply``) and densifies (``dense``) but does not
 solve: every solve with ``W`` or ``K W K'`` is factored by the one core in
@@ -187,8 +187,9 @@ class CovarianceModel:
     :class:`InvalidEntry`.
 
     ``one_cycle`` is the model of one forecast cycle when an estimator built
-    this one as ``h > 1`` copies of it (:func:`_over_cycles`), else ``None``.
-    It is not set by ``__init__``, and ``dataclasses.replace`` drops it.
+    this one as ``h > 1`` copies of it (:func:`_over_cycles`), laid out by
+    ``cycle_layout``, else both are ``None``.  Neither is set by
+    ``__init__``, and ``dataclasses.replace`` drops both.
     """
 
     kind: str
@@ -199,6 +200,7 @@ class CovarianceModel:
     lam: float | tuple[float, ...] | None = None
     rho: dict | None = field(default=None)
     one_cycle: CovarianceModel | None = field(default=None, init=False, repr=False, compare=False)
+    cycle_layout: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_integer("size", self.size, 1)
@@ -366,7 +368,8 @@ def _block_diagonal(kind: str, pairs, size: int, **kw) -> CovarianceModel:
 def _over_cycles(W1: CovarianceModel, ts: TemporalStructure, h: int, n: int) -> CovarianceModel:
     """The model of ``h`` forecast cycles of ``n`` series whose every cycle is
     ``W1``, with nothing between cycles: the series-major, level-blocked form
-    of ``I_h (x) W1``, recorded as its ``one_cycle``; for ``h = 1``, ``W1``.
+    of ``I_h (x) W1``, recorded as its ``one_cycle`` with the layout
+    ``cycle_layout = (ts.factors, h, n)``; for ``h = 1``, ``W1`` itself.
 
     A diagonal is scattered to :func:`temporal._cycle_positions`, a factor
     ``U`` with one column block per cycle.  A block-diagonal or full ``W1``
@@ -374,8 +377,8 @@ def _over_cycles(W1: CovarianceModel, ts: TemporalStructure, h: int, n: int) -> 
     positions increases, so the copied rows stay sorted."""
     if h == 1:
         return W1
-    pos = _cycle_positions(ts, h, n)
-    kw = {"size": pos.size}
+    kw = {"size": h * W1.size}
+    pos = None if W1.structure == "identity" else _cycle_positions(ts, h, n)
     if W1.diag_values is not None:
         kw["diag_values"] = np.empty(pos.size)
         kw["diag_values"][pos] = W1.diag_values
@@ -387,16 +390,15 @@ def _over_cycles(W1: CovarianceModel, ts: TemporalStructure, h: int, n: int) -> 
     elif W1.matrix is not None:
         A = sp.csr_matrix(W1.matrix)
         # Stacked row c size + v is row v of W1 in cycle c; it sits at pos[c, v].
-        stacked = sp.csr_matrix(
-            (np.tile(A.data, h), pos[:, A.indices].ravel(),
-             np.r_[0, np.cumsum(np.tile(np.diff(A.indptr), h))]),
-            shape=(pos.size, pos.size),
-        )
+        stacked = sp.csr_matrix((np.tile(A.data, h), pos[:, A.indices].ravel(),
+                                 np.r_[0, np.cumsum(np.tile(np.diff(A.indptr), h))]),
+                                shape=(pos.size, pos.size))
         where = np.empty(pos.size, dtype=np.int64)
         where[pos.ravel()] = np.arange(pos.size)
         kw.update(structure="block-diagonal", matrix=stacked[where])
     Wh = replace(W1, **kw)
     object.__setattr__(Wh, "one_cycle", W1)
+    object.__setattr__(Wh, "cycle_layout", (ts.factors, h, n))
     return Wh
 
 

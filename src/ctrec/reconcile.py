@@ -30,12 +30,12 @@ values) is ``woodbury``, a composition: the dispatch factors ``G0 = K D
 K'``, by the two-stage path where that applies, and ``G = G0 + (K U)(K
 U)'`` is solved through the Cholesky factor of the small capacitance
 matrix without being formed.  Over ``h > 1`` forecast cycles, every model
-the estimators build carries its one cycle's model ``W1`` (``W.one_cycle``),
-extended with no entry between cycles, so ``G`` is a row permutation of
-``I_h (x) G1``: the structure's one-cycle ``G1 = K1 W1 K1'`` is factored by
-the same dispatch, a composition like ``woodbury``, and one call of its
-solver takes the right-hand sides of every cycle side by side
-(:func:`_per_cycle`).  Any other ``W`` and the bare kernel of
+the estimators build carries its one cycle's model ``W1`` (``W.one_cycle``)
+and the layout of its copies, with no entry between cycles, so on a structure
+of that layout ``G`` is a row permutation of ``I_h (x) G1``: the structure's
+one-cycle ``G1 = K1 W1 K1'`` is factored by the same dispatch, a composition
+like ``woodbury``, and one call of its solver takes the right-hand sides of
+every cycle side by side (:func:`_per_cycle`).  Any other ``W`` and the bare kernel of
 :func:`project` keep the whole-``G`` rules.  Every factor
 passes one positive-definiteness gate: dense Cholesky factors come from
 :func:`ctrec.covariance._cholesky_gate` (SciPy's ``cho_solve`` solves with
@@ -366,8 +366,8 @@ def _normal_factor(kernel, W: CovarianceModel, context: str, xts=None):
     The one dispatch of every solve.  When ``kernel`` comes with its
     :class:`CrossTemporalStructure` ``xts`` and ``W`` carries the model
     ``W1 = W.one_cycle`` of one of its cycles (an estimator's ``h > 1``
-    copies of ``W1``, :func:`ctrec.covariance._over_cycles`) of the size of
-    the structure's ``one_cycle``, ``G`` is ``I_h (x) G1`` up to a
+    copies of ``W1``, :func:`ctrec.covariance._over_cycles`) laid out as the
+    structure's cycles, ``G`` is ``I_h (x) G1`` up to a
     permutation of its rows: ``G1 = K1 W1 K1'`` over the structure's
     ``one_cycle`` is factored by this dispatch, and :func:`_per_cycle`
     solves every cycle through it.  A low-rank ``W = D +
@@ -382,10 +382,10 @@ def _normal_factor(kernel, W: CovarianceModel, context: str, xts=None):
     Returns ``(factorization, solve)``, as :func:`_factor`; a solve per
     cycle reports the factorization of ``G1``.
     """
-    r, W1 = kernel.shape[0], W.one_cycle
-    if xts is not None and W1 is not None and W1.size == xts.one_cycle.size:
+    r = kernel.shape[0]
+    if xts is not None and W.cycle_layout == (xts.ts.factors, xts.h, xts.n):
         one = xts.one_cycle
-        factorization, solve = _normal_factor(one.kernel, W1, context, one)
+        factorization, solve = _normal_factor(one.kernel, W.one_cycle, context, one)
         return factorization, _per_cycle(solve, xts.cycle_rows)
     if W.structure == "low-rank" and r:
         D = CovarianceModel(W.kind, "diagonal", W.size, diag_values=W.diag_values)

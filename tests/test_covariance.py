@@ -360,7 +360,8 @@ def test_every_model_extends_its_one_cycle_model(C, m, h):
         np.testing.assert_array_equal(back.dense(), W1.dense(), err_msg=W1.kind)
         assert (back.kind, back.structure, back.lam, back.rho) == (
             W1.kind, W1.structure, W1.lam, W1.rho)
-        assert W1.one_cycle is None
+        assert Wh.cycle_layout == (ts.factors, h, n)
+        assert W1.one_cycle is None and W1.cycle_layout is None
 
 
 def test_one_cycle_is_none_unless_w_is_equal_copies_of_one_cycle():
@@ -371,7 +372,7 @@ def test_one_cycle_is_none_unless_w_is_equal_copies_of_one_cycle():
     low_rank = CovarianceModel("w", "low-rank", xts.size, diag_values=np.ones(xts.size), matrix=E)
     full = CovarianceModel("w", "full", xts.size, matrix=E @ E.T + np.eye(xts.size))
     for W in (CovarianceModel("w", "identity", xts.size), low_rank, full):  # hand-built
-        assert W.one_cycle is None
+        assert W.one_cycle is None and W.cycle_layout is None
     # A replaced estimator model drops the cycle model it no longer equals.
     xts = grouped_structure(8, 2, 4, h)
     y, residuals = seeded_inputs(xts)  # 39 residual cycles: oct-shr is low-rank
@@ -379,7 +380,7 @@ def test_one_cycle_is_none_unless_w_is_equal_copies_of_one_cycle():
         W = cross_temporal_cov(kind, xts, residuals)
         assert W.one_cycle is not None
         W = dataclasses.replace(W, diag_values=rng.uniform(0.5, 2.0, xts.size) * W.diag_values)
-        assert W.one_cycle is None
+        assert W.one_cycle is None and W.cycle_layout is None
         if kind == "oct-shr":  # the factor now goes with the new diagonal
             U = W.matrix.U
             np.testing.assert_array_equal(W.dense(), U @ U.T + np.diag(W.diag_values))

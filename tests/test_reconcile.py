@@ -1238,14 +1238,23 @@ def test_models_that_are_not_equal_cycles_take_the_full_path(
     assert res.diagnostics["constraint_residual"] <= 1e-10 * np.max(np.abs(y))
 
 
-def test_a_model_of_another_cycle_size_takes_the_full_path(factored_ranks):
-    # 2 series at h = 3 and 3 series at h = 2 both have 42 values at m = 4.
-    ts = build_temporal(4)
-    residuals = ResidualTableau(np.random.default_rng(3).standard_normal((14, 30)), 2, ts)
-    W = temporal_cov("t-acov", ts, residuals, h=3)
-    xts = build_cross_temporal(build_cross_sectional([[1, 1]]), ts, 2)
-    assert W.size == xts.size and W.one_cycle.size != xts.one_cycle.size
-    y = np.random.default_rng(4).standard_normal(xts.size)
+@pytest.mark.parametrize("n, m, h, C, xm", [
+    # 2 series at h = 3 and 3 series at h = 2, both 42 values at m = 4
+    (2, 4, 3, [[1, 1]], 4),
+    # 3 series at m = 4 and 7 series at m = 2, both 21 values a cycle, h = 2
+    (3, 4, 2, [[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]], 2),
+])
+def test_a_model_laid_out_for_another_structure_takes_the_full_path(
+    factored_ranks, n, m, h, C, xm
+):
+    ts = build_temporal(m)
+    rng = np.random.default_rng(3)
+    residuals = ResidualTableau(rng.standard_normal((n * ts.cycle_len, 30)), n, ts)
+    W = temporal_cov("t-acov", ts, residuals, h=h)
+    xts = build_cross_temporal(build_cross_sectional(C), build_temporal(xm), 2)
+    assert W.size == xts.size and W.one_cycle is not None
+    assert W.cycle_layout != (xts.ts.factors, xts.h, xts.n)
+    y = rng.standard_normal(xts.size)
     res = reconcile_flat(y, xts, W)
     assert factored_ranks == [xts.rank]
     assert relative_gap(res.y_tilde, project(y, W, xts.kernel).y_tilde) <= 1e-10
